@@ -43,14 +43,16 @@ class SampledLruPolicy : public TieringPolicy {
       if (memory().IsResident(victim) &&
           memory().TierOf(victim) == Tier::kFast) {
         const PageId pages[] = {victim};
-        migration().Demote(pages, sample.time_ns);
+        migration().Demote(pages, sample.time_ns,
+                           MigrationReason::kCapacityDemand);
       }
     }
     lru_.PushMru(unit);
     if (memory().IsResident(unit) &&
         memory().TierOf(unit) == Tier::kSlow) {
       const PageId pages[] = {unit};
-      migration().Promote(pages, sample.time_ns);
+      migration().Promote(pages, sample.time_ns,
+                          MigrationReason::kHotnessRank);
     }
   }
 

@@ -48,26 +48,15 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     }
   }
 
-  if (config.topology.empty()) {
-    // No topology configured: the exact legacy construction path (one
-    // endpoint from the default slow tier), pinned bit-identical by
-    // the golden determinism tests.
-    memory_ = std::make_unique<TieredMemory>(
-        footprint_units_, fast_capacity_units_, footprint_units_,
-        config.allocation);
-    perf_ = std::make_unique<PerfModel>(
-        config_.perf, DefaultFastTier(fast_capacity_units_),
-        DefaultSlowTier(footprint_units_));
-  } else {
-    const Topology topology = ParseTopologySpec(config.topology);
-    memory_ = std::make_unique<TieredMemory>(
-        footprint_units_, fast_capacity_units_, footprint_units_,
-        config.allocation, topology.endpoint_count(),
-        topology.interleave_units);
-    perf_ = std::make_unique<PerfModel>(
-        config_.perf, DefaultFastTier(fast_capacity_units_),
-        DefaultSlowTier(footprint_units_), topology);
-  }
+  const Topology topology = config.topology.empty()
+                                ? DefaultTopology()
+                                : ParseTopologySpec(config.topology);
+  memory_ = std::make_unique<TieredMemory>(
+      footprint_units_, fast_capacity_units_, footprint_units_,
+      config.allocation, topology.endpoint_count(),
+      topology.interleave_units);
+  perf_ = std::make_unique<PerfModel>(
+      config_.perf, DefaultFastTier(fast_capacity_units_), topology);
   hierarchy_ = std::make_unique<CacheHierarchy>(config.cache);
   migration_ =
       std::make_unique<MigrationEngine>(memory_.get(), perf_.get(),
@@ -403,7 +392,7 @@ void Simulation::SetupTelemetry() {
     m.AddProbe("audit/dropped_records", [this] {
       return static_cast<double>(audit_->dropped_records());
     });
-    for (uint32_t r = 1;
+    for (uint32_t r = 0;
          r < static_cast<uint32_t>(MigrationReason::kCount); ++r) {
       const MigrationReason reason = static_cast<MigrationReason>(r);
       const std::string prefix =
@@ -709,7 +698,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
         ++result_.fast_mem_accesses;
         if (tenant != nullptr) ++tenant->fast_mem_accesses;
         if (attr_ != nullptr) [[unlikely]] {
-          const TimeNs idle = perf_->IdleLatency(Tier::kFast);
+          const TimeNs idle = perf_->FastIdleLatency();
           attr_->AddFastFill(attr_tenant, idle, latency - idle);
         }
       } else if (faults_on_ &&

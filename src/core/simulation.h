@@ -96,9 +96,7 @@ struct SimulationConfig {
   /**
    * Slow-tier device topology spec (see mem/topology.h), e.g.
    * "cxl:(1,(2,3)),lat=124:180:180,bw=34:17:17,link=20". Empty (the
-   * default) keeps the historical single-endpoint model on the exact
-   * legacy construction path — bit-identical results, gated by the
-   * golden determinism tests.
+   * default) means `DefaultTopology()`: the paper's single device.
    */
   std::string topology;
   /**

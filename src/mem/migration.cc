@@ -14,13 +14,9 @@ MigrationEngine::MigrationEngine(TieredMemory* memory, PerfModel* perf_model,
 TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
                                      TimeNs now, MigrationReason reason) {
   if (pages.empty()) return 0;
-  // With several endpoints, each moved page's copy leg runs on its
-  // static home device (HDM decode), so the batch is costed per
-  // endpoint; the single-endpoint path stays on the legacy call.
-  const bool split = memory_->endpoint_count() > 1;
-  if (split) {
-    endpoint_pages_.assign(memory_->endpoint_count(), 0);
-  }
+  // Each moved page's copy leg runs on its static home device (HDM
+  // decode), so the batch is costed per endpoint.
+  endpoint_pages_.assign(memory_->endpoint_count(), 0);
   uint64_t moved = 0;
   for (const PageId page : pages) {
     if (any_down_ && dst == Tier::kSlow) [[unlikely]] {
@@ -34,7 +30,7 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
     const bool ok = memory_->IsResident(page) && memory_->Migrate(page, dst);
     if (ok) {
       ++moved;
-      if (split) ++endpoint_pages_[memory_->EndpointOf(page)];
+      ++endpoint_pages_[memory_->EndpointOf(page)];
       if (audit_ != nullptr) [[unlikely]] {
         if (dst == Tier::kFast) {
           audit_->OnPromoted(page, now);
@@ -58,9 +54,7 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
   }
 
   const TimeNs cost =
-      split ? perf_model_->MigrationCostSplit(endpoint_pages_,
-                                              PageBytes(mode_), now)
-            : perf_model_->MigrationCost(moved, PageBytes(mode_), now);
+      perf_model_->MigrationCost(endpoint_pages_, PageBytes(mode_), now);
   stats_.migration_time_ns += cost;
   if (audit_ != nullptr) [[unlikely]] {
     audit_->RecordBatch(dst == Tier::kFast, reason, now,

@@ -63,17 +63,10 @@ class MigrationEngine {
   virtual TimeNs Promote(std::span<const PageId> pages, TimeNs now,
                          MigrationReason reason);
 
-  /** Demotes `pages` (fast -> slow) as one batch at time `now`. */
+  /** Demotes `pages` (fast -> slow) as one batch at time `now`,
+   *  stamped with `reason`. */
   virtual TimeNs Demote(std::span<const PageId> pages, TimeNs now,
                         MigrationReason reason);
-
-  /** Legacy unstamped call sites record kUnspecified. */
-  TimeNs Promote(std::span<const PageId> pages, TimeNs now) {
-    return Promote(pages, now, MigrationReason::kUnspecified);
-  }
-  TimeNs Demote(std::span<const PageId> pages, TimeNs now) {
-    return Demote(pages, now, MigrationReason::kUnspecified);
-  }
 
   /** Cumulative statistics. */
   const MigrationStats& stats() const { return stats_; }

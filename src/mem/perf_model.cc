@@ -7,22 +7,8 @@
 namespace hybridtier {
 
 PerfModel::PerfModel(const PerfModelConfig& config, const TierConfig& fast,
-                     const TierConfig& slow)
-    : PerfModel(config, fast, slow, [&slow] {
-        // The historical two-tier model: one endpoint with the slow
-        // tier's latency and bandwidth, no switch.
-        Topology topology;
-        TopologyEndpoint endpoint;
-        endpoint.idle_latency_ns = slow.idle_latency_ns;
-        endpoint.bandwidth_gbps = slow.bandwidth_gbps;
-        topology.endpoints.push_back(endpoint);
-        return topology;
-      }()) {}
-
-PerfModel::PerfModel(const PerfModelConfig& config, const TierConfig& fast,
-                     const TierConfig& slow, const Topology& topology)
+                     const Topology& topology)
     : config_(config), topology_(topology) {
-  (void)slow;  // Slow-tier capacity lives in TieredMemory.
   HT_ASSERT(fast.bandwidth_gbps > 0, "tier bandwidth must be positive");
   HT_ASSERT(config.threads >= 1, "threads must be >= 1");
   HT_ASSERT(!topology.endpoints.empty(), "topology needs endpoints");
@@ -80,8 +66,7 @@ TimeNs PerfModel::TransferTime(double gbps, uint64_t bytes) {
   return std::max<TimeNs>(static_cast<TimeNs>(ns), 1);
 }
 
-TimeNs PerfModel::OccupyChannel(Tier tier, uint64_t bytes, TimeNs now) {
-  if (tier == Tier::kSlow) return OccupyEndpoint(0, bytes, now);
+TimeNs PerfModel::OccupyFast(uint64_t bytes, TimeNs now) {
   const TimeNs duration = TransferTime(fast_bandwidth_gbps_, bytes);
   Advance(&fast_.busy_until, duration, now);
   fast_.bytes += bytes;
@@ -107,22 +92,8 @@ TimeNs PerfModel::OccupyEndpoint(uint32_t endpoint, uint64_t bytes,
   return duration;
 }
 
-TimeNs PerfModel::MigrationCost(uint64_t num_pages, uint64_t page_bytes,
-                                TimeNs now) {
-  if (num_pages == 0) return 0;
-  const uint64_t bytes = num_pages * page_bytes;
-  // The copy reads one tier and writes the other; both channels are busy.
-  const TimeNs copy_fast = OccupyChannel(Tier::kFast, bytes, now);
-  const TimeNs copy_slow = OccupyEndpoint(0, bytes, now);
-  const TimeNs kernel_cost =
-      config_.migration_syscall_ns +
-      num_pages * config_.migration_page_ns * (page_bytes / kPageSize);
-  return kernel_cost + std::max(copy_fast, copy_slow);
-}
-
-TimeNs PerfModel::MigrationCostSplit(
-    std::span<const uint64_t> pages_per_endpoint, uint64_t page_bytes,
-    TimeNs now) {
+TimeNs PerfModel::MigrationCost(std::span<const uint64_t> pages_per_endpoint,
+                                uint64_t page_bytes, TimeNs now) {
   HT_ASSERT(pages_per_endpoint.size() == endpoints_.size(),
             "per-endpoint page counts must cover every endpoint");
   uint64_t num_pages = 0;
@@ -132,8 +103,7 @@ TimeNs PerfModel::MigrationCostSplit(
   // its uplink) carries only its own pages. The copy phase ends when
   // the slowest leg finishes — the batch syscall returns once every
   // page has moved.
-  const TimeNs copy_fast =
-      OccupyChannel(Tier::kFast, num_pages * page_bytes, now);
+  const TimeNs copy_fast = OccupyFast(num_pages * page_bytes, now);
   TimeNs copy_slow = 0;
   for (uint32_t e = 0; e < pages_per_endpoint.size(); ++e) {
     if (pages_per_endpoint[e] == 0) continue;

@@ -22,16 +22,15 @@
  * to approximate the paper's 16 application threads sharing the channel
  * while the simulator models a single serialized access stream.
  *
- * The legacy three-argument constructor builds a single-endpoint
- * topology from the slow `TierConfig`; every arithmetic step on that
- * path is identical to the historical two-tier model, which the golden
- * determinism tests gate bit-exactly.
+ * The model is built from the fast tier's `TierConfig` and a
+ * `Topology`; the paper's single emulated CXL device is
+ * `DefaultTopology()` (`cxl:(1)`).
  *
  * **Decomposition contract** (relied on by `obs/attribution.h` and the
  * per-endpoint queue-delay histograms): every demand-access latency
  * this model returns is exactly `idle latency + queue delay`, both
  * integer ns, so observers recover the queue component with the
- * subtraction `latency - IdleLatency(tier)` (fast) or
+ * subtraction `latency - FastIdleLatency()` (fast) or
  * `latency - EndpointIdleLatency(endpoint)` (slow) with no remainder.
  * Any new latency term added here must either fold into one of those
  * two parts or get its own `LatencyComponent`, or the accounting
@@ -75,9 +74,12 @@ struct PerfModelConfig {
    * backlog that no access would ever observe beyond the cap, and the
    * backlog never drained. With the knob on, backlog beyond the cap is
    * shed (a bounded queue: the excess models requests the real fabric
-   * would have back-pressured at issue). Default off: the unclamped
-   * accounting is pinned bit-exactly by the golden determinism suite,
-   * so the fix is opt-in until the goldens are re-baselined.
+   * would have back-pressured at the requester). Default off because
+   * results depend on the unbounded backlog: with the knob on, the
+   * golden determinism suite still passes, but fig_topology's
+   * asymmetric-layout gate (endpoint-aware p50 must beat blind) fails
+   * and fig_attribution's table changes. Turning it on is a modeling
+   * decision, not a fix.
    */
   bool bounded_queue = false;
   /**
@@ -93,20 +95,10 @@ struct PerfModelConfig {
 /** Channel-occupancy timing model over the fast tier + CXL endpoints. */
 class PerfModel {
  public:
-  /** Single-endpoint model from the slow tier's latency/bandwidth —
-   *  bit-identical to the historical two-tier model. */
+  /** The fast tier is `fast`'s channel; the slow tier is `topology`'s
+   *  device tree. */
   PerfModel(const PerfModelConfig& config, const TierConfig& fast,
-            const TierConfig& slow);
-
-  /** Multi-endpoint model: the slow tier is `topology`'s device tree
-   *  (the slow TierConfig contributes only capacity accounting). */
-  PerfModel(const PerfModelConfig& config, const TierConfig& fast,
-            const TierConfig& slow, const Topology& topology);
-
-  /** Legacy entry point: slow-tier accesses hit endpoint 0. */
-  TimeNs MemoryAccess(Tier tier, TimeNs now) {
-    return MemoryAccess(tier, 0, now);
-  }
+            const Topology& topology);
 
   /**
    * Returns the latency of a demand access of one cache line served by
@@ -159,33 +151,21 @@ class PerfModel {
   }
 
   /**
-   * Accounts a bulk transfer of `bytes` on `tier`'s channel starting at
-   * `now` (used for page migrations: the source is read and the
-   * destination written). Slow-tier transfers hit endpoint 0; see
-   * OccupyEndpoint for explicit endpoint routing. Returns the transfer
-   * duration.
+   * Bulk transfer of `bytes` on one slow endpoint's port (and its
+   * switch link) starting at `now`. Returns the transfer duration.
    */
-  TimeNs OccupyChannel(Tier tier, uint64_t bytes, TimeNs now);
-
-  /** Bulk transfer on one slow endpoint's port (and its switch link). */
   TimeNs OccupyEndpoint(uint32_t endpoint, uint64_t bytes, TimeNs now);
 
   /**
-   * Full cost of migrating `num_pages` pages of `page_bytes` each in one
-   * batch at time `now`: syscall overhead + per-page kernel cost, with
-   * the fast channel and slow endpoint 0 occupied by the copy traffic.
+   * Full cost of one migration batch at time `now` in which
+   * `pages_per_endpoint[i]` pages of `page_bytes` each move between the
+   * fast tier and endpoint `i`: syscall overhead + per-page kernel
+   * cost + the copy. The fast channel carries the total; each endpoint
+   * carries its own share; the copy phase ends when the slowest leg
+   * finishes.
    */
-  TimeNs MigrationCost(uint64_t num_pages, uint64_t page_bytes, TimeNs now);
-
-  /**
-   * Multi-endpoint migration cost: `pages_per_endpoint[i]` pages move
-   * between the fast tier and endpoint `i` in one batch. The fast
-   * channel carries the total; each endpoint carries its own share; the
-   * batch's copy phase ends when the slowest leg finishes. With a
-   * single endpoint this is exactly MigrationCost.
-   */
-  TimeNs MigrationCostSplit(std::span<const uint64_t> pages_per_endpoint,
-                            uint64_t page_bytes, TimeNs now);
+  TimeNs MigrationCost(std::span<const uint64_t> pages_per_endpoint,
+                       uint64_t page_bytes, TimeNs now);
 
   /** Service latency of an L1 hit. */
   TimeNs L1Latency() const { return config_.l1_latency_ns; }
@@ -196,11 +176,8 @@ class PerfModel {
   /** Cost of taking a hint fault (AutoNUMA/TPP promotion path). */
   TimeNs HintFaultLatency() const { return config_.hint_fault_ns; }
 
-  /** Idle (unloaded) latency of `tier` (slow = endpoint 0). */
-  TimeNs IdleLatency(Tier tier) const {
-    return tier == Tier::kFast ? fast_idle_latency_ns_
-                               : endpoints_[0].idle_latency_ns;
-  }
+  /** Idle (unloaded) latency of the fast tier. */
+  TimeNs FastIdleLatency() const { return fast_idle_latency_ns_; }
 
   /** Cumulative bytes transferred on `tier` (slow = all endpoints). */
   uint64_t BytesTransferred(Tier tier) const {
@@ -327,6 +304,9 @@ class PerfModel {
 
   /** ns a channel of `gbps` is busy transferring `bytes`. */
   static TimeNs TransferTime(double gbps, uint64_t bytes);
+
+  /** Bulk transfer of `bytes` on the fast channel; returns duration. */
+  TimeNs OccupyFast(uint64_t bytes, TimeNs now);
 
   PerfModelConfig config_;
   Topology topology_;

@@ -7,7 +7,9 @@
  *
  * Latency/bandwidth defaults follow the paper's emulation setup (§5.1):
  * local DDR4 DRAM as the fast tier and a remote-NUMA-emulated CXL device
- * with 124 ns idle latency and 34 GB/s bandwidth as the slow tier.
+ * with 124 ns idle latency and 34 GB/s bandwidth as the slow tier. The
+ * slow tier's devices are described by a `Topology` (mem/topology.h),
+ * whose `DefaultTopology()` is that one device.
  */
 
 #include <cstdint>
@@ -42,13 +44,6 @@ inline TierConfig DefaultFastTier(uint64_t capacity_pages) {
   return TierConfig{.capacity_pages = capacity_pages,
                     .idle_latency_ns = 80,
                     .bandwidth_gbps = 100.0};
-}
-
-/** Paper-default slow tier (emulated CXL): 124 ns idle, 34 GB/s (§5.1). */
-inline TierConfig DefaultSlowTier(uint64_t capacity_pages) {
-  return TierConfig{.capacity_pages = capacity_pages,
-                    .idle_latency_ns = 124,
-                    .bandwidth_gbps = 34.0};
 }
 
 }  // namespace hybridtier

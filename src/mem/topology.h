@@ -30,10 +30,9 @@
  *   gran=n        HDM interleave granularity in tracking units: unit u
  *                 lives on endpoint (u / n) % N (default 1)
  *
- * `cxl:(1)` with the default knobs is exactly today's single slow
- * device; the simulator's default (no topology configured) bypasses
- * this module entirely and is gated bit-identical by the determinism
- * suite.
+ * `cxl:(1)` with the default knobs is the paper's single slow device,
+ * and it is what the simulator runs when no topology is configured.
+ * The HDM decode itself lives in `TieredMemory::EndpointOf`.
  */
 
 #include <cstdint>
@@ -75,13 +74,6 @@ struct Topology {
   /** Number of endpoints (>= 1 for any valid topology). */
   uint32_t endpoint_count() const {
     return static_cast<uint32_t>(endpoints.size());
-  }
-
-  /** HDM decode: the home endpoint of tracking unit `unit`. */
-  uint32_t EndpointOf(PageId unit) const {
-    if (endpoints.size() <= 1) return 0;
-    return static_cast<uint32_t>((unit / interleave_units) %
-                                 endpoints.size());
   }
 };
 

@@ -72,6 +72,8 @@ FairSharePolicy::FairSharePolicy(std::unique_ptr<TieringPolicy> base,
   HT_ASSERT(base_ != nullptr, "fair-share wrapper needs a base policy");
   HT_ASSERT(!directory_.regions.empty(),
             "fair-share wrapper needs at least one tenant");
+  HT_ASSERT(config_.release_batch > 0,
+            "fair-share release_batch must be positive");
   name_ = std::string("FairShare(") + base_->name() + ")";
 }
 
@@ -452,33 +454,37 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
   for (size_t i = 0; i < draining_.size();) {
     const uint32_t t = draining_[i];
     if (fast_units_[t] > 0) {
-      // Reclaim writeback, paced: demote up to release_batch fast
-      // units per tick (0 = the legacy whole-share flush), in address
-      // order — hotness ranking is pointless for a dead tenant's
-      // pages, sequential reclaim is what an exit path does. The scan
-      // resumes at the drain cursor, so each pagemap byte is walked
-      // once per drain instead of once per tick. Nothing can land new
-      // fast units behind the cursor: the tenant is out of the mux
-      // rotation and its zero quota gates every promotion path.
+      // Reclaim writeback, paced: demote up to release_batch fast units
+      // per tick, in address order — hotness ranking is pointless for a
+      // dead tenant's pages, sequential reclaim is what an exit path
+      // does. The scan resumes at the drain cursor, so each pagemap
+      // byte is walked once per pass instead of once per tick.
       const PageRange range =
           directory_.regions[t].UnitRange(context().mode);
-      const uint64_t batch = config_.release_batch == 0
-                                 ? range.size()
-                                 : config_.release_batch;
       victims_.clear();
-      PageId unit = drain_cursor_[t];
-      for (; unit < range.end && victims_.size() < batch; ++unit) {
+      const PageId start = drain_cursor_[t];
+      PageId unit = start;
+      for (; unit < range.end && victims_.size() < config_.release_batch;
+           ++unit) {
         sink().Touch(kSharePagemapBase + (unit / 8) * kCacheLineSize);
         if (memory().IsResident(unit) &&
             memory().TierOf(unit) == Tier::kFast) {
+          // The engine refuses a demotion homed on a down endpoint, so
+          // the cursor never passes one: the drain parks on it and
+          // retries every tick until the endpoint recovers.
+          if (HomeDown(unit)) break;
           victims_.push_back(unit);
         }
       }
-      drain_cursor_[t] = unit;
-      HT_ASSERT(!victims_.empty() || fast_units_[t] == 0 ||
-                    unit < range.end,
-                "drain cursor passed tenant ", t, "'s region with ",
-                fast_units_[t], " fast units unaccounted");
+      HT_ASSERT(start != range.begin || unit < range.end ||
+                    !victims_.empty() || fast_units_[t] == 0,
+                "drain pass over tenant ", t, "'s region found none of its ",
+                fast_units_[t], " fast units");
+      // The zero quota gates every promotion path, but fault evacuation
+      // promotes from outside the gate and can land fast units behind
+      // the cursor; a pass that reaches the region end restarts at its
+      // beginning so those are drained too.
+      drain_cursor_[t] = unit < range.end ? unit : range.begin;
       if (!victims_.empty()) {
         TrackedDemote(victims_, now, MigrationReason::kChurnDrain);
       }
@@ -495,15 +501,23 @@ void FairSharePolicy::ForceFinishDrain(uint32_t tenant, TimeNs now) {
   const PageRange range =
       directory_.regions[tenant].UnitRange(context().mode);
   victims_.clear();
+  uint64_t stranded = 0;
   memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                        [this](PageId unit) {
+                        [this, &stranded](PageId unit) {
                           sink().Touch(kSharePagemapBase +
                                        (unit / 8) * kCacheLineSize);
-                          victims_.push_back(unit);
+                          if (HomeDown(unit)) {
+                            ++stranded;
+                          } else {
+                            victims_.push_back(unit);
+                          }
                         });
   if (!victims_.empty()) {
     TrackedDemote(victims_, now, MigrationReason::kChurnDrain);
   }
+  // Units homed on a down endpoint cannot be written back; the release
+  // frees them in place, as exit reclaim frees a dead process's pages.
+  fast_units_[tenant] -= stranded;
   FinishRelease(tenant, now);
 }
 

@@ -142,8 +142,7 @@ struct FairShareConfig {
   /**
    * Cap on the fast units demoted per tick while draining a departed
    * tenant's share (paced reclaim writeback); the region is released
-   * once the drain finishes. 0 = legacy behavior: the whole share is
-   * demoted in one uncapped batch at the departure tick.
+   * once the drain finishes. Must be positive.
    */
   uint64_t release_batch = 4096;
   /**
@@ -362,7 +361,8 @@ class FairSharePolicy : public TieringPolicy,
    * Paced departure reclaim: demotes up to `release_batch` fast units
    * of each draining tenant, and releases the region once drained. The
    * address-order scan resumes at a per-tenant cursor, so each pagemap
-   * byte is visited once per drain, not once per tick.
+   * byte is visited once per pass, not once per tick. The cursor parks
+   * on a unit homed on a down endpoint until the endpoint recovers.
    */
   void DrainDeparting(TimeNs now);
 
@@ -370,7 +370,8 @@ class FairSharePolicy : public TieringPolicy,
    * Flushes a draining tenant's remaining fast share in one batch and
    * releases the region now — used when the tenant's next residency
    * window opens before the paced drain finished, so a re-admission
-   * never overlaps a half-released region.
+   * never overlaps a half-released region. Units homed on a down
+   * endpoint cannot be demoted and are released in place.
    */
   void ForceFinishDrain(uint32_t tenant, TimeNs now);
 
@@ -401,6 +402,12 @@ class FairSharePolicy : public TieringPolicy,
    * it always did.
    */
   uint64_t EffectiveFastCapacity() const;
+
+  /** True while `unit`'s home endpoint is down: the engine refuses to
+   *  demote it. */
+  bool HomeDown(PageId unit) const {
+    return any_endpoint_down_ && endpoint_down_[memory().EndpointOf(unit)];
+  }
 
   /** Demand-driven re-division (density EMA or marginal utility). */
   void Rebalance(TimeNs now);

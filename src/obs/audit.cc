@@ -7,8 +7,8 @@ namespace hybridtier {
 
 const char* MigrationReasonName(MigrationReason reason) {
   switch (reason) {
-    case MigrationReason::kUnspecified:
-      return "unspecified";
+    case MigrationReason::kHintFault:
+      return "hint_fault";
     case MigrationReason::kHotnessRank:
       return "hotness_rank";
     case MigrationReason::kCapacityDemand:

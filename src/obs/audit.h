@@ -49,8 +49,8 @@ namespace hybridtier {
 
 /** Why a migration batch was issued (one reason per batch). */
 enum class MigrationReason : uint8_t {
-  kUnspecified = 0,  //!< Legacy call site (no reason threaded).
-  kHotnessRank,      //!< Sampled hotness crossed the promotion threshold.
+  kHintFault = 0,    //!< Fault-time promotion (TPP/AutoNUMA hint fault).
+  kHotnessRank,      //!< Hotness or recency rank crossed the bar.
   kCapacityDemand,   //!< Demand demotion making room for a promotion batch.
   kWatermark,        //!< Background free-watermark demotion scan.
   kQuotaEnforce,     //!< Fair-share over-quota enforcement demotion.
@@ -68,7 +68,7 @@ const char* MigrationReasonName(MigrationReason reason);
 /** One executed migration batch in the flight recorder. */
 struct AuditRecord {
   TimeNs time_ns = 0;
-  MigrationReason reason = MigrationReason::kUnspecified;
+  MigrationReason reason = MigrationReason::kHintFault;
   bool promotion = false;       //!< Promotion batch (else demotion).
   uint32_t pages_moved = 0;     //!< Pages the engine actually moved.
   uint32_t pages_requested = 0; //!< Batch size the policy requested.

@@ -33,7 +33,7 @@ void ArcPolicy::DemoteUnit(PageId unit, TimeNs now) {
   if (memory().IsResident(unit) &&
       memory().TierOf(unit) == Tier::kFast) {
     const PageId pages[] = {unit};
-    migration().Demote(pages, now);
+    migration().Demote(pages, now, MigrationReason::kCapacityDemand);
   }
 }
 
@@ -41,7 +41,7 @@ void ArcPolicy::PromoteUnit(PageId unit, TimeNs now) {
   if (memory().IsResident(unit) &&
       memory().TierOf(unit) == Tier::kSlow) {
     const PageId pages[] = {unit};
-    migration().Promote(pages, now);
+    migration().Promote(pages, now, MigrationReason::kHotnessRank);
   }
 }
 

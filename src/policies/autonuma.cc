@@ -48,7 +48,7 @@ void AutoNumaPolicy::OnAccess(PageId unit, const TouchResult& touch,
     }
     --promotion_tokens_;
     const PageId pages[] = {unit};
-    migration().Promote(pages, now);
+    migration().Promote(pages, now, MigrationReason::kHintFault);
     ++fault_promotions_;
   }
 }
@@ -85,7 +85,9 @@ void AutoNumaPolicy::WatermarkDemotion(TimeNs now) {
                            victims.push_back(unit);
                          }
                        });
-  if (!victims.empty()) migration().Demote(victims, now);
+  if (!victims.empty()) {
+    migration().Demote(victims, now, MigrationReason::kWatermark);
+  }
 }
 
 void AutoNumaPolicy::Tick(TimeNs now) {

@@ -43,7 +43,7 @@ void TppPolicy::OnAccess(PageId unit, const TouchResult& touch,
       if (promotion_tokens_ > 0) {
         --promotion_tokens_;
         const PageId pages[] = {unit};
-        migration().Promote(pages, now);
+        migration().Promote(pages, now, MigrationReason::kHintFault);
         ++fault_promotions_;
       } else {
         ++rate_limited_promotions_;
@@ -83,7 +83,9 @@ void TppPolicy::WatermarkDemotion(TimeNs now) {
                            victims.push_back(unit);
                          }
                        });
-  if (!victims.empty()) migration().Demote(victims, now);
+  if (!victims.empty()) {
+    migration().Demote(victims, now, MigrationReason::kWatermark);
+  }
 }
 
 void TppPolicy::Tick(TimeNs now) {

@@ -34,7 +34,7 @@ void TwoQPolicy::DemoteUnit(PageId unit, TimeNs now) {
   if (memory().IsResident(unit) &&
       memory().TierOf(unit) == Tier::kFast) {
     const PageId pages[] = {unit};
-    migration().Demote(pages, now);
+    migration().Demote(pages, now, MigrationReason::kCapacityDemand);
   }
 }
 
@@ -42,7 +42,7 @@ void TwoQPolicy::PromoteUnit(PageId unit, TimeNs now) {
   if (memory().IsResident(unit) &&
       memory().TierOf(unit) == Tier::kSlow) {
     const PageId pages[] = {unit};
-    migration().Promote(pages, now);
+    migration().Promote(pages, now, MigrationReason::kHotnessRank);
   }
 }
 

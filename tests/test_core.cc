@@ -34,7 +34,7 @@ class CoreHarness {
               AllocationPolicy allocation = AllocationPolicy::kFastFirst)
       : memory_(footprint, fast_capacity, footprint, allocation),
         perf_(PerfModelConfig{}, DefaultFastTier(fast_capacity),
-              DefaultSlowTier(footprint)),
+              DefaultTopology()),
         engine_(&memory_, &perf_) {
     context_.memory = &memory_;
     context_.migration = &engine_;
@@ -325,7 +325,7 @@ TEST(HybridTier, HugePageModeUses16BitCounters) {
   PolicyContext context;
   TieredMemory memory(1 << 12, 1 << 8, 1 << 12);
   PerfModel perf(PerfModelConfig{}, DefaultFastTier(1 << 8),
-                 DefaultSlowTier(1 << 12));
+                 DefaultTopology());
   MigrationEngine engine(&memory, &perf, PageMode::kHuge);
   MetadataTrafficCounter sink;
   sink.SetRecording(false);

@@ -18,6 +18,8 @@
 #include "fault/health.h"
 #include "fault/watchdog.h"
 #include "mem/tiered_memory.h"
+#include "multitenant/fair_share_policy.h"
+#include "multitenant/mux_workload.h"
 #include "obs/attribution.h"
 #include "workloads/factory.h"
 
@@ -360,6 +362,37 @@ TEST(FaultRuntime, ChaosScheduleIsDeterministicAcrossReruns) {
   }
   // And the chaos run actually injected something.
   EXPECT_GT(results[0].fault.transitions, 0u);
+}
+
+// Regression: a Poisson-churning fleet loses an endpoint for good.
+// Departing tenants hold fast units homed on it that the engine
+// refuses to demote; the paced drain must park on them rather than
+// step past and trip its accounting check, and the run must finish
+// with the watchdog silent and replay identically.
+TEST(FaultRuntime, ChurningFleetDrainSurvivesDownEndpoint) {
+  auto run = [] {
+    auto mux = MakeMuxWorkload(
+        ParseTenantList("fleet:16,zipf=0.9,fp=256,fpskew=0.3,"
+                        "churn=poisson,seed=7"),
+        42);
+    FairSharePolicy fair(MakePolicy("HybridTier"), mux->directory());
+    SimulationConfig config;
+    config.fast_tier_fraction = 0.4;
+    config.max_accesses = 300000;
+    config.seed = 42;
+    config.topology = "cxl:(1,(2,3)),lat=124:250:250,bw=34:8:8,link=10";
+    config.faults = "faults:ep2@5ms=down";
+    config.watchdog = true;
+    return RunSimulation(config, mux.get(), &fair);
+  };
+  const SimulationResult a = run();
+  const SimulationResult b = run();
+  EXPECT_EQ(a.fault.endpoints_downed, 1u);
+  EXPECT_GT(a.fault.evacuated_pages, 0u);
+  EXPECT_EQ(a.accesses, 300000u);
+  EXPECT_EQ(a.duration_ns, b.duration_ns);
+  EXPECT_EQ(a.migration.demoted_pages, b.migration.demoted_pages);
+  EXPECT_EQ(a.weighted_jain_fairness, b.weighted_jain_fairness);
 }
 
 // -------------------------------------------------- InvariantWatchdog --

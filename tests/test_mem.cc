@@ -176,28 +176,35 @@ TEST(TieredMemory, ScanChunkBounds) {
 PerfModel MakePerf(uint32_t threads = 1) {
   PerfModelConfig config;
   config.threads = threads;
-  return PerfModel(config, DefaultFastTier(1000), DefaultSlowTier(10000));
+  return PerfModel(config, DefaultFastTier(1000), DefaultTopology());
+}
+
+/** Cost of one batch of `pages` pages on the single default endpoint. */
+TimeNs MigrationCost(PerfModel& perf, uint64_t pages, uint64_t page_bytes,
+                     TimeNs now) {
+  const uint64_t per_endpoint[] = {pages};
+  return perf.MigrationCost(per_endpoint, page_bytes, now);
 }
 
 TEST(PerfModel, IdleLatenciesMatchPaper) {
   PerfModel perf = MakePerf();
   // Paper §5.1: emulated CXL idle latency 124 ns; local DRAM ~80 ns.
-  EXPECT_EQ(perf.IdleLatency(Tier::kSlow), 124u);
-  EXPECT_EQ(perf.IdleLatency(Tier::kFast), 80u);
-  EXPECT_EQ(perf.MemoryAccess(Tier::kSlow, 1000000), 124u);
+  EXPECT_EQ(perf.EndpointIdleLatency(0), 124u);
+  EXPECT_EQ(perf.FastIdleLatency(), 80u);
+  EXPECT_EQ(perf.MemoryAccess(Tier::kSlow, 0, 1000000), 124u);
 }
 
 TEST(PerfModel, SlowTierSlowerThanFast) {
   PerfModel perf = MakePerf();
-  EXPECT_GT(perf.MemoryAccess(Tier::kSlow, 0),
-            perf.MemoryAccess(Tier::kFast, kSecond));
+  EXPECT_GT(perf.MemoryAccess(Tier::kSlow, 0, 0),
+            perf.MemoryAccess(Tier::kFast, 0, kSecond));
 }
 
 TEST(PerfModel, QueueingDelayUnderBurst) {
   PerfModel perf = MakePerf(/*threads=*/16);
   // Back-to-back accesses at the same instant queue behind each other.
-  const TimeNs first = perf.MemoryAccess(Tier::kSlow, 0);
-  const TimeNs second = perf.MemoryAccess(Tier::kSlow, 0);
+  const TimeNs first = perf.MemoryAccess(Tier::kSlow, 0, 0);
+  const TimeNs second = perf.MemoryAccess(Tier::kSlow, 0, 0);
   EXPECT_GT(second, first);
 }
 
@@ -205,31 +212,31 @@ TEST(PerfModel, QueueDelayCapped) {
   PerfModelConfig config;
   config.threads = 16;
   config.max_queue_delay_ns = 500;
-  PerfModel perf(config, DefaultFastTier(1000), DefaultSlowTier(10000));
-  for (int i = 0; i < 1000; ++i) perf.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_LE(perf.MemoryAccess(Tier::kSlow, 0), 124u + 500u);
+  PerfModel perf(config, DefaultFastTier(1000), DefaultTopology());
+  for (int i = 0; i < 1000; ++i) perf.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_LE(perf.MemoryAccess(Tier::kSlow, 0, 0), 124u + 500u);
 }
 
 TEST(PerfModel, MigrationCostScalesWithPages) {
   PerfModel perf = MakePerf();
-  const TimeNs one = perf.MigrationCost(1, kPageSize, 0);
-  const TimeNs hundred = perf.MigrationCost(100, kPageSize, kSecond);
+  const TimeNs one = MigrationCost(perf, 1, kPageSize, 0);
+  const TimeNs hundred = MigrationCost(perf, 100, kPageSize, kSecond);
   EXPECT_GT(hundred, one * 20);
-  EXPECT_EQ(perf.MigrationCost(0, kPageSize, 0), 0u);
+  EXPECT_EQ(MigrationCost(perf, 0, kPageSize, 0), 0u);
 }
 
 TEST(PerfModel, HugePageMigrationCostlier) {
   PerfModel perf = MakePerf();
-  const TimeNs regular = perf.MigrationCost(1, kPageSize, 0);
-  const TimeNs huge = perf.MigrationCost(1, kHugePageSize, kSecond);
+  const TimeNs regular = MigrationCost(perf, 1, kPageSize, 0);
+  const TimeNs huge = MigrationCost(perf, 1, kHugePageSize, kSecond);
   EXPECT_GT(huge, regular);
 }
 
 TEST(PerfModel, MigrationOccupiesChannels) {
   PerfModel perf = MakePerf();
-  perf.MigrationCost(10000, kPageSize, 0);  // ~39 MiB copy.
+  MigrationCost(perf, 10000, kPageSize, 0);  // ~39 MiB copy.
   // A demand access right after the copy sees queueing delay.
-  EXPECT_GT(perf.MemoryAccess(Tier::kSlow, 1), 124u);
+  EXPECT_GT(perf.MemoryAccess(Tier::kSlow, 0, 1), 124u);
   EXPECT_GE(perf.BytesTransferred(Tier::kFast), 10000u * kPageSize);
 }
 
@@ -242,14 +249,15 @@ TEST(MigrationEngine, PromoteAndDemoteBatches) {
   for (PageId page = 0; page < 20; ++page) mem.Touch(page, 0);
 
   const std::vector<PageId> batch = {0, 1, 2, 3, 4};
-  const TimeNs cost = engine.Promote(batch, 0);
+  const TimeNs cost =
+      engine.Promote(batch, 0, MigrationReason::kHotnessRank);
   EXPECT_GT(cost, 0u);
   EXPECT_EQ(engine.stats().promoted_pages, 5u);
   EXPECT_EQ(engine.stats().promotion_batches, 1u);
   EXPECT_EQ(mem.UsedPages(Tier::kFast), 5u);
 
   const std::vector<PageId> down = {0, 1};
-  engine.Demote(down, 100);
+  engine.Demote(down, 100, MigrationReason::kCapacityDemand);
   EXPECT_EQ(engine.stats().demoted_pages, 2u);
   EXPECT_EQ(mem.UsedPages(Tier::kFast), 3u);
 }
@@ -260,7 +268,7 @@ TEST(MigrationEngine, FailedPromotionsCounted) {
   MigrationEngine engine(&mem, &perf);
   for (PageId page = 0; page < 5; ++page) mem.Touch(page, 0);
   const std::vector<PageId> batch = {0, 1, 2, 3};
-  engine.Promote(batch, 0);
+  engine.Promote(batch, 0, MigrationReason::kHotnessRank);
   EXPECT_EQ(engine.stats().promoted_pages, 2u);
   EXPECT_EQ(engine.stats().failed_promotions, 2u);
 }
@@ -270,7 +278,7 @@ TEST(MigrationEngine, NonResidentPagesSkipped) {
   PerfModel perf = MakePerf();
   MigrationEngine engine(&mem, &perf);
   const std::vector<PageId> batch = {50};
-  EXPECT_EQ(engine.Promote(batch, 0), 0u);
+  EXPECT_EQ(engine.Promote(batch, 0, MigrationReason::kHotnessRank), 0u);
   EXPECT_EQ(engine.stats().promoted_pages, 0u);
 }
 
@@ -278,7 +286,7 @@ TEST(MigrationEngine, EmptyBatchFree) {
   TieredMemory mem(10, 5, 10);
   PerfModel perf = MakePerf();
   MigrationEngine engine(&mem, &perf);
-  EXPECT_EQ(engine.Promote({}, 0), 0u);
+  EXPECT_EQ(engine.Promote({}, 0, MigrationReason::kHotnessRank), 0u);
   EXPECT_EQ(engine.stats().promotion_batches, 0u);
 }
 
@@ -289,7 +297,7 @@ TEST(MigrationEngine, TracksMigrationTime) {
   for (PageId page = 0; page < 20; ++page) mem.Touch(page, 0);
   std::vector<PageId> batch;
   for (PageId page = 0; page < 20; ++page) batch.push_back(page);
-  engine.Promote(batch, 0);
+  engine.Promote(batch, 0, MigrationReason::kHotnessRank);
   EXPECT_EQ(engine.stats().migration_time_ns,
             engine.stats().migration_time_ns);
   EXPECT_GT(engine.stats().migration_time_ns, 20u * 1200u);

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/policy_factory.h"
@@ -16,6 +17,7 @@
 #include "mem/migration.h"
 #include "mem/perf_model.h"
 #include "mem/tiered_memory.h"
+#include "mem/topology.h"
 #include "multitenant/fair_share_policy.h"
 #include "multitenant/fleet.h"
 #include "multitenant/mux_workload.h"
@@ -391,7 +393,9 @@ class PromoteAllPolicy : public TieringPolicy {
         pages.push_back(unit);
       }
     }
-    if (!pages.empty()) migration().Promote(pages, now);
+    if (!pages.empty()) {
+      migration().Promote(pages, now, MigrationReason::kHotnessRank);
+    }
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "PromoteAll"; }
@@ -415,6 +419,13 @@ TenantDirectory TwoTenantDirectory() {
   return TwoTenantDirectoryWeighted(3.0, 1.0);
 }
 
+/** `endpoints` default CXL devices, interleaved one unit apart. */
+Topology EndpointTopology(uint32_t endpoints) {
+  Topology topology;
+  topology.endpoints.resize(endpoints);
+  return topology;
+}
+
 /** Minimal bound context around a FairSharePolicy for unit tests. */
 class FairShareHarness {
  public:
@@ -422,10 +433,11 @@ class FairShareHarness {
                             FairShareConfig config = FairShareConfig{},
                             std::unique_ptr<TieringPolicy> base =
                                 std::make_unique<PromoteAllPolicy>(),
-                            TenantDirectory directory = TwoTenantDirectory())
-      : memory_(2048, 512, 2048, allocation),
+                            TenantDirectory directory = TwoTenantDirectory(),
+                            uint32_t endpoints = 1)
+      : memory_(2048, 512, 2048, allocation, endpoints),
         perf_(PerfModelConfig{}, DefaultFastTier(512),
-              DefaultSlowTier(2048)),
+              EndpointTopology(endpoints)),
         engine_(&memory_, &perf_),
         policy_(std::move(base), std::move(directory), config) {
     // Count metadata touches without buffering lines for replay (the
@@ -453,6 +465,14 @@ class FairShareHarness {
 
   TieredMemory& memory() { return memory_; }
   FairSharePolicy& policy() { return policy_; }
+
+  /** Marks `endpoint` down or healthy, as the fault runtime would. */
+  void SetEndpointDown(uint32_t endpoint, bool down, TimeNs now) {
+    engine_.SetEndpointDown(endpoint, down);
+    policy_.OnEndpointHealth(
+        endpoint, down ? EndpointHealth::kDown : EndpointHealth::kHealthy,
+        now);
+  }
 
  private:
   TieredMemory memory_;
@@ -511,9 +531,9 @@ class DupBatchPolicy : public TieringPolicy {
     if (done_) return;
     done_ = true;
     const std::vector<PageId> promote = {0, 0, 0, 5, 5, 1030, 1030};
-    migration().Promote(promote, now);
+    migration().Promote(promote, now, MigrationReason::kHotnessRank);
     const std::vector<PageId> demote = {0, 0};
-    migration().Demote(demote, now);
+    migration().Demote(demote, now, MigrationReason::kCapacityDemand);
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "DupBatch"; }
@@ -553,7 +573,7 @@ class MixedBatchPolicy : public TieringPolicy {
     // belonging to tenant a.
     for (PageId page = 500; page < 512; ++page) batch.push_back(page);
     for (PageId page = 0; page < 200; ++page) batch.push_back(page);
-    migration().Promote(batch, now);
+    migration().Promote(batch, now, MigrationReason::kHotnessRank);
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "MixedBatch"; }
@@ -625,7 +645,7 @@ class StagedBatchPolicy : public TieringPolicy {
     } else {
       return;
     }
-    migration().Promote(batch, now);
+    migration().Promote(batch, now, MigrationReason::kHotnessRank);
   }
   size_t MetadataBytes() const override { return 0; }
   const char* name() const override { return "StagedBatch"; }
@@ -701,7 +721,7 @@ class RepromoteHotSetPolicy : public TieringPolicy {
   void Tick(TimeNs now) override {
     std::vector<PageId> batch;
     for (PageId page = 384; page < 512; ++page) batch.push_back(page);
-    migration().Promote(batch, now);
+    migration().Promote(batch, now, MigrationReason::kHotnessRank);
   }
   uint32_t HotnessOf(PageId unit) const override {
     return unit >= 384 && unit < 512 ? 5 : 0;
@@ -916,23 +936,86 @@ TEST(FairSharePolicy, ReArrivalDuringDrainForcesTheFlushToFinishFirst) {
   EXPECT_FALSE(harness.memory().IsResident(1024));
 }
 
-TEST(FairSharePolicy, UncappedReleaseBatchDrainsInOneTick) {
+TEST(FairSharePolicy, DrainParksOnDownEndpointUntilRecovery) {
+  // Two endpoints, one-unit interleave: b's odd units are homed on
+  // endpoint 1. While it is down the engine refuses their demotion, so
+  // the drain cursor must stop on the first one instead of passing it.
   FairShareConfig config;
   config.rebalance = false;
   config.fill_to_quota = false;
-  config.release_batch = 0;  // Legacy whole-share flush.
+  config.release_batch = 64;
   FairShareHarness harness(
       AllocationPolicy::kSlowOnly, config, std::make_unique<IdlePolicy>(),
-      RecurringDirectory(5 * kMillisecond, 20 * kMillisecond));
+      RecurringDirectory(5 * kMillisecond, 20 * kMillisecond),
+      /*endpoints=*/2);
   harness.TouchAll();
   for (PageId page = 1024; page < 1280; ++page) {
     ASSERT_TRUE(harness.memory().Migrate(page, Tier::kFast));
   }
   harness.policy().Tick(1 * kMillisecond);
+  // Departure: units 1024..1087 drain while both endpoints are healthy.
   harness.policy().Tick(5 * kMillisecond);
+  ASSERT_EQ(harness.policy().fast_units(1), 192u);
+
+  // Endpoint 1 dies and evacuation pulls unit 1025, just demoted onto
+  // it, back into fast memory: behind the drain cursor.
+  harness.SetEndpointDown(1, true, 6 * kMillisecond);
+  ASSERT_TRUE(harness.memory().Migrate(1025, Tier::kFast));
+  harness.policy().OnExternalMigration(6 * kMillisecond);
+
+  // Unit 1088 (endpoint 0) drains, then the scan parks on unit 1089 and
+  // stays parked while the endpoint is down.
+  harness.policy().Tick(6 * kMillisecond);
+  EXPECT_EQ(harness.policy().fast_units(1), 192u);
+  harness.policy().Tick(7 * kMillisecond);
+  EXPECT_EQ(harness.policy().fast_units(1), 192u);
+  EXPECT_TRUE(harness.policy().tenant_draining(1));
+
+  // Recovery: the drain resumes at the parked unit, 64 per tick. The
+  // pass that reaches the region end leaves unit 1025 behind, so the
+  // next pass restarts at the region start and finds it.
+  harness.SetEndpointDown(1, false, 8 * kMillisecond);
+  harness.policy().Tick(8 * kMillisecond);
+  EXPECT_EQ(harness.policy().fast_units(1), 128u);
+  harness.policy().Tick(9 * kMillisecond);
+  harness.policy().Tick(10 * kMillisecond);
+  EXPECT_EQ(harness.policy().fast_units(1), 1u);
+  harness.policy().Tick(11 * kMillisecond);
   EXPECT_FALSE(harness.policy().tenant_draining(1));
   EXPECT_EQ(harness.policy().fast_units(1), 0u);
   EXPECT_EQ(harness.policy().released_units(1), 1024u);
+  EXPECT_EQ(harness.FastResident(1), 0u);
+}
+
+TEST(FairSharePolicy, ReArrivalReleasesStrandedUnitsInPlace) {
+  // The next window opens while the drain is parked on a down
+  // endpoint: the flush demotes what it can and the release frees the
+  // units homed on the dead device in place.
+  FairShareConfig config;
+  config.rebalance = false;
+  config.fill_to_quota = false;
+  config.release_batch = 64;
+  FairShareHarness harness(
+      AllocationPolicy::kSlowOnly, config, std::make_unique<IdlePolicy>(),
+      RecurringDirectory(5 * kMillisecond, 6 * kMillisecond),
+      /*endpoints=*/2);
+  harness.TouchAll();
+  for (PageId page = 1024; page < 1280; ++page) {
+    ASSERT_TRUE(harness.memory().Migrate(page, Tier::kFast));
+  }
+  harness.policy().Tick(1 * kMillisecond);
+  harness.SetEndpointDown(1, true, 2 * kMillisecond);
+  harness.policy().Tick(5 * kMillisecond);
+  ASSERT_EQ(harness.policy().fast_units(1), 255u);
+
+  harness.policy().Tick(6 * kMillisecond);
+  EXPECT_TRUE(harness.policy().tenant_active(1));
+  EXPECT_EQ(harness.policy().fast_units(1), 0u);
+  EXPECT_EQ(harness.policy().released_units(1), 1024u);
+  EXPECT_EQ(harness.FastResident(1), 0u);
+  EXPECT_EQ(harness.memory().EndpointHomedFastResident(1), 0u);
+  std::string error;
+  EXPECT_TRUE(harness.policy().CheckInvariants(&error)) << error;
 }
 
 TEST(MultiTenantSimulation, RecurringTenantReacquiresCapacity) {

@@ -654,43 +654,58 @@ TEST(DecisionAuditTest, PerReasonCountersSplitPromotionsAndDemotions) {
   EXPECT_EQ(audit.quota_truncated_pages(), 9u);
   EXPECT_EQ(audit.cooling_epochs(), 1u);
   EXPECT_EQ(audit.endpoint_reorders(), 1u);
-  EXPECT_EQ(audit.batches(MigrationReason::kUnspecified), 0u);
+  EXPECT_EQ(audit.batches(MigrationReason::kHintFault), 0u);
   const std::string report = audit.Report();
   EXPECT_NE(report.find("hotness_rank"), std::string::npos);
   EXPECT_NE(report.find("quota_fill"), std::string::npos);
 }
 
 TEST(DecisionAuditIntegration, EveryEngineBatchCarriesAReason) {
-  DecisionAudit audit;
-  auto workload = MakeWorkload("zipf", 0.1, 23);
-  // Default cooling (600k samples at a 61-access PEBS period) never fires
-  // inside a unit-test-sized run; shrink the period so the cooling reason
-  // code is exercised too.
-  HybridTierConfig policy_config;
-  policy_config.freq_cooling_samples = 2000;
-  HybridTierPolicy policy(policy_config);
-  SimulationConfig config;
-  config.max_accesses = 400000;
-  config.seed = 23;
-  config.telemetry.audit = &audit;
-  const SimulationResult result =
-      RunSimulation(config, workload.get(), &policy);
+  for (const std::string name :
+       {"HybridTier", "TPP", "AutoNUMA", "ARC", "TwoQ", "Memtis"}) {
+    SCOPED_TRACE(name);
+    DecisionAudit audit;
+    MetricRegistry metrics;
+    auto workload = MakeWorkload("zipf", 0.1, 23);
+    std::unique_ptr<TieringPolicy> policy;
+    if (name == "HybridTier") {
+      // Default cooling (600k samples at a 61-access PEBS period) never
+      // fires inside a unit-test-sized run; shrink the period so the
+      // cooling reason code is exercised too.
+      HybridTierConfig policy_config;
+      policy_config.freq_cooling_samples = 2000;
+      policy = std::make_unique<HybridTierPolicy>(policy_config);
+    } else {
+      policy = MakePolicy(name);
+    }
+    SimulationConfig config;
+    config.max_accesses = 400000;
+    config.seed = 23;
+    config.allocation = AllocationPolicyFor(name);
+    config.telemetry.audit = &audit;
+    config.telemetry.metrics = &metrics;
+    const SimulationResult result =
+        RunSimulation(config, workload.get(), policy.get());
 
-  ASSERT_GT(audit.total_batches(), 0u);
-  // No call site falls through to the legacy no-reason path.
-  EXPECT_EQ(audit.batches(MigrationReason::kUnspecified), 0u);
-  EXPECT_GT(audit.batches(MigrationReason::kHotnessRank), 0u);
-  // Per-reason page counters partition the engine's own statistics.
-  uint64_t promoted = 0;
-  uint64_t demoted = 0;
-  for (uint32_t r = 0; r < static_cast<uint32_t>(MigrationReason::kCount);
-       ++r) {
-    promoted += audit.promoted_pages(static_cast<MigrationReason>(r));
-    demoted += audit.demoted_pages(static_cast<MigrationReason>(r));
+    ASSERT_GT(audit.total_batches(), 0u);
+    // The exported per-reason page counters partition the engine's own
+    // statistics: no batch goes uncounted.
+    double promoted = 0;
+    double demoted = 0;
+    for (const std::string& metric : metrics.ScalarNames()) {
+      if (metric.rfind("audit/reason/", 0) != 0) continue;
+      const double final_value = metrics.Series(metric)->back();
+      if (metric.ends_with("/promoted_pages")) promoted += final_value;
+      if (metric.ends_with("/demoted_pages")) demoted += final_value;
+    }
+    EXPECT_GT(result.migration.promoted_pages, 0u);
+    EXPECT_EQ(promoted, static_cast<double>(result.migration.promoted_pages));
+    EXPECT_EQ(demoted, static_cast<double>(result.migration.demoted_pages));
+    if (name == "HybridTier") {
+      EXPECT_GT(audit.batches(MigrationReason::kHotnessRank), 0u);
+      EXPECT_GT(audit.cooling_epochs(), 0u);
+    }
   }
-  EXPECT_EQ(promoted, result.migration.promoted_pages);
-  EXPECT_EQ(demoted, result.migration.demoted_pages);
-  EXPECT_GT(audit.cooling_epochs(), 0u);
 }
 
 TEST(ObsDeterminism, DiagnosisSinksDoNotPerturbTheSimulation) {
@@ -845,7 +860,7 @@ TEST(ObsIntegration, FleetTopologyCellRegistersTheDiagnosisCatalog) {
     EXPECT_TRUE(has(name)) << name;
   }
 
-  // Audit catalog: scalar counters plus one triple per real reason.
+  // Audit catalog: scalar counters plus one triple per reason.
   for (const char* name :
        {"audit/total_batches", "audit/premature_demotions",
         "audit/late_promotions", "audit/quota_truncated_pages",
@@ -853,7 +868,7 @@ TEST(ObsIntegration, FleetTopologyCellRegistersTheDiagnosisCatalog) {
         "audit/dropped_records"}) {
     EXPECT_TRUE(has(name)) << name;
   }
-  for (uint32_t r = 1; r < static_cast<uint32_t>(MigrationReason::kCount);
+  for (uint32_t r = 0; r < static_cast<uint32_t>(MigrationReason::kCount);
        ++r) {
     const std::string prefix =
         std::string("audit/reason/") +

@@ -33,7 +33,7 @@ class PolicyHarness {
                 AllocationPolicy allocation = AllocationPolicy::kFastFirst)
       : memory_(footprint, fast_capacity, footprint, allocation),
         perf_(PerfModelConfig{}, DefaultFastTier(fast_capacity),
-              DefaultSlowTier(footprint)),
+              DefaultTopology()),
         engine_(&memory_, &perf_) {
     // The harness never replays metadata traffic; count without
     // buffering (the drop-in equivalent of the old null sink).

@@ -4,11 +4,13 @@
  * parse/format round-trips and rejections, HDM endpoint decode,
  * per-endpoint channel queueing in the perf model, the bounded-queue
  * backlog clamp, endpoint accounting through TieredMemory, and the
- * single-endpoint layout's equivalence with the legacy default path.
+ * single-endpoint layout's equivalence with a run that configures no
+ * topology.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -127,22 +129,27 @@ TEST(TopologySpecDeathTest, RejectsMalformedSpecs) {
 // --------------------------------------------------------- HDM decode --
 
 TEST(Topology, EndpointOfInterleavesByGranularity) {
-  Topology topology = ParseTopologySpec("cxl:(1,2,3),gran=4");
-  EXPECT_EQ(topology.EndpointOf(0), 0u);
-  EXPECT_EQ(topology.EndpointOf(3), 0u);
-  EXPECT_EQ(topology.EndpointOf(4), 1u);
-  EXPECT_EQ(topology.EndpointOf(11), 2u);
-  EXPECT_EQ(topology.EndpointOf(12), 0u);  // Wraps around.
+  // The topology's layout feeds TieredMemory, the one HDM decoder.
+  const Topology topology = ParseTopologySpec("cxl:(1,2,3),gran=4");
+  TieredMemory mem(100, 10, 100, AllocationPolicy::kSlowOnly,
+                   topology.endpoint_count(), topology.interleave_units);
+  EXPECT_EQ(mem.EndpointOf(0), 0u);
+  EXPECT_EQ(mem.EndpointOf(3), 0u);
+  EXPECT_EQ(mem.EndpointOf(4), 1u);
+  EXPECT_EQ(mem.EndpointOf(11), 2u);
+  EXPECT_EQ(mem.EndpointOf(12), 0u);  // Wraps around.
   // Single-endpoint layouts decode everything to endpoint 0.
-  EXPECT_EQ(DefaultTopology().EndpointOf(12345), 0u);
+  const Topology single = DefaultTopology();
+  TieredMemory single_mem(20000, 10, 20000, AllocationPolicy::kSlowOnly,
+                          single.endpoint_count(), single.interleave_units);
+  EXPECT_EQ(single_mem.EndpointOf(12345), 0u);
 }
 
 // -------------------------------------------- per-endpoint perf model --
 
 PerfModel MakeTopoPerf(const std::string& spec,
                        PerfModelConfig config = PerfModelConfig{}) {
-  return PerfModel(config, DefaultFastTier(1000), DefaultSlowTier(10000),
-                   ParseTopologySpec(spec));
+  return PerfModel(config, DefaultFastTier(1000), ParseTopologySpec(spec));
 }
 
 TEST(PerfModelTopology, EndpointsHaveIndependentQueues) {
@@ -190,13 +197,17 @@ TEST(PerfModelTopology, MigrationTrafficDelaysDemandAccesses) {
   EXPECT_EQ(perf.MemoryAccess(Tier::kSlow, 1, 1), 124u);
 }
 
-TEST(PerfModelTopology, MigrationCostSplitMatchesLegacySingleEndpoint) {
-  PerfModelConfig config;
-  PerfModel legacy(config, DefaultFastTier(1000), DefaultSlowTier(10000));
-  PerfModel split = MakeTopoPerf("cxl:(1)");
+TEST(PerfModelTopology, MigrationCostSingleEndpointMatchesTwoTierFormula) {
+  // One endpoint reproduces the two-tier cost: syscall + per-page
+  // kernel work + the longer of the fast (100 GB/s) and slow (34 GB/s)
+  // copy legs, 64 x 4 KiB = 262144 bytes each.
+  PerfModel perf = MakeTopoPerf("cxl:(1)");
   const uint64_t pages[] = {64};
-  EXPECT_EQ(split.MigrationCostSplit(pages, kPageSize, 0),
-            legacy.MigrationCost(64, kPageSize, 0));
+  const TimeNs expected = 4000 + 64 * 1200 + std::max<TimeNs>(
+                                                 262144 / 100, 262144 / 34);
+  EXPECT_EQ(perf.MigrationCost(pages, kPageSize, 0), expected);
+  EXPECT_EQ(perf.BytesTransferred(Tier::kFast), 262144u);
+  EXPECT_EQ(perf.EndpointBytes(0), 262144u);
 }
 
 TEST(PerfModelTopology, MigrationCostSplitEndsAtSlowestLeg) {
@@ -206,8 +217,8 @@ TEST(PerfModelTopology, MigrationCostSplitEndsAtSlowestLeg) {
   PerfModel perf = MakeTopoPerf("cxl:(1,2),bw=34:4.25");
   PerfModel balanced = MakeTopoPerf("cxl:(1,2),bw=34:34");
   const uint64_t both[] = {32, 32};
-  EXPECT_GT(perf.MigrationCostSplit(both, kPageSize, 0),
-            balanced.MigrationCostSplit(both, kPageSize, 0));
+  EXPECT_GT(perf.MigrationCost(both, kPageSize, 0),
+            balanced.MigrationCost(both, kPageSize, 0));
 }
 
 // ------------------------------------------------- bounded-queue clamp --
@@ -219,32 +230,30 @@ TEST(PerfModelTopology, MigrationCostSplitEndsAtSlowestLeg) {
  * backlog no access would ever observe, and which never drained. With
  * `bounded_queue` the horizon is clamped at the cap before each new
  * transfer, so once the clock moves past cap + one service time the
- * channel must be idle again. (The fix is opt-in: the goldens pin the
- * legacy accounting bit-exactly, and this test documents both sides.)
+ * channel must be idle again. (The clamp is opt-in — see the knob's
+ * doc comment — and this test documents both sides.)
  */
 TEST(PerfModelTopology, BoundedQueueShedsRunawayBacklog) {
   PerfModelConfig config;
   config.max_queue_delay_ns = 500;
 
-  // Legacy behavior: 100k same-instant accesses push the horizon far
+  // Default behavior: 100k same-instant accesses push the horizon far
   // beyond the cap, so an access arriving well after cap+service still
   // queues — the saturation never ends.
-  PerfModel unbounded(config, DefaultFastTier(1000),
-                      DefaultSlowTier(10000));
-  for (int i = 0; i < 100000; ++i) unbounded.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_GT(unbounded.MemoryAccess(Tier::kSlow, 1000000), 124u);
+  PerfModel unbounded(config, DefaultFastTier(1000), DefaultTopology());
+  for (int i = 0; i < 100000; ++i) unbounded.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_GT(unbounded.MemoryAccess(Tier::kSlow, 0, 1000000), 124u);
 
   // Bounded queue: the same burst's horizon is clamped at the cap, so
   // by now + cap + one service time the channel has fully drained.
   config.bounded_queue = true;
-  PerfModel bounded(config, DefaultFastTier(1000), DefaultSlowTier(10000));
-  for (int i = 0; i < 100000; ++i) bounded.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_EQ(bounded.MemoryAccess(Tier::kSlow, 1000000), 124u);
+  PerfModel bounded(config, DefaultFastTier(1000), DefaultTopology());
+  for (int i = 0; i < 100000; ++i) bounded.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_EQ(bounded.MemoryAccess(Tier::kSlow, 0, 1000000), 124u);
   // And the cap still applies while saturated.
-  PerfModel saturated(config, DefaultFastTier(1000),
-                      DefaultSlowTier(10000));
-  for (int i = 0; i < 1000; ++i) saturated.MemoryAccess(Tier::kSlow, 0);
-  EXPECT_LE(saturated.MemoryAccess(Tier::kSlow, 0), 124u + 500u);
+  PerfModel saturated(config, DefaultFastTier(1000), DefaultTopology());
+  for (int i = 0; i < 1000; ++i) saturated.MemoryAccess(Tier::kSlow, 0, 0);
+  EXPECT_LE(saturated.MemoryAccess(Tier::kSlow, 0, 0), 124u + 500u);
 }
 
 // ------------------------------------------ endpoint residency tracking --
@@ -275,12 +284,11 @@ TEST(TieredMemoryTopology, TracksPerEndpointResidency) {
   EXPECT_EQ(mem.Touch(9, 0).endpoint, 0u);  // Fast hits report 0.
 }
 
-// --------------------------------------- end-to-end single-endpoint ==
-// legacy default --
+// ------------------------------ end-to-end single endpoint == default --
 
 TEST(SimulationTopology, ExplicitSingleEndpointMatchesLegacyDefault) {
-  // `cxl:(1)` with the paper-default knobs must reproduce the legacy
-  // no-topology path bit-for-bit: same durations, same counters.
+  // `cxl:(1)` with the paper-default knobs must reproduce a run with no
+  // topology configured bit-for-bit: same durations, same counters.
   SimulationConfig legacy;
   legacy.max_accesses = 150000;
   legacy.seed = 11;
