@@ -1,12 +1,12 @@
 #include "common/bench_util.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "mem/topology.h"
 
@@ -83,26 +83,8 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(arg, "--jobs") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --jobs\n");
-        std::exit(1);
-      }
-      const char* text = argv[++i];
-      char* end = nullptr;
-      // strtoul would silently wrap "-2" and truncate >32-bit values;
-      // require plain digits and a sane range instead.
-      const unsigned long jobs =
-          std::isdigit(static_cast<unsigned char>(text[0]))
-              ? std::strtoul(text, &end, 10)
-              : 0;
-      if (end == nullptr || *end != '\0' || jobs == 0 || jobs > 65536) {
-        std::fprintf(stderr,
-                     "--jobs wants a positive integer (max 65536), got "
-                     "'%s'\n",
-                     text);
-        std::exit(1);
-      }
-      options.jobs = static_cast<unsigned>(jobs);
+      options.jobs =
+          static_cast<unsigned>(ParseUintFlag(arg, flag_value(&i), 1, 65536));
       continue;
     }
     std::fprintf(stderr, "unknown option '%s' (try --help)\n", arg);

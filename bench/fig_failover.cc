@@ -150,7 +150,6 @@ FailoverCell RunFailover(bool graceful) {
   config.stats_interval_ns = kIntervalNs;
   config.seed = kSeed;
   config.topology = kTopology;
-  config.perf.bounded_queue = true;  // Required by the down schedule.
   config.faults = kFaultSpec;
   config.fault_runtime.evacuate = graceful;
   // Drain fast enough that recovery lands well inside the run.

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/bench_util.h"
+#include "common/flags.h"
 #include "common/percentile.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -179,7 +180,9 @@ int main(int argc, char** argv) {
   std::vector<char*> rest;
   for (int i = 0; i < argc; ++i) {
     if (std::string(argv[i]) == "--max-tenants" && i + 1 < argc) {
-      max_tenants = static_cast<uint32_t>(std::stoul(argv[++i]));
+      max_tenants = static_cast<uint32_t>(
+          ParseUintFlag(argv[i], argv[i + 1], 0, UINT32_MAX));
+      ++i;
     } else {
       rest.push_back(argv[i]);
     }

@@ -60,7 +60,6 @@ ModeResult RunMode(QuotaMode mode) {
   config.max_accesses = kAccessBudget;
   config.warmup_accesses = kWarmup;
   config.seed = kSeed;
-  config.tenant_sample_budget = true;
 
   Simulation simulation(config, mux.get(), policy.get());
   ModeResult mode_result;

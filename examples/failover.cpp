@@ -43,10 +43,8 @@ int main() {
   config.stats_interval_ns = 1 * kMillisecond;
   // Three interleaved endpoints; unit addresses decode round-robin.
   config.topology = "cxl:(1,2,3),lat=124:180:180,bw=34:17:17";
-  // Endpoint 2 dies at 10 ms and never comes back. Any down/degrade
-  // schedule requires the bounded queue model (auto-enabled with a
-  // warning otherwise).
-  config.perf.bounded_queue = true;
+  // Endpoint 2 dies at 10 ms and never comes back. A fault schedule
+  // runs on the bounded queue model.
   config.faults = "faults:ep2@10ms=down";
   // Drain faster than the default pacing so the dead endpoint empties
   // well inside the run (4096 pages per 1 ms maintenance tick).

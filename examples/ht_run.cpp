@@ -16,7 +16,6 @@
  * policies with --help.
  */
 
-#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "core/policy_factory.h"
@@ -81,13 +81,6 @@ void PrintUsage() {
          "                    (ghost-MRC marginal utility, default) or\n"
          "                    density (sampled hit density)\n"
          "  --no-rebalance    fair-share: static weight quotas only\n"
-         "  --sampler-budget  per-tenant sample-period scaling so a\n"
-         "                    high-rate tenant cannot crowd the sample\n"
-         "                    stream (multi-tenant runs only; the\n"
-         "                    default since the Fig 4-style sweep\n"
-         "                    showed adaptation time is unhurt)\n"
-         "  --no-sampler-budget  revert to one global sample period\n"
-         "                    shared by all tenants\n"
          "  --topology <spec> slow-tier device layout, e.g.\n"
          "                    'cxl:(1,(2,3)),lat=124:180:180,bw=\n"
          "                    34:17:17,link=20' (see src/mem/topology.h\n"
@@ -100,8 +93,8 @@ void PrintUsage() {
          "                    horizon=20ms,events=4)' (see\n"
          "                    src/fault/fault_spec.h for the grammar;\n"
          "                    endpoints are 0-based decode indices).\n"
-         "                    Down/degrade schedules force the bounded\n"
-         "                    queue model\n"
+         "                    Any schedule selects the bounded queue\n"
+         "                    model\n"
          "  --watchdog        run the invariant watchdog every stats\n"
          "                    interval: recount residency/quota/\n"
          "                    attribution accounting and abort the run\n"
@@ -124,11 +117,8 @@ void PrintUsage() {
          "                    per-component latency decomposition plus\n"
          "                    the migration reason/mis-tiering audit\n"
          "                    after the run (see README \"Diagnosis\")\n"
-         "  --profile-stages [wall|virtual]\n"
-         "                    per-stage engine profile; wall samples\n"
-         "                    the real clock (default, measurement),\n"
-         "                    virtual buckets simulated ns for every op\n"
-         "                    (deterministic, byte-identical)\n"
+         "  --profile-stages  sampled wall-clock profile of the engine\n"
+         "                    stages (measurement; varies run to run)\n"
          "  --log-level <l>   debug | info | warn | error | silent\n"
          "                    (default info)\n";
 }
@@ -163,7 +153,6 @@ void WriteTraceFile(const std::string& path,
 
 /** Prints the post-run diagnosis blocks for the attached sinks. */
 void PrintDiagnosis(bool diagnose, bool profile_stages,
-                    bool profile_virtual,
                     const LatencyAttribution& attribution,
                     const DecisionAudit& audit,
                     const StageProfiler& stages) {
@@ -174,10 +163,7 @@ void PrintDiagnosis(bool diagnose, bool profile_stages,
               << audit.Report();
   }
   if (profile_stages) {
-    std::cout << "stage profile ("
-              << (profile_virtual ? "virtual ns, deterministic"
-                                  : "wall ns, measurement")
-              << "):\n"
+    std::cout << "stage profile (wall ns, measurement):\n"
               << stages.Report();
   }
 }
@@ -231,7 +217,6 @@ int main(int argc, char** argv) {
   bool huge = false;
   bool fair = false;
   bool rebalance = true;
-  bool sampler_budget = true;
   bool workload_set = false;
   QuotaMode quota_mode = FairShareConfig{}.quota_mode;
   std::string topology;
@@ -242,7 +227,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   bool diagnose = false;
   bool profile_stages = false;
-  bool profile_virtual = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -298,32 +282,13 @@ int main(int argc, char** argv) {
         if (comma == value.size()) break;
       }
     } else if (arg == "--jobs") {
-      const std::string value = next();
-      size_t parsed_len = 0;
-      unsigned long parsed_jobs = 0;
-      // stoul would accept "-2" by wrapping; require plain digits and a
-      // sane range.
-      const bool digits =
-          !value.empty() &&
-          std::isdigit(static_cast<unsigned char>(value[0]));
-      try {
-        if (digits) parsed_jobs = std::stoul(value, &parsed_len);
-      } catch (const std::exception&) {
-        parsed_len = 0;
-      }
-      if (parsed_len != value.size() || parsed_jobs == 0 ||
-          parsed_jobs > 65536) {
-        std::cerr << "--jobs wants a positive integer (max 65536), got '"
-                  << value << "'\n";
-        return 1;
-      }
-      jobs = static_cast<unsigned>(parsed_jobs);
+      jobs = static_cast<unsigned>(ParseUintFlag(arg, next(), 1, 65536));
     } else if (arg == "--accesses") {
-      accesses = std::stoull(next());
+      accesses = ParseUintFlag(arg, next());
     } else if (arg == "--scale") {
       scale = std::stod(next());
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = ParseUintFlag(arg, next());
     } else if (arg == "--huge") {
       huge = true;
     } else if (arg == "--tenants") {
@@ -349,10 +314,6 @@ int main(int argc, char** argv) {
       endpoint_aware = true;
     } else if (arg == "--no-rebalance") {
       rebalance = false;
-    } else if (arg == "--sampler-budget") {
-      sampler_budget = true;
-    } else if (arg == "--no-sampler-budget") {
-      sampler_budget = false;
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--metrics-out") {
@@ -361,13 +322,6 @@ int main(int argc, char** argv) {
       diagnose = true;
     } else if (arg == "--profile-stages") {
       profile_stages = true;
-      // Optional mode operand: --profile-stages wall | virtual.
-      if (i + 1 < argc && std::strcmp(argv[i + 1], "virtual") == 0) {
-        profile_virtual = true;
-        ++i;
-      } else if (i + 1 < argc && std::strcmp(argv[i + 1], "wall") == 0) {
-        ++i;
-      }
     } else if (arg == "--log-level") {
       SetLogLevel(ParseLogLevel(next()));
     } else {
@@ -394,11 +348,6 @@ int main(int argc, char** argv) {
   if (endpoint_aware && !fair) {
     std::cerr << "--endpoint-aware requires --fair\n";
     return 1;
-  }
-  if (tenants.empty()) {
-    // Single-tenant runs have no per-tenant budgets; the config flag is
-    // ignored there, so just clear it for accurate banner output.
-    sampler_budget = false;
   }
   if (ratios.size() > 1 && !tenants.empty()) {
     std::cerr << "--ratio lists are single-workload sweeps; pick one "
@@ -446,7 +395,6 @@ int main(int argc, char** argv) {
     config.topology = topology;
     config.faults = faults;
     config.watchdog = watchdog;
-    config.tenant_sample_budget = sampler_budget;
 
     MetricRegistry metrics;
     TraceEmitter trace(1, std::string("ht_run:") + mux->name());
@@ -454,7 +402,7 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) config.telemetry.trace = &trace;
     LatencyAttribution attribution;
     DecisionAudit audit;
-    StageProfiler stages(profile_virtual ? 1 : 64, profile_virtual);
+    StageProfiler stages;
     if (diagnose) {
       config.telemetry.attribution = &attribution;
       config.telemetry.audit = &audit;
@@ -486,7 +434,7 @@ int main(int argc, char** argv) {
     if (fair) {
       std::cout << "fair mode:         "
                 << (rebalance ? QuotaModeName(quota_mode) : "static")
-                << (sampler_budget ? " + sampler budget" : "") << "\n";
+                << " + sampler budget\n";
     }
     std::cout << "fast tier:         " << simulation.fast_capacity_units()
               << " / " << simulation.footprint_units() << " units\n"
@@ -511,8 +459,7 @@ int main(int argc, char** argv) {
                 << " evacuated / " << result.fault.spilled_pages
                 << " spilled pages\n";
     }
-    PrintDiagnosis(diagnose, profile_stages, profile_virtual,
-                   attribution, audit, stages);
+    PrintDiagnosis(diagnose, profile_stages, attribution, audit, stages);
     return 0;
   }
 
@@ -631,7 +578,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) config.telemetry.trace = &trace;
   LatencyAttribution attribution;
   DecisionAudit audit;
-  StageProfiler stages(profile_virtual ? 1 : 64, profile_virtual);
+  StageProfiler stages;
   if (diagnose) {
     config.telemetry.attribution = &attribution;
     config.telemetry.audit = &audit;
@@ -676,7 +623,6 @@ int main(int argc, char** argv) {
               << " spilled pages (" << result.fault.evac_retries
               << " backoff retries)\n";
   }
-  PrintDiagnosis(diagnose, profile_stages, profile_virtual, attribution,
-                 audit, stages);
+  PrintDiagnosis(diagnose, profile_stages, attribution, audit, stages);
   return 0;
 }

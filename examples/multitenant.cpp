@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/table.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
@@ -128,9 +129,9 @@ int main(int argc, char** argv) {
       ratio = std::stod(value.substr(0, colon)) /
               std::stod(value.substr(colon + 1));
     } else if (arg == "--accesses") {
-      accesses = std::stoull(next());
+      accesses = ParseUintFlag(arg, next());
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = ParseUintFlag(arg, next());
     } else if (arg == "--no-rebalance") {
       rebalance = false;
     } else {

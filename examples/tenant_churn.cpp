@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/percentile.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -76,9 +77,9 @@ int main(int argc, char** argv) {
       ratio = std::stod(value.substr(0, colon)) /
               std::stod(value.substr(colon + 1));
     } else if (arg == "--accesses") {
-      accesses = std::stoull(next());
+      accesses = ParseUintFlag(arg, next());
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = ParseUintFlag(arg, next());
     } else {
       std::cerr << "usage: tenant_churn [--tenants list] [--policy name] "
                    "[--ratio 1:N] [--accesses n] [--seed n]\n";

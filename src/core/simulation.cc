@@ -33,21 +33,9 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
                                 static_cast<double>(footprint_units_)));
   fast_capacity_units_ = std::min(fast_capacity_units_, footprint_units_);
 
-  // Fault schedule parses before the timing model exists: an outage or
-  // degradation with the unbounded-backlog queue model would integrate
-  // delay forever (no drain during the fault), so any such schedule
-  // force-enables the bounded queue — loudly when the caller had it off.
-  FaultSchedule fault_schedule;
-  if (!config.faults.empty()) {
-    fault_schedule = ParseFaultSpec(config.faults);
-    if (fault_schedule.HasDownOrDegrade() && !config_.perf.bounded_queue) {
-      HT_WARN("fault schedule '", config.faults,
-              "' requires the bounded queue model; forcing "
-              "perf.bounded_queue=true");
-      config_.perf.bounded_queue = true;
-    }
-  }
-
+  const FaultSchedule fault_schedule = config.faults.empty()
+                                          ? FaultSchedule{}
+                                          : ParseFaultSpec(config.faults);
   const Topology topology = config.topology.empty()
                                 ? DefaultTopology()
                                 : ParseTopologySpec(config.topology);
@@ -56,15 +44,15 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
       config.allocation, topology.endpoint_count(),
       topology.interleave_units);
   perf_ = std::make_unique<PerfModel>(
-      config_.perf, DefaultFastTier(fast_capacity_units_), topology);
+      config.perf, DefaultFastTier(fast_capacity_units_), topology);
+  // An outage or degradation with the unbounded-backlog queue model
+  // would integrate delay forever (no drain during the fault), so any
+  // fault schedule runs on the bounded queue.
+  if (!fault_schedule.empty()) perf_->BoundQueue();
   hierarchy_ = std::make_unique<CacheHierarchy>(config.cache);
   migration_ =
       std::make_unique<MigrationEngine>(memory_.get(), perf_.get(),
                                         config.mode);
-  // Metadata lines are buffered in the concrete counter and replayed
-  // into the hierarchy at flush points; with measurement off they are
-  // only counted, matching the legacy NullTrafficSink.
-  metadata_counter_.SetRecording(config.measure_metadata_traffic);
 
   // Resolve the telemetry sinks before Bind: the migration engine's
   // track registers first (stable tid), and the policy sees the trace
@@ -74,6 +62,7 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   stages_ = config.telemetry.stages;
   attr_ = config.telemetry.attribution;
   audit_ = config.telemetry.audit;
+  observed_ = attr_ != nullptr || audit_ != nullptr || metrics_ != nullptr;
   if (audit_ != nullptr) {
     // The audit hangs off the migration engine so policies reach it
     // through migration().audit() without a new context field; the
@@ -119,15 +108,14 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
       regions.push_back(tenant_source_->tenant_units(t, config.mode));
     }
     memory_->DefineRegions(regions);
-    if (config.tenant_sample_budget) {
-      BudgetedSamplerConfig sampler_config;
-      sampler_config.base_period = config.sample_period;
-      sampler_config.buffer_capacity = config.sample_buffer;
-      sampler_config.adapt_window_accesses = config.sample_adapt_window;
-      sampler_config.seed = config.seed;
-      budgeted_sampler_ =
-          std::make_unique<BudgetedSampler>(sampler_config, tenants);
-    }
+    // Per-tenant sample budgets: a high-access-rate tenant cannot crowd
+    // the sample stream that feeds the other tenants' demand estimators.
+    BudgetedSamplerConfig sampler_config;
+    sampler_config.base_period = config.sample_period;
+    sampler_config.buffer_capacity = config.sample_buffer;
+    sampler_config.seed = config.seed;
+    budgeted_sampler_ =
+        std::make_unique<BudgetedSampler>(sampler_config, tenants);
     tenant_states_.reserve(tenants);
     for (uint32_t t = 0; t < tenants; ++t) {
       // Distinct multiplier from MakeMuxWorkload's per-tenant workload
@@ -160,10 +148,7 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
               [](const PresenceEdge& a, const PresenceEdge& b) {
                 return a.at != b.at ? a.at < b.at : a.tenant < b.tenant;
               });
-  }
-  // Exactly one sampler exists per run: the per-tenant budgeted one
-  // when enabled (tenant runs), otherwise the global-period sampler.
-  if (budgeted_sampler_ == nullptr) {
+  } else {
     sampler_ = std::make_unique<AccessSampler>(
         config.sample_period, config.sample_buffer, config.seed);
   }
@@ -180,7 +165,6 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     fault_runtime_ = std::make_unique<FaultRuntime>(
         fault_schedule, config.fault_runtime, memory_.get(), perf_.get(),
         migration_.get(), policy_, trace_);
-    faults_on_ = true;
     fault_runtime_->Advance(0);
   }
   if (config.watchdog) {
@@ -441,11 +425,9 @@ void Simulation::SetupTelemetry() {
       m.AddProbe(prefix + "accesses", [this, t] {
         return static_cast<double>(tenant_states_[t].accesses);
       });
-      if (budgeted_sampler_ != nullptr) {
-        m.AddProbe(prefix + "sample_period", [this, t] {
-          return static_cast<double>(budgeted_sampler_->period(t));
-        });
-      }
+      m.AddProbe(prefix + "sample_period", [this, t] {
+        return static_cast<double>(budgeted_sampler_->period(t));
+      });
       if (quota_stats_ != nullptr) {
         m.AddProbe(prefix + "quota_units", [this, t] {
           TenantQuotaStats stats;
@@ -651,6 +633,62 @@ void Simulation::FlushMetadataTraffic() {
   metadata_counter_.Clear();
 }
 
+void Simulation::ObserveAccess(uint32_t tenant, PageId unit,
+                               const TouchResult& touch, HitLevel level,
+                               TimeNs latency) {
+  if (touch.hint_fault) {
+    latency -= perf_->HintFaultLatency();
+    if (attr_ != nullptr) {
+      attr_->AddHintFault(tenant, perf_->HintFaultLatency());
+    }
+  }
+  if (level != HitLevel::kMemory) {
+    if (attr_ == nullptr) return;
+    if (level == HitLevel::kL1) {
+      attr_->AddL1Hit(tenant, latency);
+    } else {
+      attr_->AddLlcHit(tenant, latency);
+    }
+    return;
+  }
+  // The timing model returns idle latency + queue delay, so subtracting
+  // the idle part partitions each fill with no remainder (see the
+  // decomposition contract in mem/perf_model.h).
+  if (touch.tier == Tier::kFast) {
+    if (attr_ != nullptr) {
+      const TimeNs idle = perf_->FastIdleLatency();
+      attr_->AddFastFill(tenant, idle, latency - idle);
+    }
+    return;
+  }
+  if (audit_ != nullptr) audit_->OnSlowFill(unit, now_);
+  if (perf_->EndpointDown(touch.endpoint)) {
+    // Access to a failed device: the timing model returned the constant
+    // fault stall, which belongs to no idle/queue split — the whole
+    // latency is one component, keeping Σ components == Σ latency
+    // exact through an outage.
+    if (attr_ != nullptr) attr_->AddFaultStall(tenant, latency);
+    return;
+  }
+  const TimeNs idle = perf_->EndpointIdleLatency(touch.endpoint);
+  if (!endpoint_queue_hist_.empty()) {
+    endpoint_queue_hist_[touch.endpoint]->Observe(latency - idle);
+  }
+  if (attr_ != nullptr) {
+    attr_->AddSlowFill(tenant, touch.endpoint, idle, latency - idle);
+  }
+}
+
+void Simulation::ObserveOp(uint32_t tenant, TimeNs migration_stall,
+                           TimeNs op_latency) {
+  if (attr_ != nullptr) {
+    attr_->AddOpOverhead(tenant, config_.op_overhead_ns);
+    attr_->AddMigrationStall(tenant, migration_stall);
+    attr_->CloseOp(tenant, op_latency);
+  }
+  if (op_latency_hist_ != nullptr) op_latency_hist_->Observe(op_latency);
+}
+
 template <bool kProfiled>
 void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   // Per-stage wall accumulators; the whole block folds away in the
@@ -660,20 +698,16 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   [[maybe_unused]] uint64_t policy_wall = 0;
   [[maybe_unused]] uint64_t sampler_wall = 0;
 
-  // Diagnosis feeds are guarded per site: a null attribution/audit
-  // pointer (the default) costs one predicted branch and changes no
-  // modeled quantity, so the disabled path stays bit-identical.
-  const uint32_t attr_tenant =
-      attr_ != nullptr && tenant_source_ != nullptr
-          ? tenant_source_->last_tenant()
-          : 0;
+  // The op's tenant index for the diagnosis seam (0 in single-tenant
+  // runs).
+  const uint32_t tenant_id =
+      tenant == nullptr
+          ? 0
+          : static_cast<uint32_t>(tenant - tenant_states_.data());
 
   now_ += op.think_time_ns;  // Idle stall preceding the accesses.
   TimeNs op_latency = config_.op_overhead_ns;
   now_ += config_.op_overhead_ns;
-  if (attr_ != nullptr) [[unlikely]] {
-    attr_->AddOpOverhead(attr_tenant, config_.op_overhead_ns);
-  }
 
   const MemoryAccess* accesses = op.accesses.data();
   const size_t count = op.accesses.size();
@@ -697,61 +731,20 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
       if (touch.tier == Tier::kFast) {
         ++result_.fast_mem_accesses;
         if (tenant != nullptr) ++tenant->fast_mem_accesses;
-        if (attr_ != nullptr) [[unlikely]] {
-          const TimeNs idle = perf_->FastIdleLatency();
-          attr_->AddFastFill(attr_tenant, idle, latency - idle);
-        }
-      } else if (faults_on_ &&
-                 perf_->EndpointDown(touch.endpoint)) [[unlikely]] {
-        // Access to a failed device: the timing model returned the
-        // constant fault stall, which belongs to no idle/queue split —
-        // the whole latency is one attribution component, keeping
-        // Σ components == Σ latency exact through an outage.
-        ++result_.slow_mem_accesses;
-        if (tenant != nullptr) ++tenant->slow_mem_accesses;
-        if (attr_ != nullptr) [[unlikely]] {
-          attr_->AddFaultStall(attr_tenant, latency);
-        }
-        if (audit_ != nullptr) [[unlikely]] {
-          audit_->OnSlowFill(unit, now_);
-        }
       } else {
         ++result_.slow_mem_accesses;
         if (tenant != nullptr) ++tenant->slow_mem_accesses;
-        if (!endpoint_queue_hist_.empty()) [[unlikely]] {
-          // Queue delay = modeled latency minus the device's idle
-          // latency; pure observation, never fed back into the run.
-          endpoint_queue_hist_[touch.endpoint]->Observe(
-              latency - perf_->EndpointIdleLatency(touch.endpoint));
-        }
-        if (attr_ != nullptr) [[unlikely]] {
-          // Same exact recovery: idle + queue partitions the modeled
-          // latency with no remainder (integer subtraction).
-          const TimeNs idle = perf_->EndpointIdleLatency(touch.endpoint);
-          attr_->AddSlowFill(attr_tenant, touch.endpoint, idle,
-                             latency - idle);
-        }
-        if (audit_ != nullptr) [[unlikely]] {
-          audit_->OnSlowFill(unit, now_);
-        }
       }
     } else {
       latency = level == HitLevel::kL1 ? perf_->L1Latency()
                                        : perf_->LlcLatency();
-      if (attr_ != nullptr) [[unlikely]] {
-        if (level == HitLevel::kL1) {
-          attr_->AddL1Hit(attr_tenant, latency);
-        } else {
-          attr_->AddLlcHit(attr_tenant, latency);
-        }
-      }
     }
     if (touch.hint_fault) [[unlikely]] {
       latency += perf_->HintFaultLatency();
       ++result_.hint_faults;
-      if (attr_ != nullptr) {
-        attr_->AddHintFault(attr_tenant, perf_->HintFaultLatency());
-      }
+    }
+    if (observed_) [[unlikely]] {
+      ObserveAccess(tenant_id, unit, touch, level, latency);
     }
     if constexpr (kProfiled) {
       t1 = StageProfiler::NowNs();
@@ -785,10 +778,6 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     op_latency += latency;
   }
   accesses_ += count;
-  // Memory-service ns of this op (everything but overhead and stalls);
-  // the virtual-time stage profile's kCache bucket.
-  [[maybe_unused]] const TimeNs access_ns =
-      op_latency - config_.op_overhead_ns;
 
   if (batch_policy) {
     // One virtual dispatch for the whole op; events carry the same
@@ -830,7 +819,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   // the policy's tick sees the health state (and any evacuation moves)
   // as of its own timestamp.
   while (now_ >= next_tick_) {
-    if (faults_on_) [[unlikely]] {
+    if (fault_runtime_ != nullptr) [[unlikely]] {
       fault_runtime_->Advance(next_tick_);
     }
     policy_->Tick(next_tick_);
@@ -844,22 +833,13 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   const MigrationStats& mig = migration_->stats();
   const uint64_t batches = mig.promotion_batches + mig.demotion_batches;
   const uint64_t pages = mig.promoted_pages + mig.demoted_pages;
-  TimeNs stall_charged = 0;
-  if (batches != last_migration_batches_ ||
-      pages != last_migration_pages_) {
-    const TimeNs stall =
-        (batches - last_migration_batches_) *
-            config_.perf.tlb_batch_stall_ns +
-        (pages - last_migration_pages_) * config_.perf.tlb_page_stall_ns;
-    now_ += stall;
-    op_latency += stall;
-    stall_charged = stall;
-    if (attr_ != nullptr) [[unlikely]] {
-      attr_->AddMigrationStall(attr_tenant, stall);
-    }
-    last_migration_batches_ = batches;
-    last_migration_pages_ = pages;
-  }
+  const TimeNs stall =
+      (batches - last_migration_batches_) * config_.perf.tlb_batch_stall_ns +
+      (pages - last_migration_pages_) * config_.perf.tlb_page_stall_ns;
+  now_ += stall;
+  op_latency += stall;
+  last_migration_batches_ = batches;
+  last_migration_pages_ = pages;
 
   [[maybe_unused]] uint64_t t_account = 0;
   if constexpr (kProfiled) {
@@ -876,28 +856,13 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     tenant->reservoir.Add(static_cast<double>(op_latency));
     tenant->window.Add(static_cast<double>(op_latency));
   }
-  if (op_latency_hist_ != nullptr) op_latency_hist_->Observe(op_latency);
-  if (attr_ != nullptr) [[unlikely]] {
-    attr_->CloseOp(attr_tenant, op_latency);
-  }
+  if (observed_) [[unlikely]] ObserveOp(tenant_id, stall, op_latency);
 
   if constexpr (kProfiled) {
     stages_->Record(Stage::kCache, cache_wall);
     stages_->Record(Stage::kPolicy, policy_wall);
     stages_->Record(Stage::kSampler, sampler_wall);
     stages_->Record(Stage::kAccounting, StageProfiler::NowNs() - t_account);
-  }
-  if (profile_virtual_op_) [[unlikely]] {
-    // Virtual-time stage sample: every bucket is a simulated quantity
-    // this function already computed, so the profile is a pure function
-    // of the event stream (zero clock reads, byte-identical across
-    // engines and --jobs). kPolicy/kSampler have no simulated cost —
-    // their time is modeled as metadata cache pollution, not latency.
-    stages_->Record(Stage::kGeneration, op.think_time_ns);
-    stages_->Record(Stage::kCache, access_ns);
-    stages_->Record(Stage::kMigration, stall_charged);
-    stages_->Record(Stage::kAccounting, config_.op_overhead_ns);
-    stages_->RecordOp(op.think_time_ns + op_latency, count);
   }
 }
 
@@ -908,42 +873,38 @@ SimulationResult Simulation::Run() {
   next_stats_ = config_.stats_interval_ns;
   bool warmed_up = config_.warmup_accesses == 0;
 
-  if (config_.prefault_at_start) {
-    // Application initialization: allocate the whole footprint in
-    // address order (see SimulationConfig::prefault_at_start). Tenants
-    // that have not arrived yet do not exist yet — their regions stay
-    // unallocated until their own first touches.
-    if (tenant_source_ != nullptr) {
-      for (uint32_t t = 0; t < tenant_source_->tenant_count(); ++t) {
-        if (!tenant_source_->tenant_active_at(t, 0)) continue;
-        const PageRange range = tenant_source_->tenant_units(t, config_.mode);
-        for (PageId unit = range.begin; unit < range.end; ++unit) {
-          memory_->Touch(unit, now_);
-        }
-      }
-    } else {
-      for (PageId unit = 0; unit < footprint_units_; ++unit) {
+  // Application initialization: touch the whole footprint once, in
+  // address order, before the access stream starts. Real workloads
+  // allocate and populate their heaps (cache slabs, graph CSR, training
+  // matrices) before steady state, so first-touch placement is
+  // address-ordered, not popularity-ordered. Tenants that have not
+  // arrived yet do not exist yet — their regions stay unallocated until
+  // their own first touches.
+  if (tenant_source_ != nullptr) {
+    for (uint32_t t = 0; t < tenant_source_->tenant_count(); ++t) {
+      if (!tenant_source_->tenant_active_at(t, 0)) continue;
+      const PageRange range = tenant_source_->tenant_units(t, config_.mode);
+      for (PageId unit = range.begin; unit < range.end; ++unit) {
         memory_->Touch(unit, now_);
       }
+    }
+  } else {
+    for (PageId unit = 0; unit < footprint_units_; ++unit) {
+      memory_->Touch(unit, now_);
     }
   }
 
   while (accesses_ < config_.max_accesses) {
-    if (config_.max_ops != 0 && ops_ >= config_.max_ops) break;
     if (config_.max_time_ns != 0 && now_ >= config_.max_time_ns) break;
 
     // Sampled stage profiling: decide before generation so NextOp
     // (live draw or trace replay) is attributed too. A null profiler
-    // costs a single predictable branch per op. In virtual-time mode
-    // the clock is never read — generation is attributed the op's
-    // think time inside RunOpImpl instead.
+    // costs a single predictable branch per op.
     const bool profile_op = stages_ != nullptr && stages_->BeginOp();
-    const bool wall_profile = profile_op && !stages_->virtual_time();
-    const uint64_t op_start =
-        wall_profile ? StageProfiler::NowNs() : 0;
+    const uint64_t op_start = profile_op ? StageProfiler::NowNs() : 0;
 
     if (!workload_->NextOp(now_, &op)) break;
-    if (wall_profile) {
+    if (profile_op) {
       stages_->Record(Stage::kGeneration,
                       StageProfiler::NowNs() - op_start);
     }
@@ -982,7 +943,7 @@ SimulationResult Simulation::Run() {
               skip_forward(next_stats_, config_.stats_interval_ns);
         }
         if (next_tick_ <= next_stats_) {
-          if (faults_on_) [[unlikely]] {
+          if (fault_runtime_ != nullptr) [[unlikely]] {
             fault_runtime_->Advance(next_tick_);
           }
           policy_->Tick(next_tick_);
@@ -1012,17 +973,9 @@ SimulationResult Simulation::Run() {
             : &tenant_states_[tenant_source_->last_tenant()];
 
     if (profile_op) [[unlikely]] {
-      if (wall_profile) {
-        RunOpImpl<true>(op, tenant);
-        stages_->RecordOp(StageProfiler::NowNs() - op_start,
-                          op.accesses.size());
-      } else {
-        // Virtual-time sample: the unprofiled instantiation (no clock
-        // reads) with the simulated-bucket recording switched on.
-        profile_virtual_op_ = true;
-        RunOpImpl<false>(op, tenant);
-        profile_virtual_op_ = false;
-      }
+      RunOpImpl<true>(op, tenant);
+      stages_->RecordOp(StageProfiler::NowNs() - op_start,
+                        op.accesses.size());
     } else {
       RunOpImpl<false>(op, tenant);
     }
@@ -1065,7 +1018,7 @@ SimulationResult Simulation::Run() {
   result_.p99_latency_ns = reservoir_.Quantile(0.99);
   result_.mean_latency_ns = reservoir_.Mean();
   result_.migration = migration_->stats();
-  if (faults_on_) {
+  if (fault_runtime_ != nullptr) {
     // One final advance at the run's end time: transitions scheduled
     // inside the last partial tick interval still apply, and pending
     // evacuations get a last drain pass before residency is reported.
@@ -1136,9 +1089,7 @@ void Simulation::FinalizeTenantResults() {
         tenant.marginal_utility = stats.marginal_utility;
       }
     }
-    tenant.sample_period = budgeted_sampler_ != nullptr
-                               ? budgeted_sampler_->period(t)
-                               : config_.sample_period;
+    tenant.sample_period = budgeted_sampler_->period(t);
 
     occupancies.push_back(static_cast<double>(tenant.fast_resident_units));
     if (tenant_source_->tenant_active_at(t, now_)) {

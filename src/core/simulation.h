@@ -49,30 +49,11 @@ struct SimulationConfig {
   double fast_tier_fraction = 1.0 / 8;
   AllocationPolicy allocation = AllocationPolicy::kFastFirst;
   uint64_t max_accesses = 20000000;     //!< Stop after this many accesses.
-  uint64_t max_ops = 0;                 //!< 0 = unlimited.
   TimeNs max_time_ns = 0;               //!< 0 = unlimited.
   uint64_t warmup_accesses = 0;         //!< Reset measurement stats after.
   TimeNs op_overhead_ns = 60;           //!< Non-memory work per op.
   uint64_t sample_period = 61;          //!< PEBS period (accesses/sample).
   size_t sample_buffer = 8192;          //!< PEBS buffer depth.
-  /**
-   * Multi-tenant runs only: replace the single global sampler with the
-   * per-tenant budgeted sampler (`BudgetedSampler`), which re-divides
-   * the global sample budget equally among active tenants so a
-   * high-access-rate tenant cannot crowd the sample stream that feeds
-   * per-tenant demand estimators. Ignored for single-tenant workloads.
-   *
-   * On by default since the Fig 4-style single-hot-tenant sweep showed
-   * per-tenant periods leave adaptation time unhurt (convergence within
-   * the first 1 ms stats interval with the budget on and off, across
-   * seeds) while the hot tenant's final occupancy and the weighted
-   * fairness index come out equal or slightly better. Disable with
-   * `ht_run --no-sampler-budget` / this flag for the legacy global
-   * sampler.
-   */
-  bool tenant_sample_budget = true;
-  /** Accesses between budgeted-sampler period re-adaptations. */
-  uint64_t sample_adapt_window = 65536;
   TimeNs tick_interval_ns = 1 * kMillisecond;   //!< Policy maintenance.
   TimeNs stats_interval_ns = 20 * kMillisecond; //!< Timeline sampling.
   size_t latency_window = 4096;         //!< Window for timeline medians.
@@ -104,8 +85,8 @@ struct SimulationConfig {
    * "faults:ep2@5s=down,ep1@2s-8s=degrade3x". Empty (the default)
    * constructs no fault runtime at all and keeps every run bit-identical
    * to the pre-fault code — the golden determinism tests gate on it.
-   * Any `down`/`degrade` event force-enables `perf.bounded_queue` (with
-   * a warning when it was off): an unbounded backlog integral across an
+   * A non-empty schedule switches the timing model to its bounded queue
+   * (`PerfModel::BoundQueue`): an unbounded backlog integral across an
    * outage would model infinite recovery.
    */
   std::string faults;
@@ -119,7 +100,6 @@ struct SimulationConfig {
   bool watchdog = false;
   /** Failover behavior knobs (only read when `faults` is non-empty). */
   FaultRuntimeConfig fault_runtime;
-  bool measure_metadata_traffic = true; //!< Replay metadata lines in LLC.
   /**
    * Batched access execution (default): policies that declare no
    * per-access interest are skipped in the hot loop, and batch-capable
@@ -130,14 +110,6 @@ struct SimulationConfig {
    * the determinism suite gates on that equivalence.
    */
   bool batch_execution = true;
-  /**
-   * Touch the whole address space once (in address order) before the
-   * access stream starts, modeling application initialization: real
-   * workloads allocate and populate their heaps (cache slabs, graph
-   * CSR, training matrices) before steady state, so first-touch
-   * placement is address-ordered, not popularity-ordered.
-   */
-  bool prefault_at_start = true;
   uint64_t seed = 1;                    //!< Sampler jitter seed.
   /**
    * Optional telemetry sinks (metrics registry, trace emitter, stage
@@ -145,8 +117,7 @@ struct SimulationConfig {
    * null by default. Metric and trace content is keyed to virtual time
    * and stays bit-identical across dispatch engines and sweep `--jobs`
    * values; the stage profiler is the one wall-clock exception (bench
-   * reporting only) unless constructed in virtual-time mode, which
-   * rejoins the deterministic set.
+   * reporting only). No sink ever changes a modeled quantity.
    */
   Telemetry telemetry;
 };
@@ -175,8 +146,7 @@ struct TenantResult {
   uint64_t quota_units = 0;        //!< End-of-run fast-tier quota.
   uint64_t shadow_samples = 0;     //!< Samples fed to the ghost estimate.
   double marginal_utility = 0.0;   //!< Hits/window of the next fast unit.
-  /** Effective sampling period for this tenant's accesses (the global
-   *  period unless the budgeted sampler is enabled). */
+  /** This tenant's budgeted sampling period at end of run. */
   uint64_t sample_period = 0;
 
   // Per-tenant adaptation timelines, sampled every stats_interval_ns.
@@ -381,12 +351,29 @@ class Simulation {
    * Instantiated on a compile-time profiling flag so the common
    * (unprofiled) instantiation contains no wall-clock reads at all;
    * the profiled one runs only for the stage profiler's sampled ops.
-   * Virtual-time stage profiling reuses the unprofiled instantiation:
-   * the buckets are filled from already-computed simulated quantities
-   * behind one predictable branch per op (see profile_virtual_op_).
+   * The loop holds only the model; every diagnosis feed sits behind
+   * one `observed_` branch per access and one per op.
    */
   template <bool kProfiled>
   void RunOpImpl(const OpTrace& op, TenantState* tenant);
+
+  /**
+   * Diagnosis seam for one access, called after its hint-fault charge
+   * and before policy dispatch (the audit labeler sees the same event
+   * order as the model). Splits `latency` into attribution components,
+   * feeds the audit labeler's slow fills, and observes the endpoint
+   * queue-delay histogram. Pure observation.
+   */
+  void ObserveAccess(uint32_t tenant, PageId unit, const TouchResult& touch,
+                     HitLevel level, TimeNs latency);
+
+  /**
+   * Diagnosis seam at op end: the op overhead and migration-stall
+   * components, the attribution op close, and the op-latency
+   * histogram. Attribution and metrics are read only between ops.
+   */
+  void ObserveOp(uint32_t tenant, TimeNs migration_stall,
+                 TimeNs op_latency);
 
   /** Registers metric probes and trace tracks from config_.telemetry. */
   void SetupTelemetry();
@@ -417,15 +404,14 @@ class Simulation {
   std::unique_ptr<PerfModel> perf_;
   std::unique_ptr<CacheHierarchy> hierarchy_;
   std::unique_ptr<MigrationEngine> migration_;
+  /** Single-tenant runs' global-period sampler. */
   std::unique_ptr<AccessSampler> sampler_;
-  /** Replaces sampler_ when tenant_sample_budget is on (tenant runs). */
+  /** Tenant runs' per-tenant sampler; replaces sampler_. */
   std::unique_ptr<BudgetedSampler> budgeted_sampler_;
   /** Null unless config.faults is non-empty (the common case). */
   std::unique_ptr<FaultRuntime> fault_runtime_;
   /** Null unless config.watchdog (pure observation when present). */
   std::unique_ptr<InvariantWatchdog> watchdog_;
-  /** Mirrors fault_runtime_ != nullptr; hot-loop guard. */
-  bool faults_on_ = false;
   MetadataTrafficCounter metadata_counter_;
 
   // Run state.
@@ -470,14 +456,12 @@ class Simulation {
   StageProfiler* stages_ = nullptr;
   LatencyAttribution* attr_ = nullptr;
   DecisionAudit* audit_ = nullptr;
-  /** True while the current op is a virtual-time profiling sample:
-   *  RunOpImpl fills the stage buckets from simulated quantities it has
-   *  already computed (think time, access latencies, TLB stalls, op
-   *  overhead) instead of wall-clock reads. */
-  bool profile_virtual_op_ = false;
+  /** Attribution, audit or metrics attached: the one hot-loop guard in
+   *  front of ObserveAccess/ObserveOp. */
+  bool observed_ = false;
   HistogramMetric* op_latency_hist_ = nullptr;  //!< Owned by metrics_.
   /** Per-endpoint slow-fill queue-delay histograms (owned by metrics_;
-   *  empty when telemetry is off — one emptiness check per slow fill). */
+   *  empty when metrics are off). */
   std::vector<HistogramMetric*> endpoint_queue_hist_;
   /** Quota-stats view of policy_, resolved once (also used by
    *  FinalizeTenantResults). */

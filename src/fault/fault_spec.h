@@ -78,10 +78,6 @@ struct FaultSchedule {
 
   /** Largest endpoint index named by any event (0 when empty). */
   uint32_t MaxEndpoint() const;
-
-  /** True when any event can take an endpoint down or degrade it —
-   *  i.e. any event at all; gates the bounded-queue requirement. */
-  bool HasDownOrDegrade() const { return !events.empty(); }
 };
 
 /** True if `text` looks like a fault spec (starts with "faults:"). */

@@ -19,7 +19,6 @@ PerfModel::PerfModel(const PerfModelConfig& config, const TierConfig& fast,
   // channel's occupancy is computed once here instead of per access.
   access_bytes_ = kCacheLineSize * config.threads;
   max_queue_delay_ns_ = static_cast<TimeNs>(config.max_queue_delay_ns);
-  bounded_queue_ = config.bounded_queue;
 
   fast_idle_latency_ns_ = fast.idle_latency_ns;
   fast_bandwidth_gbps_ = fast.bandwidth_gbps;

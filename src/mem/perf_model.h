@@ -24,7 +24,10 @@
  *
  * The model is built from the fast tier's `TierConfig` and a
  * `Topology`; the paper's single emulated CXL device is
- * `DefaultTopology()` (`cxl:(1)`).
+ * `DefaultTopology()` (`cxl:(1)`). Two queue models exist: by default
+ * a saturated channel's backlog grows without bound (only the delay an
+ * access pays is capped); `BoundQueue()` clamps the backlog too, and
+ * fault runs use it.
  *
  * **Decomposition contract** (relied on by `obs/attribution.h` and the
  * per-endpoint queue-delay histograms): every demand-access latency
@@ -66,22 +69,6 @@ struct PerfModelConfig {
   TimeNs tlb_page_stall_ns = 150;
   uint32_t threads = 16;               //!< Modeled application threads.
   double max_queue_delay_ns = 2000.0;  //!< Cap on queueing delay per access.
-  /**
-   * Clamp channel backlog (`busy_until`) at `max_queue_delay_ns` too,
-   * not just the reported delay. Historically the cap truncated only
-   * what an access *pays* while the channel's busy horizon kept growing
-   * unboundedly under saturation — so a channel could owe minutes of
-   * backlog that no access would ever observe beyond the cap, and the
-   * backlog never drained. With the knob on, backlog beyond the cap is
-   * shed (a bounded queue: the excess models requests the real fabric
-   * would have back-pressured at the requester). Default off because
-   * results depend on the unbounded backlog: with the knob on, the
-   * golden determinism suite still passes, but fig_topology's
-   * asymmetric-layout gate (endpoint-aware p50 must beat blind) fails
-   * and fig_attribution's table changes. Turning it on is a modeling
-   * decision, not a fix.
-   */
-  bool bounded_queue = false;
   /**
    * Latency charged to a demand access aimed at a **down** endpoint
    * (fault injection, see fault/fault_runtime.h): the time for the
@@ -255,6 +242,27 @@ class PerfModel {
     return endpoints_[endpoint].stalled_accesses;
   }
 
+  /**
+   * Switches to the bounded queue model: channel backlog (`busy_until`)
+   * is clamped at `max_queue_delay_ns` too, not just the delay an
+   * access reports. The default (unbounded) model truncates only what
+   * an access *pays* while a saturated channel's busy horizon keeps
+   * growing — backlog no access ever observes beyond the cap, and
+   * which never drains. Bounded, the backlog beyond the cap is shed
+   * (the excess models requests the real fabric would have
+   * back-pressured at the requester). `Simulation` bounds the queue
+   * for every run with a fault schedule, where an unbounded backlog
+   * across an outage would model infinite recovery. Fault-free runs
+   * keep the unbounded model: fig_topology's asymmetric-layout gate
+   * (endpoint-aware p50 must beat blind) and fig_attribution's table
+   * depend on it. Which model should be the only one is an open
+   * modeling decision, not a fix.
+   */
+  void BoundQueue() { bounded_queue_ = true; }
+
+  /** True once BoundQueue() was called. */
+  bool queue_bounded() const { return bounded_queue_; }
+
   /** Configuration in use. */
   const PerfModelConfig& config() const { return config_; }
 
@@ -290,7 +298,7 @@ class PerfModel {
 
   /**
    * Advances a channel's busy horizon by `duration` of occupancy
-   * starting at `now`. With `bounded_queue`, backlog beyond the
+   * starting at `now`. With a bounded queue, backlog beyond the
    * queue-delay cap is shed first, so the horizon can never run away
    * from the clock by more than cap + the new transfer.
    */

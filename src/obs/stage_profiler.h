@@ -20,18 +20,11 @@
  * pointer disables even the sampling countdown.
  *
  * Unlike everything else in `src/obs/`, stage times are *wall-clock*
- * measurements by default — they vary run to run and are reported as
- * such (a bench table, never part of the determinism-gated outputs).
- *
- * **Virtual-time mode** (`StageProfiler(sample_every, true)`) removes
- * that exemption: the engine fills the same per-stage buckets with
- * *simulated* nanoseconds (think time -> generation, access latencies
- * -> cache, TLB stalls -> migration, op overhead -> accounting) and
- * never reads the clock. Every bucket is then a pure function of the
- * simulated event stream, so profiled runs are bit-identical across
- * `--jobs` values and engines and can join the byte-diff gates. With
- * `sample_every == 1` and no idle gaps, `sampled_op_wall_ns()` equals
- * the run's modeled duration exactly.
+ * measurements — they vary run to run and are reported as such (a
+ * bench table, never part of the determinism-gated outputs). Where
+ * the *simulated* nanoseconds of an op go is `LatencyAttribution`'s
+ * job (obs/attribution.h): cache = the access components, migration =
+ * `kMigrationStall`, accounting = `kOpOverhead`.
  */
 
 #include <cstdint>
@@ -63,15 +56,9 @@ class StageProfiler {
     uint64_t events = 0;   //!< Sampled ops that touched this stage.
   };
 
-  explicit StageProfiler(uint32_t sample_every = 64,
-                         bool virtual_time = false)
+  explicit StageProfiler(uint32_t sample_every = 64)
       : sample_every_(sample_every == 0 ? 1 : sample_every),
-        countdown_(1),  // Profile the first op, then every Nth.
-        virtual_time_(virtual_time) {}
-
-  /** True when buckets hold simulated ns (deterministic), not wall
-   *  clock. The engine checks this to pick its recording path. */
-  bool virtual_time() const { return virtual_time_; }
+        countdown_(1) {}  // Profile the first op, then every Nth.
 
   /** Monotonic wall-clock read (ns). */
   static uint64_t NowNs() {
@@ -134,7 +121,6 @@ class StageProfiler {
   uint64_t ops_ = 0;
   uint32_t sample_every_;
   uint32_t countdown_;
-  bool virtual_time_ = false;
 };
 
 }  // namespace hybridtier

@@ -11,9 +11,10 @@
  * does not own any of them: the driver (ht_run, a bench, a test)
  * creates whichever sinks it wants, points the config at them, runs,
  * and serializes afterwards. All-null (the default) is the disabled
- * state, and every instrumentation site guards on its pointer, so a
- * run without telemetry executes the exact pre-observability code
- * path.
+ * state: the engine reaches the metric histograms, attribution and
+ * audit through one guarded diagnosis seam, and the other sinks guard
+ * on their own pointers, so a run without telemetry executes the exact
+ * pre-observability code path.
  */
 
 #include "obs/attribution.h"

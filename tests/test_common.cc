@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/ema.h"
+#include "common/flags.h"
 #include "common/histogram.h"
 #include "common/logging.h"
 #include "common/percentile.h"
@@ -415,6 +416,34 @@ TEST(Logging, ParseLogLevelRoundTrips) {
 
 TEST(LoggingDeathTest, ParseLogLevelRejectsUnknownNames) {
   EXPECT_DEATH(ParseLogLevel("loud"), "log level");
+}
+
+// -------------------------------------------------------------- Flags --
+
+TEST(Flags, ParseUintFlagAcceptsDigitStringsInRange) {
+  EXPECT_EQ(ParseUintFlag("--seed", "0"), 0u);
+  EXPECT_EQ(ParseUintFlag("--seed", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(ParseUintFlag("--jobs", "1", 1, 65536), 1u);
+  EXPECT_EQ(ParseUintFlag("--jobs", "65536", 1, 65536), 65536u);
+}
+
+TEST(FlagsDeathTest, ParseUintFlagRejectsMalformedTokensWithExit1) {
+  // Each rejection quotes the token and exits 1 — never an uncaught
+  // exception, and never a negative count wrapped to 2^64 - n.
+  for (const char* bad : {"abc", "-5", "", " 7", "7 ", "1x", "0x10",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseUintFlag("--accesses", bad),
+                ::testing::ExitedWithCode(1),
+                std::string("--accesses .*'") + bad + "'");
+  }
+  EXPECT_EXIT(ParseUintFlag("--seed", "+3"), ::testing::ExitedWithCode(1),
+              "'\\+3'");
+  EXPECT_EXIT(ParseUintFlag("--jobs", "0", 1, 65536),
+              ::testing::ExitedWithCode(1), "\\[1, 65536\\].*'0'");
+  EXPECT_EXIT(ParseUintFlag("--jobs", "65537", 1, 65536),
+              ::testing::ExitedWithCode(1), "'65537'");
 }
 
 TEST(LoggingDeathTest, AssertAbortsOnFalse) {

@@ -249,7 +249,6 @@ SimulationConfig FaultTestConfig() {
   config.stats_interval_ns = 1 * kMillisecond;
   config.seed = 13;
   config.topology = "cxl:(1,2,3),lat=124:180:180,bw=34:17:17";
-  config.perf.bounded_queue = true;
   config.fault_runtime.evac_batch = 4096;
   config.fault_runtime.spill_batch = 4096;
   return config;
@@ -315,16 +314,22 @@ TEST(FaultRuntime, EvacuationParksInBackoffWhenFastCannotHoldDrain) {
   EXPECT_GT(result.fault.stalled_accesses, 0u);
 }
 
-// Satellite: a down/degrade schedule force-enables the bounded queue
-// model (an unbounded backlog integrates forever across an outage).
+// A fault schedule selects the bounded queue model (an unbounded
+// backlog integrates forever across an outage); fault-free runs keep
+// the unbounded one.
 TEST(FaultRuntime, DownScheduleForceEnablesBoundedQueue) {
   auto workload = MakeWorkload("zipf", 0.1, 13);
   auto policy = MakePolicy("HybridTier");
   SimulationConfig config = FaultTestConfig();
-  config.perf.bounded_queue = false;
+  {
+    Simulation fault_free(config, workload.get(), policy.get());
+    EXPECT_FALSE(fault_free.perf_model().queue_bounded());
+  }
+  workload = MakeWorkload("zipf", 0.1, 13);
+  policy = MakePolicy("HybridTier");
   config.faults = "faults:ep1@5ms=down";
   Simulation simulation(config, workload.get(), policy.get());
-  EXPECT_TRUE(simulation.perf_model().config().bounded_queue);
+  EXPECT_TRUE(simulation.perf_model().queue_bounded());
   const SimulationResult result = simulation.Run();
   EXPECT_EQ(result.fault.endpoints_downed, 1u);
 }

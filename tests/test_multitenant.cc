@@ -1283,7 +1283,6 @@ TEST(MultiTenantSimulation, TenantResultsCarryControllerAndSamplerStats) {
                                                 mux->directory());
   SimulationConfig config = SmallSimConfig();
   config.max_accesses = 400000;
-  config.tenant_sample_budget = true;
   const SimulationResult result =
       RunSimulation(config, mux.get(), fair.get());
 
@@ -1339,7 +1338,6 @@ TEST(MultiTenantSimulation, MarginalRunsAreDeterministicAcrossReruns) {
         MakePolicy("HybridTier"), mux->directory());
     SimulationConfig config = SmallSimConfig();
     config.max_accesses = 400000;
-    config.tenant_sample_budget = true;
     const SimulationResult result =
         RunSimulation(config, mux.get(), fair.get());
     for (uint32_t t = 0; t < mux->tenant_count(); ++t) {

@@ -709,75 +709,53 @@ TEST(DecisionAuditIntegration, EveryEngineBatchCarriesAReason) {
 }
 
 TEST(ObsDeterminism, DiagnosisSinksDoNotPerturbTheSimulation) {
-  const auto run = [](bool with_diagnosis) {
+  // Two inputs: the default single-endpoint cell, and a three-endpoint
+  // cell that loses endpoint 1 mid-run, so the diagnosis seam's
+  // fault-stall and per-endpoint queue-histogram paths run too.
+  struct Input {
+    const char* topology;
+    const char* faults;
+  };
+  for (const Input input :
+       {Input{"", ""}, Input{"cxl:(1,2,3)", "faults:ep1@2ms=down"}}) {
+    SCOPED_TRACE(input.faults);
     LatencyAttribution attr;
-    DecisionAudit audit;
-    StageProfiler stages(/*sample_every=*/1, /*virtual_time=*/true);
-    auto workload = MakeWorkload("zipf", 0.25, 31);
-    auto policy = MakePolicy("HybridTier");
-    SimulationConfig config;
-    config.max_accesses = 300000;
-    config.seed = 31;
-    if (with_diagnosis) {
-      config.telemetry.attribution = &attr;
-      config.telemetry.audit = &audit;
-      config.telemetry.stages = &stages;
+    const auto run = [&](bool with_diagnosis) {
+      DecisionAudit audit;
+      MetricRegistry metrics;
+      StageProfiler stages(/*sample_every=*/1);
+      auto workload = MakeWorkload("zipf", 0.25, 31);
+      auto policy = MakePolicy("HybridTier");
+      SimulationConfig config;
+      config.max_accesses = 300000;
+      config.seed = 31;
+      config.topology = input.topology;
+      config.faults = input.faults;
+      if (with_diagnosis) {
+        config.telemetry.attribution = &attr;
+        config.telemetry.audit = &audit;
+        config.telemetry.metrics = &metrics;
+        config.telemetry.stages = &stages;
+      }
+      return RunSimulation(config, workload.get(), policy.get());
+    };
+    const SimulationResult plain = run(false);
+    const SimulationResult diagnosed = run(true);
+    EXPECT_EQ(plain.ops, diagnosed.ops);
+    EXPECT_EQ(plain.duration_ns, diagnosed.duration_ns);
+    EXPECT_EQ(plain.median_latency_ns, diagnosed.median_latency_ns);
+    EXPECT_EQ(plain.p99_latency_ns, diagnosed.p99_latency_ns);
+    EXPECT_EQ(plain.migration.promoted_pages,
+              diagnosed.migration.promoted_pages);
+    EXPECT_EQ(plain.migration.demoted_pages,
+              diagnosed.migration.demoted_pages);
+    EXPECT_EQ(plain.fault.stalled_accesses,
+              diagnosed.fault.stalled_accesses);
+    EXPECT_EQ(attr.ComponentSumNs(), attr.op_latency_ns());
+    if (*input.faults != '\0') {
+      EXPECT_GT(attr.component_ns(LatencyComponent::kFaultStall), 0u);
     }
-    return RunSimulation(config, workload.get(), policy.get());
-  };
-  const SimulationResult plain = run(false);
-  const SimulationResult diagnosed = run(true);
-  EXPECT_EQ(plain.ops, diagnosed.ops);
-  EXPECT_EQ(plain.duration_ns, diagnosed.duration_ns);
-  EXPECT_EQ(plain.median_latency_ns, diagnosed.median_latency_ns);
-  EXPECT_EQ(plain.p99_latency_ns, diagnosed.p99_latency_ns);
-  EXPECT_EQ(plain.migration.promoted_pages,
-            diagnosed.migration.promoted_pages);
-  EXPECT_EQ(plain.migration.demoted_pages,
-            diagnosed.migration.demoted_pages);
-}
-
-// ------------------------------------------- Virtual-time StageProfiler --
-
-TEST(StageProfilerVirtual, BucketsPartitionTheSimulatedDuration) {
-  // With sample_every == 1 every op is profiled; in virtual-time mode
-  // the buckets hold simulated ns, so they must reconstruct the modeled
-  // duration exactly: no clock reads, no sampling noise, no remainder.
-  StageProfiler stages(/*sample_every=*/1, /*virtual_time=*/true);
-  auto workload = MakeWorkload("zipf", 0.1, 37);
-  auto policy = MakePolicy("HybridTier");
-  SimulationConfig config;
-  config.max_accesses = 200000;
-  config.seed = 37;
-  config.telemetry.stages = &stages;
-  const SimulationResult result =
-      RunSimulation(config, workload.get(), policy.get());
-
-  ASSERT_GT(stages.sampled_ops(), 0u);
-  EXPECT_EQ(stages.sampled_ops(), result.ops);
-  EXPECT_EQ(stages.sampled_op_wall_ns(), result.duration_ns);
-  EXPECT_EQ(stages.OtherNs(), 0u);
-  EXPECT_GT(stages.totals(Stage::kCache).wall_ns, 0u);
-}
-
-TEST(StageProfilerVirtual, DeterministicAcrossEnginesAndRuns) {
-  const auto run = [](bool batch_execution) {
-    StageProfiler stages(/*sample_every=*/4, /*virtual_time=*/true);
-    auto workload = MakeWorkload("zipf", 0.1, 41);
-    auto policy = MakePolicy("HybridTier");
-    SimulationConfig config;
-    config.max_accesses = 200000;
-    config.seed = 41;
-    config.batch_execution = batch_execution;
-    config.telemetry.stages = &stages;
-    RunSimulation(config, workload.get(), policy.get());
-    return stages.Report();
-  };
-  const std::string batched = run(true);
-  const std::string legacy = run(false);
-  const std::string batched_again = run(true);
-  EXPECT_EQ(batched, legacy);
-  EXPECT_EQ(batched, batched_again);
+  }
 }
 
 // ------------------------------------- Fleet x topology metric catalog --

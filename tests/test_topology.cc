@@ -227,11 +227,11 @@ TEST(PerfModelTopology, MigrationCostSplitEndsAtSlowestLeg) {
  * Regression for the unbounded busy-horizon bug: the queue-delay cap
  * historically truncated only what each access *pays*, while the
  * channel's busy_until kept growing without bound under saturation —
- * backlog no access would ever observe, and which never drained. With
- * `bounded_queue` the horizon is clamped at the cap before each new
+ * backlog no access would ever observe, and which never drained. After
+ * `BoundQueue()` the horizon is clamped at the cap before each new
  * transfer, so once the clock moves past cap + one service time the
- * channel must be idle again. (The clamp is opt-in — see the knob's
- * doc comment — and this test documents both sides.)
+ * channel must be idle again. (Only fault runs bound the queue — see
+ * `PerfModel::BoundQueue` — and this test documents both sides.)
  */
 TEST(PerfModelTopology, BoundedQueueShedsRunawayBacklog) {
   PerfModelConfig config;
@@ -246,12 +246,13 @@ TEST(PerfModelTopology, BoundedQueueShedsRunawayBacklog) {
 
   // Bounded queue: the same burst's horizon is clamped at the cap, so
   // by now + cap + one service time the channel has fully drained.
-  config.bounded_queue = true;
   PerfModel bounded(config, DefaultFastTier(1000), DefaultTopology());
+  bounded.BoundQueue();
   for (int i = 0; i < 100000; ++i) bounded.MemoryAccess(Tier::kSlow, 0, 0);
   EXPECT_EQ(bounded.MemoryAccess(Tier::kSlow, 0, 1000000), 124u);
   // And the cap still applies while saturated.
   PerfModel saturated(config, DefaultFastTier(1000), DefaultTopology());
+  saturated.BoundQueue();
   for (int i = 0; i < 1000; ++i) saturated.MemoryAccess(Tier::kSlow, 0, 0);
   EXPECT_LE(saturated.MemoryAccess(Tier::kSlow, 0, 0), 124u + 500u);
 }
