@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "common/bench_util.h"
+#include "common/flags.h"
 #include "common/table.h"
 #include "obs/stage_profiler.h"
 #include "workloads/trace.h"
@@ -138,13 +139,12 @@ Options ParseArgs(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") Usage(argv[0], 0);
     if (arg == "--jobs") {
       options.jobs = static_cast<unsigned>(
-          std::strtoul(next_value("--jobs"), nullptr, 10));
+          ParseUintFlag(arg, next_value("--jobs"), 1, 65536));
       continue;
     }
     if (arg == "--reps") {
       options.reps = static_cast<unsigned>(
-          std::strtoul(next_value("--reps"), nullptr, 10));
-      if (options.reps == 0) options.reps = 1;
+          ParseUintFlag(arg, next_value("--reps"), 1, 1000));
       continue;
     }
     if (arg == "--live") {
@@ -160,12 +160,13 @@ Options ParseArgs(int argc, char** argv) {
       continue;
     }
     if (arg == "--min-ratio") {
-      options.min_ratio = std::strtod(next_value("--min-ratio"), nullptr);
+      options.min_ratio =
+          ParseDoubleFlag(arg, next_value("--min-ratio"), 0.0, 1000.0);
       continue;
     }
     if (arg == "--check-relative") {
       options.check_relative =
-          std::strtod(next_value("--check-relative"), nullptr);
+          ParseDoubleFlag(arg, next_value("--check-relative"), 0.0, 1000.0);
       continue;
     }
     if (arg == "--profile-stages") {
@@ -351,8 +352,12 @@ std::map<std::string, double> ReadCommittedGeomeans(
     if (key_begin == std::string::npos || key_begin >= close) break;
     const size_t key_end = text.find('"', key_begin + 1);
     const size_t colon = text.find(':', key_end);
+    const size_t value_begin = text.find_first_not_of(" \t\n", colon + 1);
+    const size_t value_end = text.find_first_of(",} \t\n", value_begin);
     result[text.substr(key_begin + 1, key_end - key_begin - 1)] =
-        std::strtod(text.c_str() + colon + 1, nullptr);
+        ParseDoubleFlag("geomean_maccs in " + path,
+                        text.substr(value_begin, value_end - value_begin),
+                        0.0, 1e9);
     pos = text.find(',', colon);
     if (pos == std::string::npos) break;
   }

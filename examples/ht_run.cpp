@@ -16,6 +16,7 @@
  * policies with --help.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -246,47 +247,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       policy_name = next();
     } else if (arg == "--ratio") {
+      // One fast:slow share or a comma-separated list of them.
       const std::string value = next();
       ratio_labels.clear();
       ratios.clear();
-      size_t start = 0;
-      while (start <= value.size()) {
-        size_t comma = value.find(',', start);
-        if (comma == std::string::npos) comma = value.size();
-        const std::string entry = value.substr(start, comma - start);
-        start = comma + 1;
-        const size_t colon = entry.find(':');
-        double fast = 0.0;
-        double slow = 0.0;
-        size_t fast_len = 0;
-        size_t slow_len = 0;
-        bool parsed = colon != std::string::npos && !entry.empty();
-        if (parsed) {
-          try {
-            fast = std::stod(entry.substr(0, colon), &fast_len);
-            slow = std::stod(entry.substr(colon + 1), &slow_len);
-          } catch (const std::exception&) {
-            parsed = false;
-          }
-        }
-        if (!parsed || fast_len != colon ||
-            slow_len != entry.size() - colon - 1 || fast <= 0.0 ||
-            slow <= 0.0) {
-          std::cerr << "--ratio must be positive numbers like 1:8 (or a "
-                       "comma-separated list like 1:16,1:8,1:4), got '"
-                    << entry << "'\n";
-          return 1;
-        }
-        ratio_labels.push_back(entry);
-        ratios.push_back(fast / slow);
-        if (comma == value.size()) break;
+      for (size_t start = 0; start <= value.size();) {
+        const size_t end = std::min(value.find(',', start), value.size());
+        ratio_labels.push_back(value.substr(start, end - start));
+        ratios.push_back(ParseRatioFlag(arg, ratio_labels.back()));
+        start = end + 1;
       }
     } else if (arg == "--jobs") {
       jobs = static_cast<unsigned>(ParseUintFlag(arg, next(), 1, 65536));
     } else if (arg == "--accesses") {
       accesses = ParseUintFlag(arg, next());
     } else if (arg == "--scale") {
-      scale = std::stod(next());
+      scale = ParseDoubleFlag(arg, next(), 0.0, 1000.0);
     } else if (arg == "--seed") {
       seed = ParseUintFlag(arg, next());
     } else if (arg == "--huge") {

@@ -120,14 +120,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       policy_name = next();
     } else if (arg == "--ratio") {
-      const std::string value = next();
-      const size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--ratio must look like 1:8\n";
-        return 1;
-      }
-      ratio = std::stod(value.substr(0, colon)) /
-              std::stod(value.substr(colon + 1));
+      ratio = ParseRatioFlag(arg, next());
     } else if (arg == "--accesses") {
       accesses = ParseUintFlag(arg, next());
     } else if (arg == "--seed") {

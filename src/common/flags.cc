@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/spec_reader.h"
 
 namespace hybridtier {
 
@@ -29,6 +30,28 @@ uint64_t ParseUintFlag(const std::string& flag, const std::string& text,
              text, "'");
   }
   return value;
+}
+
+double ParseDoubleFlag(const std::string& flag, const std::string& text,
+                       double min, double max) {
+  SpecReader reader{text};
+  const double value = reader.ReadNumber(flag);
+  if (!reader.AtEnd() || !(value >= min && value <= max)) {
+    SpecReader{text}.Fail(detail::StrCat(flag, " wants a number in [", min,
+                                         ", ", max, "]"));
+  }
+  return value;
+}
+
+double ParseRatioFlag(const std::string& flag, const std::string& text) {
+  const std::string want = flag + " wants positive fast:slow shares like 1:8";
+  SpecReader reader{text};
+  const double fast = reader.ReadNumber(flag + " fast share");
+  if (!reader.Consume(":")) reader.Fail(want);
+  const double slow = reader.ReadNumber(flag + " slow share");
+  if (!reader.AtEnd()) reader.Fail(want);
+  if (!(fast > 0.0 && slow > 0.0)) SpecReader{text}.Fail(want);
+  return fast / slow;
 }
 
 }  // namespace hybridtier

@@ -4,7 +4,8 @@
 /**
  * @file
  * Numeric command-line flag parsing shared by the example and bench
- * programs.
+ * programs. Every malformed value is a user error (exit 1) that quotes
+ * the token — never an uncaught exception or a silent 0.
  */
 
 #include <cstdint>
@@ -22,6 +23,19 @@ namespace hybridtier {
 uint64_t ParseUintFlag(const std::string& flag, const std::string& text,
                        uint64_t min = 0,
                        uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/**
+ * Parses `text` as the value of the real-valued flag `flag`: one number
+ * in the spec syntax (common/spec_reader.h) within [min, max].
+ */
+double ParseDoubleFlag(const std::string& flag, const std::string& text,
+                       double min, double max);
+
+/**
+ * Parses a fast:slow capacity ratio like "1:8" (two positive numbers)
+ * and returns fast / slow.
+ */
+double ParseRatioFlag(const std::string& flag, const std::string& text);
 
 }  // namespace hybridtier
 

@@ -1,14 +1,10 @@
 #include "fault/fault_spec.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/rng.h"
-#include "common/spec_error.h"
+#include "common/spec_reader.h"
 #include "mem/topology.h"
 
 namespace hybridtier {
@@ -26,133 +22,60 @@ constexpr uint64_t kFlapSalt = 0x8f1c7a44d20b39e5ULL;
 // canonical spec stays readable and the horizon is never exceeded.
 constexpr uint32_t kChaosMaxEvents = 256;
 
-struct Cursor {
-  const std::string& spec;
-  size_t pos = 0;  // Byte offset into `spec`.
-};
-
-/** The comma-separated token starting at `cursor.pos` (for errors). */
-std::string TokenAt(const Cursor& cursor) {
-  size_t end = cursor.spec.find(',', cursor.pos);
-  if (end == std::string::npos) end = cursor.spec.size();
-  return cursor.spec.substr(cursor.pos, end - cursor.pos);
-}
-
-[[noreturn]] void Fail(const Cursor& cursor, const std::string& message) {
-  SpecFatal(cursor.spec, cursor.pos, TokenAt(cursor), message);
-}
-
-bool ConsumeLiteral(Cursor& cursor, const char* literal) {
-  const size_t len = std::char_traits<char>::length(literal);
-  if (cursor.spec.compare(cursor.pos, len, literal) != 0) return false;
-  cursor.pos += len;
-  return true;
-}
-
-/** Parses a non-negative decimal number (digits, optional fraction). */
-double ParseNumber(Cursor& cursor, const char* what) {
-  const size_t start = cursor.pos;
-  size_t p = cursor.pos;
-  while (p < cursor.spec.size() &&
-         (std::isdigit(static_cast<unsigned char>(cursor.spec[p])) ||
-          cursor.spec[p] == '.')) {
-    ++p;
-  }
-  if (p == start) Fail(cursor, std::string("expected ") + what);
-  errno = 0;
-  char* parse_end = nullptr;
-  const std::string digits = cursor.spec.substr(start, p - start);
-  const double value = std::strtod(digits.c_str(), &parse_end);
-  if (errno != 0 || parse_end != digits.c_str() + digits.size() ||
-      !std::isfinite(value)) {
-    Fail(cursor, std::string("malformed ") + what);
-  }
-  cursor.pos = p;
-  return value;
-}
-
-/** Parses a duration/instant: number plus optional ns/us/ms/s suffix. */
-TimeNs ParseTime(Cursor& cursor, const char* what) {
-  const double raw = ParseNumber(cursor, what);
-  double scale = 1.0;
-  if (ConsumeLiteral(cursor, "ns")) {
-    scale = 1.0;
-  } else if (ConsumeLiteral(cursor, "us")) {
-    scale = 1e3;
-  } else if (ConsumeLiteral(cursor, "ms")) {
-    scale = 1e6;
-  } else if (ConsumeLiteral(cursor, "s")) {
-    scale = 1e9;
-  }
-  const double ns = raw * scale;
-  if (ns > 9.0e18) Fail(cursor, std::string(what) + " overflows TimeNs");
-  return static_cast<TimeNs>(ns);
-}
-
-uint32_t ParseEndpointIndex(Cursor& cursor) {
-  const double value = ParseNumber(cursor, "endpoint index");
-  const uint32_t endpoint = static_cast<uint32_t>(value);
-  if (value != static_cast<double>(endpoint) ||
-      endpoint >= kMaxTopologyEndpoints) {
-    Fail(cursor, "endpoint index must be an integer below " +
-                     std::to_string(kMaxTopologyEndpoints));
-  }
-  return endpoint;
-}
-
 /** Parses one `ep<N>@<start>[-<end>]=<kind>` event token. */
-FaultEvent ParseEvent(Cursor& cursor) {
-  const Cursor token_start = cursor;
+FaultEvent ParseEvent(SpecReader& reader) {
+  const SpecReader token_start = reader;
   FaultEvent event;
-  if (!ConsumeLiteral(cursor, "ep")) {
-    Fail(token_start, "expected 'ep<N>@...' event");
+  if (!reader.Consume("ep")) {
+    token_start.Fail("expected 'ep<N>@...' event");
   }
-  event.endpoint = ParseEndpointIndex(cursor);
-  if (!ConsumeLiteral(cursor, "@")) {
-    Fail(token_start, "expected '@<start>' after endpoint index");
+  event.endpoint = static_cast<uint32_t>(
+      reader.ReadUint("endpoint index", 0, kMaxTopologyEndpoints - 1));
+  if (!reader.Consume("@")) {
+    token_start.Fail("expected '@<start>' after endpoint index");
   }
-  event.start_ns = ParseTime(cursor, "start time");
-  if (ConsumeLiteral(cursor, "-")) {
-    event.end_ns = ParseTime(cursor, "end time");
+  event.start_ns = reader.ReadTime("start time");
+  if (reader.Consume("-")) {
+    event.end_ns = reader.ReadTime("end time");
     if (event.end_ns <= event.start_ns) {
-      Fail(token_start, "end time must be after start time");
+      token_start.Fail("end time must be after start time");
     }
   }
-  if (!ConsumeLiteral(cursor, "=")) {
-    Fail(token_start, "expected '=<down|degrade<F>x|flap(...)>'");
+  if (!reader.Consume("=")) {
+    token_start.Fail("expected '=<down|degrade<F>x|flap(...)>'");
   }
-  if (ConsumeLiteral(cursor, "down")) {
+  if (reader.Consume("down")) {
     event.kind = FaultKind::kDown;
-  } else if (ConsumeLiteral(cursor, "degrade")) {
+  } else if (reader.Consume("degrade")) {
     event.kind = FaultKind::kDegrade;
-    event.factor = ParseNumber(cursor, "degrade factor");
-    if (!ConsumeLiteral(cursor, "x")) {
-      Fail(token_start, "degrade factor must end in 'x' (e.g. degrade3x)");
+    event.factor = reader.ReadNumber("degrade factor");
+    if (!reader.Consume("x")) {
+      token_start.Fail("degrade factor must end in 'x' (e.g. degrade3x)");
     }
     if (event.factor <= 1.0) {
-      Fail(token_start, "degrade factor must be > 1");
+      token_start.Fail("degrade factor must be > 1");
     }
-  } else if (ConsumeLiteral(cursor, "flap(p=")) {
+  } else if (reader.Consume("flap(p=")) {
     event.kind = FaultKind::kFlap;
-    event.flap_p = ParseNumber(cursor, "flap probability");
+    event.flap_p = reader.ReadNumber("flap probability");
     if (event.flap_p <= 0.0 || event.flap_p > 1.0) {
-      Fail(token_start, "flap probability must be in (0, 1]");
+      token_start.Fail("flap probability must be in (0, 1]");
     }
-    if (!ConsumeLiteral(cursor, ",period=")) {
-      Fail(token_start, "expected ',period=<T>' in flap(...)");
+    if (!reader.Consume(",period=")) {
+      token_start.Fail("expected ',period=<T>' in flap(...)");
     }
-    event.flap_period_ns = ParseTime(cursor, "flap period");
+    event.flap_period_ns = reader.ReadTime("flap period");
     if (event.flap_period_ns == 0) {
-      Fail(token_start, "flap period must be positive");
+      token_start.Fail("flap period must be positive");
     }
-    if (!ConsumeLiteral(cursor, ")")) {
-      Fail(token_start, "expected ')' closing flap(...)");
+    if (!reader.Consume(")")) {
+      token_start.Fail("expected ')' closing flap(...)");
     }
     if (event.end_ns == 0) {
-      Fail(token_start, "flap events require an end time (ep<N>@a-b=flap)");
+      token_start.Fail("flap events require an end time (ep<N>@a-b=flap)");
     }
   } else {
-    Fail(token_start, "unknown fault kind (want down, degrade<F>x, or flap)");
+    token_start.Fail("unknown fault kind (want down, degrade<F>x, or flap)");
   }
   return event;
 }
@@ -173,48 +96,37 @@ void CanonicalizeOrder(FaultSchedule& schedule) {
  * [horizon/64, horizon/4), all quantised to a horizon/1024 grid so the
  * canonical form stays compact. Purely a function of the four knobs.
  */
-FaultSchedule ExpandChaos(Cursor& cursor) {
-  const Cursor token_start = cursor;
-  if (!ConsumeLiteral(cursor, "chaos(seed=")) {
-    Fail(token_start, "expected chaos(seed=...)");
+FaultSchedule ExpandChaos(SpecReader& reader) {
+  const SpecReader token_start = reader;
+  if (!reader.Consume("chaos(seed=")) {
+    token_start.Fail("expected chaos(seed=...)");
   }
-  const double seed_value = ParseNumber(cursor, "chaos seed");
-  if (!ConsumeLiteral(cursor, ",endpoints=")) {
-    Fail(token_start, "expected ',endpoints=<N>' in chaos(...)");
+  const uint64_t seed = reader.ReadUint("chaos seed", 0);
+  if (!reader.Consume(",endpoints=")) {
+    token_start.Fail("expected ',endpoints=<N>' in chaos(...)");
   }
-  const double endpoints_value = ParseNumber(cursor, "chaos endpoint count");
-  if (!ConsumeLiteral(cursor, ",horizon=")) {
-    Fail(token_start, "expected ',horizon=<T>' in chaos(...)");
+  const auto endpoints = static_cast<uint32_t>(
+      reader.ReadUint("chaos endpoints", 1, kMaxTopologyEndpoints));
+  if (!reader.Consume(",horizon=")) {
+    token_start.Fail("expected ',horizon=<T>' in chaos(...)");
   }
-  const TimeNs horizon = ParseTime(cursor, "chaos horizon");
-  if (!ConsumeLiteral(cursor, ",events=")) {
-    Fail(token_start, "expected ',events=<N>' in chaos(...)");
+  const TimeNs horizon = reader.ReadTime("chaos horizon");
+  if (!reader.Consume(",events=")) {
+    token_start.Fail("expected ',events=<N>' in chaos(...)");
   }
-  const double events_value = ParseNumber(cursor, "chaos event count");
-  if (!ConsumeLiteral(cursor, ")")) {
-    Fail(token_start, "expected ')' closing chaos(...)");
+  const auto events = static_cast<uint32_t>(
+      reader.ReadUint("chaos events", 1, kChaosMaxEvents));
+  if (!reader.Consume(")")) {
+    token_start.Fail("expected ')' closing chaos(...)");
   }
-  if (cursor.pos != cursor.spec.size()) {
-    Fail(cursor, "chaos(...) must be the whole schedule");
-  }
-
-  const uint32_t endpoints = static_cast<uint32_t>(endpoints_value);
-  const uint32_t events = static_cast<uint32_t>(events_value);
-  if (endpoints_value != static_cast<double>(endpoints) || endpoints == 0 ||
-      endpoints > kMaxTopologyEndpoints) {
-    Fail(token_start, "chaos endpoints must be an integer in [1, " +
-                          std::to_string(kMaxTopologyEndpoints) + "]");
-  }
-  if (events_value != static_cast<double>(events) || events == 0 ||
-      events > kChaosMaxEvents) {
-    Fail(token_start, "chaos events must be an integer in [1, " +
-                          std::to_string(kChaosMaxEvents) + "]");
+  if (!reader.AtEnd()) {
+    reader.Fail("chaos(...) must be the whole schedule");
   }
   if (horizon < 1024) {
-    Fail(token_start, "chaos horizon must be at least 1024 ns");
+    token_start.Fail("chaos horizon must be at least 1024 ns");
   }
 
-  uint64_t state = static_cast<uint64_t>(seed_value) ^ 0x66a1c0fdecafULL;
+  uint64_t state = seed ^ 0x66a1c0fdecafULL;
   const TimeNs grid = horizon / 1024;
   FaultSchedule schedule;
   schedule.events.reserve(events);
@@ -245,14 +157,6 @@ FaultSchedule ExpandChaos(Cursor& cursor) {
   return schedule;
 }
 
-void AppendTime(std::string& out, TimeNs t) { out += std::to_string(t); }
-
-void AppendDouble(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  out += buffer;
-}
-
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
@@ -280,25 +184,25 @@ bool IsFaultSpec(const std::string& text) {
 }
 
 FaultSchedule ParseFaultSpec(const std::string& text) {
-  Cursor cursor{text, 0};
-  if (!ConsumeLiteral(cursor, kPrefix)) {
-    Fail(cursor, "fault spec must start with 'faults:'");
+  SpecReader reader{text};
+  if (!reader.Consume(kPrefix)) {
+    reader.Fail("fault spec must start with 'faults:'");
   }
-  if (cursor.pos == text.size()) {
-    Fail(cursor, "empty fault schedule (omit the flag for no faults)");
+  if (reader.AtEnd()) {
+    reader.Fail("empty fault schedule (omit the flag for no faults)");
   }
-  if (text.compare(cursor.pos, sizeof(kChaosPrefix) - 1, kChaosPrefix) == 0) {
-    return ExpandChaos(cursor);
+  if (text.compare(reader.pos, sizeof(kChaosPrefix) - 1, kChaosPrefix) == 0) {
+    return ExpandChaos(reader);
   }
   FaultSchedule schedule;
   for (;;) {
-    schedule.events.push_back(ParseEvent(cursor));
-    if (cursor.pos == text.size()) break;
-    if (!ConsumeLiteral(cursor, ",")) {
-      Fail(cursor, "expected ',' between fault events");
+    schedule.events.push_back(ParseEvent(reader));
+    if (reader.AtEnd()) break;
+    if (!reader.Consume(",")) {
+      reader.Fail("expected ',' between fault events");
     }
-    if (cursor.pos == text.size()) {
-      Fail(cursor, "trailing ',' in fault schedule");
+    if (reader.AtEnd()) {
+      reader.Fail("trailing ',' in fault schedule");
     }
   }
   CanonicalizeOrder(schedule);
@@ -314,10 +218,10 @@ std::string FormatFaultSpec(const FaultSchedule& schedule) {
     out += "ep";
     out += std::to_string(event.endpoint);
     out += '@';
-    AppendTime(out, event.start_ns);
+    out += std::to_string(event.start_ns);
     if (event.end_ns != 0) {
       out += '-';
-      AppendTime(out, event.end_ns);
+      out += std::to_string(event.end_ns);
     }
     out += '=';
     switch (event.kind) {
@@ -326,14 +230,14 @@ std::string FormatFaultSpec(const FaultSchedule& schedule) {
         break;
       case FaultKind::kDegrade:
         out += "degrade";
-        AppendDouble(out, event.factor);
+        out += FormatSpecNumber(event.factor);
         out += 'x';
         break;
       case FaultKind::kFlap:
         out += "flap(p=";
-        AppendDouble(out, event.flap_p);
+        out += FormatSpecNumber(event.flap_p);
         out += ",period=";
-        AppendTime(out, event.flap_period_ns);
+        out += std::to_string(event.flap_period_ns);
         out += ')';
         break;
     }

@@ -13,9 +13,10 @@
  *
  * One comma-separated event per token:
  *   ep<N>@<start>[-<end>]=<kind>
- *     <start>/<end>  virtual-time instants; bare numbers are ns, and
- *                    the suffixes ns/us/ms/s scale (decimals allowed:
- *                    "2.5s"). No <end> = the fault never clears.
+ *     <start>/<end>  virtual-time instants in the shared spec time
+ *                    syntax (common/spec_reader.h): bare numbers are
+ *                    ns, ns/us/ms/s suffixes scale ("2.5s", "1e9").
+ *                    No <end> = the fault never clears.
  *     down           the endpoint rejects accesses (each demand access
  *                    pays the configured fault stall) until <end>, then
  *                    passes through a recovering window.

@@ -1,62 +1,32 @@
 #include "mem/topology.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "common/logging.h"
-#include "common/spec_error.h"
+#include "common/spec_reader.h"
 
 namespace hybridtier {
 
 namespace {
 
 constexpr char kPrefix[] = "cxl:";
-constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
 
 /**
- * Parses a double like "0.9" or "1e8"; fatal quoting the token and its
- * byte offset (`offset` = where `text` starts inside `spec`).
+ * Reads one endpoint id of the device tree and places the endpoint
+ * (slot id-1) behind `switch_id` (-1 = direct-attached). Returns the
+ * 0-based endpoint index.
  */
-double ParseNumber(const std::string& text, const std::string& key,
-                   const std::string& spec, size_t offset) {
-  size_t parsed = 0;
-  double value = -1.0;
-  try {
-    value = std::stod(text, &parsed);
-  } catch (const std::exception&) {
-    parsed = 0;
-  }
-  if (parsed != text.size() || std::isnan(value)) {
-    SpecFatal(spec, offset, text,
-              "not a number for topology key '" + key + "'");
-  }
-  return value;
-}
-
-/** Formats a double with enough digits to round-trip typical knobs. */
-std::string FormatNumber(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
-
-/** Splits a ':'-separated list (starting at `offset` in `spec`) into
- *  per-element doubles; each element fails at its own offset. */
-std::vector<double> ParseList(const std::string& text,
-                              const std::string& key,
-                              const std::string& spec, size_t offset) {
-  std::vector<double> values;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t colon = text.find(':', start);
-    if (colon == std::string::npos) colon = text.size();
-    values.push_back(ParseNumber(text.substr(start, colon - start), key,
-                                 spec, offset + start));
-    if (colon == text.size()) break;
-    start = colon + 1;
-  }
-  return values;
+uint32_t ReadEndpoint(SpecReader& reader, int32_t switch_id,
+                      std::vector<bool>& seen, Topology* out) {
+  const SpecReader id_start = reader;
+  const auto id = static_cast<uint32_t>(
+      reader.ReadUint("endpoint id", 1, kMaxTopologyEndpoints));
+  if (seen.size() < id) seen.resize(id, false);
+  if (seen[id - 1]) id_start.Fail("endpoint id repeats");
+  seen[id - 1] = true;
+  if (out->endpoints.size() < id) out->endpoints.resize(id);
+  out->endpoints[id - 1].switch_id = switch_id;
+  return id - 1;
 }
 
 /**
@@ -64,133 +34,87 @@ std::vector<double> ParseList(const std::string& text,
  * endpoint id or a one-level switch `(id,id,...)`. Fills endpoint
  * slots (indexed by id-1) and the switch list in order of appearance.
  */
-void ParseTree(const std::string& tree, const std::string& spec,
-               size_t tree_offset, Topology* out) {
-  if (tree.size() < 3 || tree.front() != '(' || tree.back() != ')') {
-    SpecFatal(spec, tree_offset, tree,
-              "device tree must be a parenthesized child list");
+void ParseTree(SpecReader& reader, Topology* out) {
+  const SpecReader tree_start = reader;
+  if (!reader.Consume("(")) {
+    reader.Fail("spec must start with a device tree '(...)'");
   }
-  std::vector<bool> seen;
-  // `token_offset` is the token's start within `spec` (body positions
-  // translate as tree_offset + 1 + pos: prefix, then the opening '(').
-  const auto add_endpoint = [&](const std::string& token,
-                                size_t token_offset,
-                                int32_t switch_id) -> uint32_t {
-    const double value = ParseNumber(token, "tree", spec, token_offset);
-    if (!(value >= 1.0 && value <= kMaxTopologyEndpoints) ||
-        value != std::floor(value)) {
-      SpecFatal(spec, token_offset, token,
-                detail::StrCat("endpoint id must be an integer in [1, ",
-                               kMaxTopologyEndpoints, "]"));
-    }
-    const uint32_t id = static_cast<uint32_t>(value);
-    if (seen.size() < id) seen.resize(id, false);
-    if (seen[id - 1]) {
-      SpecFatal(spec, token_offset, token, "endpoint id repeats");
-    }
-    seen[id - 1] = true;
-    if (out->endpoints.size() < id) out->endpoints.resize(id);
-    out->endpoints[id - 1].switch_id = switch_id;
-    return id - 1;
+  if (reader.Consume(")")) {
+    tree_start.Fail("device tree must be a parenthesized child list");
+  }
+  // After a child or switch member: ',' continues its list, ')' ends it.
+  const auto list_continues = [&] {
+    if (reader.Consume(",")) return true;
+    if (reader.Consume(")")) return false;
+    if (reader.AtEnd()) tree_start.Fail("unbalanced parentheses");
+    reader.Fail("expected ',' or ')' after a device-tree child");
   };
-
-  const std::string body = tree.substr(1, tree.size() - 2);
-  const size_t body_offset = tree_offset + 1;
-  size_t pos = 0;
-  while (pos <= body.size()) {
-    if (pos == body.size()) {
-      SpecFatal(spec, body_offset + pos, "",
-                "empty child in the device tree");
+  std::vector<bool> seen;
+  do {
+    if (!reader.Consume("(")) {
+      ReadEndpoint(reader, /*switch_id=*/-1, seen, out);
+      continue;
     }
-    if (body[pos] == '(') {
-      // A switch: a flat id list (nested switches are not modeled).
-      const size_t close = body.find(')', pos);
-      const size_t inner_open = body.find('(', pos + 1);
-      if (close == std::string::npos) {
-        SpecFatal(spec, body_offset + pos, "(",
-                  "unbalanced '(' in the device tree");
+    // A switch: a flat id list (nested switches are not modeled).
+    const auto switch_id = static_cast<int32_t>(out->switches.size());
+    out->switches.emplace_back();
+    do {
+      const SpecReader member = reader;
+      if (reader.Consume("(")) {
+        member.Fail("a switch nests inside a switch; only one switch "
+                    "level is modeled");
       }
-      if (inner_open != std::string::npos && inner_open < close) {
-        SpecFatal(spec, body_offset + inner_open, "(",
-                  "a switch nests inside a switch; only one switch "
-                  "level is modeled");
-      }
-      const int32_t switch_id =
-          static_cast<int32_t>(out->switches.size());
-      out->switches.emplace_back();
-      std::string member = body.substr(pos + 1, close - pos - 1);
-      size_t mstart = 0;
-      while (mstart <= member.size()) {
-        size_t mcomma = member.find(',', mstart);
-        if (mcomma == std::string::npos) mcomma = member.size();
-        const std::string token =
-            member.substr(mstart, mcomma - mstart);
-        const size_t token_offset = body_offset + pos + 1 + mstart;
-        if (token.empty()) {
-          SpecFatal(spec, token_offset, "", "empty member in a switch");
-        }
-        out->switches.back().members.push_back(
-            add_endpoint(token, token_offset, switch_id));
-        if (mcomma == member.size()) break;
-        mstart = mcomma + 1;
-      }
-      pos = close + 1;
-    } else {
-      size_t comma = body.find(',', pos);
-      if (comma == std::string::npos) comma = body.size();
-      add_endpoint(body.substr(pos, comma - pos), body_offset + pos,
-                   /*switch_id=*/-1);
-      pos = comma;
-    }
-    if (pos == body.size()) break;
-    if (body[pos] != ',') {
-      SpecFatal(spec, body_offset + pos, std::string(1, body[pos]),
-                "expected ',' after a device-tree child");
-    }
-    ++pos;
-  }
+      out->switches.back().members.push_back(
+          ReadEndpoint(reader, switch_id, seen, out));
+    } while (list_continues());
+  } while (list_continues());
   for (size_t i = 0; i < out->endpoints.size(); ++i) {
-    if (i >= seen.size() || !seen[i]) {
-      SpecFatal(spec, tree_offset, tree,
-                detail::StrCat("names ", out->endpoints.size(),
-                               " endpoints but is missing id ", i + 1,
-                               " (ids must be exactly 1..N)"));
+    if (!seen[i]) {
+      tree_start.Fail(detail::StrCat(
+          "names ", out->endpoints.size(), " endpoints but is missing id ",
+          i + 1, " (ids must be exactly 1..N)"));
     }
   }
 }
 
-void Validate(const Topology& topology, const std::string& text) {
-  if (topology.endpoints.empty()) {
-    HT_FATAL("topology spec '", text, "' has no endpoints");
-  }
-  if (topology.endpoints.size() > kMaxTopologyEndpoints) {
-    HT_FATAL("topology spec '", text, "' exceeds ",
-             kMaxTopologyEndpoints, " endpoints");
+/** Reads a ':'-separated list of bandwidths in GB/s, each > 0. */
+std::vector<double> ReadBandwidths(SpecReader& reader, const char* what) {
+  std::vector<double> values;
+  do {
+    const SpecReader value = reader;
+    values.push_back(reader.ReadNumber(what));
+    if (!(values.back() > 0.0)) {
+      value.Fail(std::string(what) + " must be positive");
+    }
+  } while (reader.Consume(":"));
+  return values;
+}
+
+/** Checks a topology built in code before it is formatted. */
+void Validate(const Topology& topology) {
+  if (topology.endpoints.empty() ||
+      topology.endpoints.size() > kMaxTopologyEndpoints) {
+    HT_FATAL("topology needs 1..", kMaxTopologyEndpoints, " endpoints, has ",
+             topology.endpoints.size());
   }
   for (const TopologyEndpoint& endpoint : topology.endpoints) {
     if (endpoint.bandwidth_gbps <= 0.0) {
-      HT_FATAL("endpoint bandwidth must be positive in topology spec '",
-               text, "'");
+      HT_FATAL("topology endpoint bandwidth must be positive");
     }
     if (endpoint.switch_id >= 0 &&
         static_cast<size_t>(endpoint.switch_id) >=
             topology.switches.size()) {
-      HT_FATAL("endpoint references missing switch in topology spec '",
-               text, "'");
+      HT_FATAL("topology endpoint references a missing switch");
     }
   }
   for (const TopologySwitch& sw : topology.switches) {
     if (sw.link_gbps <= 0.0) {
-      HT_FATAL("switch link bandwidth must be positive in topology "
-               "spec '", text, "'");
+      HT_FATAL("topology switch link bandwidth must be positive");
     }
-    if (sw.members.empty()) {
-      HT_FATAL("switch with no members in topology spec '", text, "'");
-    }
+    if (sw.members.empty()) HT_FATAL("topology switch has no members");
   }
   if (topology.interleave_units == 0) {
-    HT_FATAL("topology interleave granularity must be positive in "
-             "spec '", text, "'");
+    HT_FATAL("topology interleave granularity must be positive");
   }
 }
 
@@ -207,107 +131,64 @@ bool IsTopologySpec(const std::string& text) {
 }
 
 Topology ParseTopologySpec(const std::string& text) {
-  HT_ASSERT(IsTopologySpec(text), "not a topology spec: '", text, "'");
+  SpecReader reader{text};
+  if (!reader.Consume(kPrefix)) {
+    reader.Fail("topology spec must start with 'cxl:'");
+  }
   Topology topology;
-  const std::string body = text.substr(kPrefixLen);
-  if (body.empty() || body.front() != '(') {
-    SpecFatal(text, kPrefixLen,
-              body.empty() ? "" : std::string(1, body.front()),
-              "spec must start with a device tree '(...)'");
-  }
-  // The tree is the prefix up to its matching close paren; everything
-  // after is the comma-separated key=value list.
-  size_t depth = 0;
-  size_t tree_end = std::string::npos;
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (body[i] == '(') ++depth;
-    if (body[i] == ')' && --depth == 0) {
-      tree_end = i;
-      break;
-    }
-  }
-  if (tree_end == std::string::npos) {
-    SpecFatal(text, kPrefixLen, body, "unbalanced parentheses");
-  }
-  ParseTree(body.substr(0, tree_end + 1), text, kPrefixLen, &topology);
+  ParseTree(reader, &topology);
+  const size_t endpoints = topology.endpoints.size();
+  const size_t switches = topology.switches.size();
 
   std::vector<double> link_list;
-  bool have_links = false;
-  std::string rest = body.substr(tree_end + 1);
-  const size_t rest_offset = kPrefixLen + tree_end + 1;
-  if (!rest.empty() && rest.front() != ',') {
-    SpecFatal(text, rest_offset, std::string(1, rest.front()),
-              "expected ',' after the device tree");
-  }
-  size_t start = 1;
-  while (!rest.empty() && start <= rest.size()) {
-    size_t comma = rest.find(',', start);
-    if (comma == std::string::npos) comma = rest.size();
-    const std::string token = rest.substr(start, comma - start);
-    const size_t token_offset = rest_offset + start;
-    start = comma + 1;
-    if (token.empty()) {
-      SpecFatal(text, token_offset, "", "empty key=value token");
+  while (!reader.AtEnd()) {
+    if (!reader.Consume(",")) {
+      reader.Fail("expected ',' before each topology key");
     }
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      SpecFatal(text, token_offset, token, "expected key=value");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    const size_t value_offset = token_offset + eq + 1;
+    const SpecReader key_start = reader;
+    const std::string key = reader.ReadWord();
+    if (!reader.Consume("=")) key_start.Fail("expected key=value");
+    const SpecReader value_start = reader;
     if (key == "lat") {
-      const std::vector<double> lat =
-          ParseList(value, key, text, value_offset);
-      if (lat.size() != topology.endpoints.size()) {
-        SpecFatal(text, value_offset, value,
-                  detail::StrCat("lists ", lat.size(), " latencies for ",
-                                 topology.endpoints.size(),
-                                 " endpoints"));
+      std::vector<TimeNs> lat;
+      do {
+        lat.push_back(reader.ReadTime("endpoint latency"));
+      } while (reader.Consume(":"));
+      if (lat.size() != endpoints) {
+        value_start.Fail(detail::StrCat("lists ", lat.size(),
+                                        " latencies for ", endpoints,
+                                        " endpoints"));
       }
-      for (size_t i = 0; i < lat.size(); ++i) {
-        if (lat[i] < 0.0) {
-          SpecFatal(text, value_offset, value,
-                    "endpoint latency must be >= 0");
-        }
-        topology.endpoints[i].idle_latency_ns =
-            static_cast<TimeNs>(lat[i]);
+      for (size_t i = 0; i < endpoints; ++i) {
+        topology.endpoints[i].idle_latency_ns = lat[i];
       }
     } else if (key == "bw") {
       const std::vector<double> bw =
-          ParseList(value, key, text, value_offset);
-      if (bw.size() != topology.endpoints.size()) {
-        SpecFatal(text, value_offset, value,
-                  detail::StrCat("lists ", bw.size(), " bandwidths for ",
-                                 topology.endpoints.size(),
-                                 " endpoints"));
+          ReadBandwidths(reader, "endpoint bandwidth");
+      if (bw.size() != endpoints) {
+        value_start.Fail(detail::StrCat("lists ", bw.size(),
+                                        " bandwidths for ", endpoints,
+                                        " endpoints"));
       }
-      for (size_t i = 0; i < bw.size(); ++i) {
+      for (size_t i = 0; i < endpoints; ++i) {
         topology.endpoints[i].bandwidth_gbps = bw[i];
       }
     } else if (key == "link") {
-      link_list = ParseList(value, key, text, value_offset);
-      have_links = true;
-    } else if (key == "gran") {
-      const double gran = ParseNumber(value, key, text, value_offset);
-      if (!(gran >= 1.0) || gran != std::floor(gran)) {
-        SpecFatal(text, value_offset, value,
-                  "gran must be a positive integer");
+      link_list = ReadBandwidths(reader, "switch link bandwidth");
+      if (link_list.size() != switches) {
+        value_start.Fail(detail::StrCat("lists ", link_list.size(),
+                                        " switch links for ", switches,
+                                        " switches"));
       }
-      topology.interleave_units = static_cast<uint64_t>(gran);
+    } else if (key == "gran") {
+      topology.interleave_units = reader.ReadUint("gran", 1);
     } else {
-      SpecFatal(text, token_offset, key, "unknown topology key");
+      key_start.Fail("unknown topology key");
     }
-    if (comma == rest.size()) break;
   }
 
-  if (have_links && link_list.size() != topology.switches.size()) {
-    HT_FATAL("topology spec '", text, "' lists ", link_list.size(),
-             " switch links for ", topology.switches.size(),
-             " switches");
-  }
-  for (size_t s = 0; s < topology.switches.size(); ++s) {
-    if (have_links) {
+  for (size_t s = 0; s < switches; ++s) {
+    if (!link_list.empty()) {
       topology.switches[s].link_gbps = link_list[s];
     } else {
       // Default: a non-saturating uplink — the sum of the member
@@ -319,12 +200,11 @@ Topology ParseTopologySpec(const std::string& text) {
       topology.switches[s].link_gbps = sum;
     }
   }
-  Validate(topology, text);
   return topology;
 }
 
 std::string FormatTopologySpec(const Topology& topology) {
-  Validate(topology, "<unformatted topology>");
+  Validate(topology);
   // Canonical tree: children in endpoint-id order, each switch emitted
   // once at its smallest member id's position, members in stored order.
   std::string tree = "(";
@@ -362,13 +242,13 @@ std::string FormatTopologySpec(const Topology& topology) {
   out += ",bw=";
   for (size_t i = 0; i < topology.endpoints.size(); ++i) {
     if (i != 0) out += ":";
-    out += FormatNumber(topology.endpoints[i].bandwidth_gbps);
+    out += FormatSpecNumber(topology.endpoints[i].bandwidth_gbps);
   }
   if (!topology.switches.empty()) {
     out += ",link=";
     for (size_t s = 0; s < topology.switches.size(); ++s) {
       if (s != 0) out += ":";
-      out += FormatNumber(topology.switches[s].link_gbps);
+      out += FormatSpecNumber(topology.switches[s].link_gbps);
     }
   }
   out += ",gran=" + std::to_string(topology.interleave_units);

@@ -20,8 +20,9 @@
  * be exactly 1..N (each once, any order); at most one switch level is
  * modeled — a switch may not contain another switch.
  *
- *   lat=a:b:...   per-endpoint idle latency in ns, in id order
- *                 (default 124 each — the paper's emulated CXL device)
+ *   lat=a:b:...   per-endpoint idle latency, in id order: spec times,
+ *                 bare ns or a ns/us/ms/s suffix (default 124 each —
+ *                 the paper's emulated CXL device)
  *   bw=a:b:...    per-endpoint bandwidth in GB/s, in id order
  *                 (default 34 each)
  *   link=a:b:...  per-switch uplink bandwidth in GB/s, in order of
@@ -86,7 +87,11 @@ Topology DefaultTopology();
 /** True iff `text` is a topology spec (starts with "cxl:"). */
 bool IsTopologySpec(const std::string& text);
 
-/** Parses a topology spec string; fatal on malformed input. */
+/**
+ * Parses a topology spec string. Malformed input, a missing "cxl:"
+ * prefix included, is a user error reported through the spec reader
+ * (bad token and byte offset, exit 1).
+ */
 Topology ParseTopologySpec(const std::string& text);
 
 /**

@@ -1,10 +1,10 @@
 #include "multitenant/fleet.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
-#include "common/logging.h"
 #include "common/rng.h"
+#include "common/spec_reader.h"
 #include "workloads/factory.h"
 #include "workloads/workload.h"
 
@@ -14,56 +14,20 @@ namespace {
 
 constexpr char kPrefix[] = "fleet:";
 
-/** Parses a positive double like "0.9" or "1e8"; fatal with context. */
-double ParseNumber(const std::string& text, const std::string& key,
-                   const std::string& spec) {
-  size_t parsed = 0;
-  double value = -1.0;
-  try {
-    value = std::stod(text, &parsed);
-  } catch (const std::exception&) {
-    parsed = 0;
-  }
-  if (parsed != text.size() || std::isnan(value)) {
-    HT_FATAL("bad value '", text, "' for fleet key '", key,
-             "' in spec '", spec, "'");
-  }
-  return value;
+/** Reads a Zipf skew (zipf=, fpskew=): a number >= 0. */
+double ReadSkew(SpecReader& reader) {
+  const SpecReader value = reader;
+  const double skew = reader.ReadNumber("fleet skew");
+  if (skew < 0.0) value.Fail("fleet skews must be >= 0");
+  return skew;
 }
 
-/** Formats a double with enough digits to round-trip typical knobs. */
-std::string FormatNumber(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
-
-void Validate(const FleetSpec& spec, const std::string& text) {
-  if (spec.tenants == 0) {
-    HT_FATAL("fleet spec '", text, "' needs a positive tenant count");
-  }
-  if (!IsWorkloadId(spec.workload_id)) {
-    HT_FATAL("unknown workload id '", spec.workload_id,
-             "' in fleet spec '", text, "'");
-  }
-  if (spec.weight_skew < 0.0 || spec.footprint_skew < 0.0) {
-    HT_FATAL("fleet skews must be >= 0 in spec '", text, "'");
-  }
-  if (spec.footprint_pages == 0) {
-    HT_FATAL("fleet footprint must be positive in spec '", text, "'");
-  }
-  if (spec.churn != "none" && spec.churn != "poisson" &&
-      spec.churn != "diurnal") {
-    HT_FATAL("fleet churn must be none|poisson|diurnal, got '",
-             spec.churn, "' in spec '", text, "'");
-  }
-  if (!(spec.duty > 0.0 && spec.duty < 1.0)) {
-    HT_FATAL("fleet duty must be in (0,1) in spec '", text, "'");
-  }
-  if (spec.period_ns == 0 || spec.horizon_ns < spec.period_ns) {
-    HT_FATAL("fleet needs period > 0 and horizon >= period in spec '",
-             text, "'");
-  }
+/**
+ * One exponential dwell time of mean `mean` ns, at least 1 ns. Capped
+ * at 2^63 ns so the cast stays defined and window ends cannot wrap.
+ */
+TimeNs Dwell(Rng* rng, double mean) {
+  return static_cast<TimeNs>(std::clamp(rng->Exponential(mean), 1.0, 0x1p63));
 }
 
 /**
@@ -82,21 +46,17 @@ std::vector<ResidencyWindow> PoissonWindows(const FleetSpec& spec,
   std::vector<ResidencyWindow> windows;
   TimeNs t = 0;
   if (!rng->Bernoulli(spec.duty)) {
-    t = std::max<TimeNs>(1, static_cast<TimeNs>(rng->Exponential(off_mean)));
+    t = Dwell(rng, off_mean);
   }
   while (t < spec.horizon_ns) {
     const TimeNs arrival = t;
-    const TimeNs on =
-        std::max<TimeNs>(1, static_cast<TimeNs>(rng->Exponential(on_mean)));
-    const TimeNs departure = arrival + on;
+    const TimeNs departure = arrival + Dwell(rng, on_mean);
     if (departure >= spec.horizon_ns) {
       windows.push_back(ResidencyWindow{arrival, 0});
       break;
     }
     windows.push_back(ResidencyWindow{arrival, departure});
-    const TimeNs off =
-        std::max<TimeNs>(1, static_cast<TimeNs>(rng->Exponential(off_mean)));
-    t = departure + off;
+    t = departure + Dwell(rng, off_mean);
   }
   // Every draw landed past the horizon: the tenant sits out the
   // observed run but still needs a window (none = always resident).
@@ -136,73 +96,69 @@ bool IsFleetSpec(const std::string& text) {
 }
 
 FleetSpec ParseFleetSpec(const std::string& text) {
-  HT_ASSERT(IsFleetSpec(text), "not a fleet spec: '", text, "'");
-  FleetSpec spec;
-  std::string body = text.substr(sizeof(kPrefix) - 1);
-  bool first = true;
-  size_t start = 0;
-  while (start <= body.size()) {
-    size_t comma = body.find(',', start);
-    if (comma == std::string::npos) comma = body.size();
-    const std::string token = body.substr(start, comma - start);
-    start = comma + 1;
-    if (token.empty()) HT_FATAL("empty token in fleet spec '", text, "'");
-    if (first) {
-      const double count = ParseNumber(token, "tenants", text);
-      if (!(count >= 1.0 && count <= 1e6) ||
-          count != std::floor(count)) {
-        HT_FATAL("fleet tenant count '", token,
-                 "' must be an integer in [1, 1e6]");
-      }
-      spec.tenants = static_cast<uint32_t>(count);
-      first = false;
-    } else {
-      const size_t eq = token.find('=');
-      if (eq == std::string::npos) {
-        HT_FATAL("fleet token '", token, "' in spec '", text,
-                 "' is not key=value");
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "wl") {
-        spec.workload_id = value;
-      } else if (key == "zipf") {
-        spec.weight_skew = ParseNumber(value, key, text);
-      } else if (key == "fp") {
-        spec.footprint_pages =
-            static_cast<uint64_t>(ParseNumber(value, key, text));
-      } else if (key == "fpskew") {
-        spec.footprint_skew = ParseNumber(value, key, text);
-      } else if (key == "churn") {
-        spec.churn = value;
-      } else if (key == "duty") {
-        spec.duty = ParseNumber(value, key, text);
-      } else if (key == "period") {
-        spec.period_ns =
-            static_cast<TimeNs>(ParseNumber(value, key, text));
-      } else if (key == "horizon") {
-        spec.horizon_ns =
-            static_cast<TimeNs>(ParseNumber(value, key, text));
-      } else if (key == "seed") {
-        spec.seed = static_cast<uint64_t>(ParseNumber(value, key, text));
-      } else {
-        HT_FATAL("unknown fleet key '", key, "' in spec '", text, "'");
-      }
-    }
-    if (comma == body.size()) break;
+  SpecReader reader{text};
+  if (!reader.Consume(kPrefix)) {
+    reader.Fail("fleet spec must start with 'fleet:'");
   }
-  Validate(spec, text);
+  const SpecReader body = reader;
+  FleetSpec spec;
+  spec.tenants = static_cast<uint32_t>(
+      reader.ReadUint("fleet tenant count", 1, 1000000));
+  while (!reader.AtEnd()) {
+    if (!reader.Consume(",")) {
+      reader.Fail("expected ',' before each fleet key");
+    }
+    const SpecReader key_start = reader;
+    const std::string key = reader.ReadWord();
+    if (!reader.Consume("=")) key_start.Fail("expected key=value");
+    const SpecReader value = reader;
+    if (key == "wl") {
+      spec.workload_id = reader.ReadWord();
+      if (!IsWorkloadId(spec.workload_id)) {
+        value.Fail("unknown workload id");
+      }
+    } else if (key == "zipf") {
+      spec.weight_skew = ReadSkew(reader);
+    } else if (key == "fp") {
+      spec.footprint_pages = reader.ReadUint("fleet footprint", 1);
+    } else if (key == "fpskew") {
+      spec.footprint_skew = ReadSkew(reader);
+    } else if (key == "churn") {
+      spec.churn = reader.ReadWord();
+      if (spec.churn != "none" && spec.churn != "poisson" &&
+          spec.churn != "diurnal") {
+        value.Fail("fleet churn must be none|poisson|diurnal");
+      }
+    } else if (key == "duty") {
+      spec.duty = reader.ReadNumber("fleet duty");
+      if (!(spec.duty > 0.0 && spec.duty < 1.0)) {
+        value.Fail("fleet duty must be in (0,1)");
+      }
+    } else if (key == "period") {
+      spec.period_ns = reader.ReadTime("fleet period");
+      if (spec.period_ns == 0) value.Fail("fleet period must be positive");
+    } else if (key == "horizon") {
+      spec.horizon_ns = reader.ReadTime("fleet horizon");
+    } else if (key == "seed") {
+      spec.seed = reader.ReadUint("fleet seed", 0);
+    } else {
+      key_start.Fail("unknown fleet key");
+    }
+  }
+  if (spec.horizon_ns < spec.period_ns) {
+    body.Fail("fleet needs horizon >= period");
+  }
   return spec;
 }
 
 std::string FormatFleetSpec(const FleetSpec& spec) {
   std::string out = kPrefix + std::to_string(spec.tenants);
   out += ",wl=" + spec.workload_id;
-  out += ",zipf=" + FormatNumber(spec.weight_skew);
+  out += ",zipf=" + FormatSpecNumber(spec.weight_skew);
   out += ",fp=" + std::to_string(spec.footprint_pages);
-  out += ",fpskew=" + FormatNumber(spec.footprint_skew);
+  out += ",fpskew=" + FormatSpecNumber(spec.footprint_skew);
   out += ",churn=" + spec.churn;
-  out += ",duty=" + FormatNumber(spec.duty);
+  out += ",duty=" + FormatSpecNumber(spec.duty);
   out += ",period=" + std::to_string(spec.period_ns);
   out += ",horizon=" + std::to_string(spec.horizon_ns);
   out += ",seed=" + std::to_string(spec.seed);
@@ -210,7 +166,9 @@ std::string FormatFleetSpec(const FleetSpec& spec) {
 }
 
 std::vector<TenantSpec> MakeFleetSpecs(const FleetSpec& spec) {
-  Validate(spec, FormatFleetSpec(spec));
+  // A spec built in code gets the parser's checks through its
+  // canonical form.
+  ParseFleetSpec(FormatFleetSpec(spec));
   // Footprint scales are relative to the workload family's base
   // footprint, probed once at scale 1.0 (cheap for the synthetic
   // generators a fleet multiplexes).

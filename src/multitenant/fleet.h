@@ -27,9 +27,10 @@
  *   churn=<kind>  none | poisson | diurnal (default none)
  *   duty=<f>      expected fraction of time a tenant is resident,
  *                 in (0,1) (default 0.5)
- *   period=<ns>   mean on+off cycle (poisson) or exact recurrence
- *                 period (diurnal), virtual ns (default 1e8)
- *   horizon=<ns>  stop generating windows here; a window still open at
+ *   period=<t>    mean on+off cycle (poisson) or exact recurrence
+ *                 period (diurnal), a spec time: bare ns or a
+ *                 ns/us/ms/s suffix (default 1e8 = 100ms)
+ *   horizon=<t>   stop generating windows here; a window still open at
  *                 the horizon becomes open-ended (default 1e9)
  *   seed=<n>      fleet RNG seed for the Poisson schedules; windows are
  *                 a pure function of (spec, seed), independent of the
@@ -74,7 +75,10 @@ struct FleetSpec {
 /** True iff `text` is a fleet spec (starts with "fleet:"). */
 bool IsFleetSpec(const std::string& text);
 
-/** Parses a fleet spec string; fatal on malformed input. */
+/**
+ * Parses a fleet spec string. Malformed input is a user error reported
+ * through the spec reader (bad token and byte offset, exit 1).
+ */
 FleetSpec ParseFleetSpec(const std::string& text);
 
 /**

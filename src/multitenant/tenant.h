@@ -57,13 +57,15 @@ struct TenantSpec {
  * Parses a tenant list of the form "cdn,bfs-k:2,silo:0.5@1e8-5e8". Each
  * entry is a workload id with an optional ":weight" suffix (weight > 0,
  * default 1) and an optional "@arrival[-departure]" residency window in
- * virtual nanoseconds (scientific notation accepted): the tenant arrives
+ * virtual time (spec times, common/spec_reader.h: bare numbers are ns,
+ * ns/us/ms/s suffixes scale, "@0-300ms"): the tenant arrives
  * mid-run at `arrival` and, when a departure is given, exits at
  * `departure`, releasing its memory. Several '+'-joined windows —
  * "zipf@1e8-2e8+5e8-6e8" — give the tenant recurring residency (it
  * re-arrives at each later window); every window but the last must then
  * be closed, and windows must be disjoint and in increasing order.
- * Fatal on malformed entries or unknown workload ids.
+ * Malformed entries and unknown workload ids are user errors reported
+ * through the spec reader (bad token and byte offset, exit 1).
  */
 std::vector<TenantSpec> ParseTenantList(const std::string& list);
 

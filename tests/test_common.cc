@@ -446,6 +446,33 @@ TEST(FlagsDeathTest, ParseUintFlagRejectsMalformedTokensWithExit1) {
               ::testing::ExitedWithCode(1), "'65537'");
 }
 
+TEST(Flags, ParseDoubleAndRatioFlagsReadSpecNumbers) {
+  EXPECT_EQ(ParseDoubleFlag("--scale", "0.05", 0.0, 1000.0), 0.05);
+  EXPECT_EQ(ParseDoubleFlag("--scale", "1e-1", 0.0, 1000.0), 0.1);
+  EXPECT_EQ(ParseDoubleFlag("--min-ratio", "0", 0.0, 1000.0), 0.0);
+  EXPECT_EQ(ParseRatioFlag("--ratio", "1:8"), 1.0 / 8);
+  EXPECT_EQ(ParseRatioFlag("--ratio", "2:5"), 2.0 / 5);
+  EXPECT_EQ(ParseRatioFlag("--ratio", "0.5:4"), 0.5 / 4);
+}
+
+TEST(FlagsDeathTest, ParseDoubleAndRatioFlagsRejectWithExit1) {
+  // A typo must never parse as 0 and switch a gate off silently.
+  for (const char* bad : {"abc", "", "0.9x", "nan", "inf", "+1", " 1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseDoubleFlag("--min-ratio", bad, 0.0, 1000.0),
+                ::testing::ExitedWithCode(1), "bad token '.*--min-ratio");
+  }
+  EXPECT_EXIT(ParseDoubleFlag("--scale", "-1", 0.0, 1000.0),
+              ::testing::ExitedWithCode(1),
+              "bad token '-1' .*--scale wants a number in \\[0, 1000\\]");
+  for (const char* bad : {"x:8", "1:abc", "1", "1:8:2", "0:8", "1:-8",
+                          "1:0", ":8", "1:"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseRatioFlag("--ratio", bad), ::testing::ExitedWithCode(1),
+                "bad token .*--ratio");
+  }
+}
+
 TEST(LoggingDeathTest, AssertAbortsOnFalse) {
   EXPECT_DEATH(HT_ASSERT(false, "boom"), "assertion failed");
 }

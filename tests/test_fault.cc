@@ -92,6 +92,15 @@ TEST(FaultSpec, FormatParseRoundTrips) {
   }
 }
 
+TEST(FaultSpec, TimesAcceptExponents) {
+  const std::string canonical =
+      FormatFaultSpec(ParseFaultSpec("faults:ep0@1e9-2e9=down"));
+  EXPECT_EQ(canonical, "faults:ep0@1000000000-2000000000=down");
+  EXPECT_EQ(canonical,
+            FormatFaultSpec(ParseFaultSpec("faults:ep0@1s-2000ms=down")));
+  EXPECT_EQ(FormatFaultSpec(ParseFaultSpec(canonical)), canonical);
+}
+
 TEST(FaultSpec, ChaosExpansionIsSeeded) {
   const char* spec = "faults:chaos(seed=7,endpoints=3,horizon=200ms,events=6)";
   const FaultSchedule first = ParseFaultSpec(spec);

@@ -1415,6 +1415,77 @@ TEST(FleetSpec, FormatParseRoundTrips) {
   EXPECT_FALSE(IsFleetSpec(""));
 }
 
+TEST(FleetSpec, ReadsTimeSuffixes) {
+  const FleetSpec spec = ParseFleetSpec("fleet:10,period=2ms,horizon=1s");
+  EXPECT_EQ(spec.period_ns, 2 * kMillisecond);
+  EXPECT_EQ(spec.horizon_ns, kSecond);
+  EXPECT_EQ(FormatFleetSpec(spec),
+            "fleet:10,wl=zipf,zipf=0.9,fp=2048,fpskew=0,churn=none,"
+            "duty=0.5,period=2000000,horizon=1000000000,seed=1");
+  EXPECT_EQ(ParseFleetSpec(FormatFleetSpec(spec)), spec);
+}
+
+TEST(FleetSpecDeathTest, RejectsMalformedSpecs) {
+  // Fleet errors share the spec-reader shape: token and byte offset.
+  const auto exits_1 = ::testing::ExitedWithCode(1);
+  EXPECT_EXIT(ParseFleetSpec("fleet:0"), exits_1,
+              "bad token '0' at byte 6 .*tenant count must be an integer "
+              "in \\[1, 1000000\\]");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,"), exits_1,
+              "bad token '' at byte 9 .*expected key=value");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,color=red"), exits_1,
+              "bad token 'color' at byte 9 .*unknown fleet key");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,wl=bogus"), exits_1,
+              "bad token 'bogus' at byte 12 .*unknown workload id");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,churn=often"), exits_1,
+              "bad token 'often' at byte 15 .*none\\|poisson\\|diurnal");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,duty=1"), exits_1,
+              "bad token '1' at byte 14 .*duty must be in \\(0,1\\)");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,zipf=-0.5"), exits_1,
+              "bad token '-0.5' at byte 14 .*skews must be >= 0");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,period=0"), exits_1,
+              "bad token '0' at byte 16 .*period must be positive");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10,period=2e9"), exits_1,
+              "bad token '10' at byte 6 .*horizon >= period");
+  EXPECT_EXIT(ParseFleetSpec("fleet:10;seed=1"), exits_1,
+              "at byte 8 .*expected ','");
+}
+
+TEST(ParseTenantList, WindowsReadTimeSuffixes) {
+  const std::vector<TenantSpec> specs = ParseTenantList("cdn@0-300ms");
+  ASSERT_EQ(specs.size(), 1u);
+  ASSERT_EQ(specs[0].windows.size(), 1u);
+  EXPECT_EQ(specs[0].windows[0].arrival_ns, 0u);
+  EXPECT_EQ(specs[0].windows[0].departure_ns, 300 * kMillisecond);
+  // The same window spelled in ns parses to the same tenant.
+  const std::vector<TenantSpec> raw = ParseTenantList("cdn@0-3e8");
+  EXPECT_EQ(raw[0].windows[0].departure_ns, 300 * kMillisecond);
+}
+
+TEST(TenantListDeathTest, RejectsMalformedLists) {
+  const auto exits_1 = ::testing::ExitedWithCode(1);
+  EXPECT_EXIT(ParseTenantList("bogus"), exits_1,
+              "bad token 'bogus' at byte 0 .*unknown workload id");
+  EXPECT_EXIT(ParseTenantList("cdn,,zipf"), exits_1,
+              "bad token '' at byte 4 .*unknown workload id");
+  EXPECT_EXIT(ParseTenantList("cdn:0"), exits_1,
+              "bad token '0' at byte 4 .*weight must be > 0");
+  EXPECT_EXIT(ParseTenantList("cdn:abc"), exits_1,
+              "bad token 'abc' at byte 4 .*not a number");
+  EXPECT_EXIT(ParseTenantList("cdn:2x"), exits_1,
+              "bad token 'x' at byte 5 .*expected ','");
+  EXPECT_EXIT(ParseTenantList("zipf@"), exits_1,
+              "bad token '' at byte 5 .*arrival time");
+  EXPECT_EXIT(ParseTenantList("zipf@-5"), exits_1,
+              "bad token '-5' at byte 5 .*must be >= 0");
+  EXPECT_EXIT(ParseTenantList("zipf@5e8-1e8"), exits_1,
+              "bad token '5e8-1e8' at byte 5 .*depart after it arrives");
+  EXPECT_EXIT(ParseTenantList("zipf@0-1e8+3e8+5e8"), exits_1,
+              "bad token '5e8' at byte 15 .*only the last");
+  EXPECT_EXIT(ParseTenantList("zipf@0-2e8+1e8"), exits_1,
+              "bad token '1e8' at byte 11 .*disjoint and in increasing");
+}
+
 TEST(ParseTenantList, FleetSpecExpandsToPopulation) {
   const std::string spec =
       "fleet:40,zipf=0.9,fp=1024,fpskew=0.3,churn=poisson,duty=0.25,"
@@ -1457,6 +1528,26 @@ TEST(ParseTenantList, FleetSpecExpandsToPopulation) {
                 specs[i].windows[w].arrival_ns);
       EXPECT_EQ(again[i].windows[w].departure_ns,
                 specs[i].windows[w].departure_ns);
+    }
+  }
+}
+
+TEST(ParseTenantList, FleetPoissonWindowsStayOrderedAtHugePeriods) {
+  // Exponential dwell draws with a mean near 2^62 ns exceed the uint64
+  // range often enough to hit every tenant; each draw must be capped
+  // before its cast (UBSan float-cast-overflow) so windows stay sane.
+  const std::vector<TenantSpec> specs = ParseTenantList(
+      "fleet:100,churn=poisson,duty=0.5,period=9e18,horizon=9e18");
+  ASSERT_EQ(specs.size(), 100u);
+  for (const TenantSpec& spec : specs) {
+    ASSERT_FALSE(spec.windows.empty());
+    TimeNs previous_departure = 0;
+    for (const ResidencyWindow& window : spec.windows) {
+      EXPECT_GE(window.arrival_ns, previous_departure);
+      if (window.departure_ns != 0) {
+        EXPECT_GT(window.departure_ns, window.arrival_ns);
+      }
+      previous_departure = window.departure_ns;
     }
   }
 }

@@ -93,7 +93,7 @@ TEST(TopologySpec, FormatParseRoundTripsExactly) {
 
 TEST(TopologySpecDeathTest, RejectsMalformedSpecs) {
   // Parse errors quote the offending token and its byte offset within
-  // the spec (see common/spec_error.h); the patterns pin both.
+  // the spec (see common/spec_reader.h); the patterns pin both.
   // Endpoint ids must be exactly 1..N, each once.
   EXPECT_DEATH(ParseTopologySpec("cxl:(1,1)"),
                "bad token '1' at byte 7 .*endpoint id repeats");
