@@ -1,5 +1,6 @@
 #include "common/bench_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -130,6 +131,17 @@ double DefaultScaleFor(const std::string& workload_id) {
 
 uint64_t SteadyDurationNs(const SimulationResult& result) {
   return result.SteadyDurationNs();
+}
+
+double TailMedian(const TimeSeries& series) {
+  std::vector<double> tail(
+      series.values.begin() +
+          static_cast<ptrdiff_t>(series.size() * 3 / 4),
+      series.values.end());
+  if (tail.empty()) return 0.0;
+  const auto mid = tail.begin() + static_cast<ptrdiff_t>(tail.size() / 2);
+  std::nth_element(tail.begin(), mid, tail.end());
+  return *mid;
 }
 
 double GeoMean(const std::vector<double>& values) {

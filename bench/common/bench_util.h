@@ -106,6 +106,13 @@ double DefaultScaleFor(const std::string& workload_id);
  */
 uint64_t SteadyDurationNs(const SimulationResult& result);
 
+/**
+ * Median of the last quarter of `series`' points by nearest rank (the
+ * upper median for an even count): the steady level an adaptation
+ * timeline settles toward. 0 when `series` is empty.
+ */
+double TailMedian(const TimeSeries& series);
+
 /** Geometric mean of a vector (ignores non-positive entries). */
 double GeoMean(const std::vector<double>& values);
 

@@ -55,10 +55,7 @@ AdaptResult RunPolicy(const std::string& policy_name) {
   // Steady state = median of the timeline points well past the churn
   // (the last quarter of the run).
   const TimeSeries& series = result.sim.latency_timeline;
-  WindowedPercentile tail(256);
-  const size_t start = series.size() * 3 / 4;
-  for (size_t i = start; i < series.size(); ++i) tail.Add(series.values[i]);
-  result.steady_latency = tail.Median();
+  result.steady_latency = TailMedian(series);
   const uint64_t settle = FirstSustainedEntryNs(
       series, result.steady_latency, 0.05, /*sustain_points=*/8,
       kChurnTime);
@@ -95,7 +92,7 @@ int main(int argc, char** argv) {
       {"t (ms)", "AutoNUMA p50 (ns)", "Memtis p50 (ns)",
        "HybridTier p50 (ns)"});
   table.SetTitle(
-      "Figure 4: windowed median latency; distribution change at t=" +
+      "Figure 4: per-interval median latency; distribution change at t=" +
       std::to_string(kChurnTime / kMillisecond) + "ms");
   const TimeSeries& axis = results["HybridTier"].sim.latency_timeline;
   for (size_t i = 0; i < axis.size(); ++i) {

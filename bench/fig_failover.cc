@@ -19,6 +19,13 @@
  * permanent). The recovery time and the post-fault weighted Jain index
  * land in `BENCH_failover.json`.
  *
+ * Pre- and post-fault p99 are exact grouped-data quantiles over every op
+ * that started in the window (pre: 10 ms to the fault; post: the fault
+ * to the end of the run), measured from the NextOp clock by
+ * `ClockedTenantWorkload`. The recovery time reads the per-interval
+ * `p99_timeline`, where one long evacuation-stall op sets the p99 of the
+ * interval it started in.
+ *
  * Outputs:
  *  - `fig_failover.csv`: virtual-time metrics only — byte-identical
  *    across `--jobs` values (the CI jobs-invariance gate byte-diffs it).
@@ -33,6 +40,7 @@
 #include <vector>
 
 #include "common/bench_util.h"
+#include "common/clocked_workload.h"
 #include "common/percentile.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -78,8 +86,8 @@ struct FailoverCell {
   std::string mode;  // "naive" | "graceful".
   SimulationResult result;
   uint64_t ep2_resident = 0;   //!< Dead-endpoint residents at run end.
-  double pre_p99 = 0.0;        //!< Mean windowed p99 before the fault.
-  double post_p99 = 0.0;       //!< Mean windowed p99 after the fault.
+  double pre_p99 = 0.0;        //!< p99 of the ops in the baseline window.
+  double post_p99 = 0.0;       //!< p99 of the ops started after the fault.
   double post_jain = 0.0;      //!< Mean weighted Jain after the fault.
   /** Virtual ns from the fault until p99 stays at or below
    *  (1 + tolerance) * pre_p99; UINT64_MAX = never recovers. */
@@ -157,15 +165,27 @@ FailoverCell RunFailover(bool graceful) {
   config.fault_runtime.spill_batch = 4096;
   config.watchdog = true;  // Books are recounted through the outage.
 
-  Simulation simulation(config, mux.get(), policy.get());
+  ClockedTenantWorkload workload(mux.get(), kWarmup);
+  Simulation simulation(config, &workload, policy.get());
   cell.result = simulation.Run();
+  workload.Finish(cell.result.duration_ns);
   cell.ep2_resident = simulation.memory().EndpointResident(2);
+
+  LatencyHistogram pre;
+  LatencyHistogram post;
+  for (const ClockedOp& op : workload.ops()) {
+    if (op.start_ns >= kFaultNs) {
+      post.Add(op.latency_ns);
+    } else if (op.start_ns >= kBaselineFromNs) {
+      pre.Add(op.latency_ns);
+    }
+  }
+  cell.pre_p99 = pre.Quantile(0.99);
+  cell.post_p99 = post.Quantile(0.99);
 
   // The timeline point stamped exactly at the fault time covers the
   // *preceding* (pre-fault) window; post-fault windows start after it.
   const TimeSeries& p99 = cell.result.p99_timeline;
-  cell.pre_p99 = WindowMean(p99, kBaselineFromNs, kFaultNs + 1);
-  cell.post_p99 = WindowMean(p99, kFaultNs + 1, kRunNs + 1);
   cell.post_jain = WindowMean(cell.result.weighted_fairness_timeline,
                               kFaultNs + 1, kRunNs + 1);
   const uint64_t entered = FirstSustainedBelowNs(

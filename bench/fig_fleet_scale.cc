@@ -107,10 +107,6 @@ FleetCell RunFleet(uint32_t tenants) {
   config.max_accesses = kAccessBudget;
   config.max_time_ns = kMaxTime;
   config.seed = kSeed;
-  // Fleet-sized per-tenant state: a small latency reservoir per tenant
-  // keeps 1000 tenants at a few KB each without touching the timelines.
-  config.tenant_reservoir = 1024;
-  config.latency_window = 512;
 
   Simulation simulation(config, mux.get(), policy.get());
   const auto wall_start = std::chrono::steady_clock::now();

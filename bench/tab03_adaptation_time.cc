@@ -43,11 +43,8 @@ AdaptCell MeasureAdaptation(const std::string& workload_id,
 
   const SimulationResult result = RunCell(spec);
   const TimeSeries& series = result.latency_timeline;
-  WindowedPercentile tail(256);
-  const size_t start = series.size() * 3 / 4;
-  for (size_t i = start; i < series.size(); ++i) tail.Add(series.values[i]);
   AdaptCell cell;
-  cell.steady_p50 = tail.Median();
+  cell.steady_p50 = TailMedian(series);
   const uint64_t settle = FirstSustainedEntryNs(
       series, cell.steady_p50, 0.05, /*sustain_points=*/8, kChurnTime);
   if (settle != UINT64_MAX && settle > kChurnTime) {

@@ -3,87 +3,54 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace hybridtier {
 
-WindowedPercentile::WindowedPercentile(size_t capacity)
-    : capacity_(capacity) {
-  HT_ASSERT(capacity > 0, "window capacity must be positive");
-  ring_.reserve(capacity);
-}
-
-void WindowedPercentile::Add(double value) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(value);
-  } else {
-    ring_[next_] = value;
+std::vector<double> LatencyHistogram::Quantiles(
+    std::initializer_list<double> qs) const {
+  std::vector<double> out(qs.size(), 0.0);
+  if (count_ == 0) return out;
+  std::vector<std::pair<uint64_t, uint64_t>> sorted;
+  sorted.reserve(distinct_);
+  for (const Slot& slot : slots_) {
+    if (slot.count != 0) sorted.emplace_back(slot.value, slot.count);
   }
-  next_ = (next_ + 1) % capacity_;
-  ++count_;
+  std::sort(sorted.begin(), sorted.end());
+  size_t k = 0;
+  for (const double q : qs) {
+    const double rank = q * static_cast<double>(count_);
+    double below = 0.0;
+    double value = static_cast<double>(sorted.back().first) + 0.5;
+    for (const auto& [ns, count] : sorted) {
+      const double n = static_cast<double>(count);
+      if (below + n >= rank) {
+        value = static_cast<double>(ns) - 0.5 + (rank - below) / n;
+        break;
+      }
+      below += n;
+    }
+    out[k++] = value;
+  }
+  return out;
 }
 
-double WindowedPercentile::Quantile(double q) const {
-  if (ring_.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted(ring_);
-  const size_t rank = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted.size())));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<ptrdiff_t>(rank),
-                   sorted.end());
-  return sorted[rank];
-}
-
-void WindowedPercentile::Reset() {
-  ring_.clear();
-  next_ = 0;
+void LatencyHistogram::Clear() {
+  if (count_ != 0) std::fill(slots_.begin(), slots_.end(), Slot{});
+  distinct_ = 0;
   count_ = 0;
+  sum_ = 0;
 }
 
-ReservoirSampler::ReservoirSampler(size_t capacity, uint64_t seed)
-    : capacity_(capacity), seed_(seed), rng_state_(seed) {
-  HT_ASSERT(capacity > 0, "reservoir capacity must be positive");
-  reservoir_.reserve(capacity);
-}
-
-void ReservoirSampler::Add(double value) {
-  ++total_;
-  sum_ += value;
-  if (reservoir_.size() < capacity_) {
-    reservoir_.push_back(value);
-    return;
+void LatencyHistogram::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+  for (const Slot& slot : old) {
+    if (slot.count != 0) Find(slot.value) = slot;
   }
-  // Algorithm R: replace a random slot with probability capacity/total.
-  // SplitMix64 gives a cheap, deterministic stream.
-  uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  const uint64_t slot = z % total_;
-  if (slot < capacity_) reservoir_[slot] = value;
-}
-
-double ReservoirSampler::Quantile(double q) const {
-  if (reservoir_.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted(reservoir_);
-  const size_t rank = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted.size())));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<ptrdiff_t>(rank),
-                   sorted.end());
-  return sorted[rank];
-}
-
-void ReservoirSampler::Reset() {
-  reservoir_.clear();
-  total_ = 0;
-  sum_ = 0.0;
-  rng_state_ = seed_;
 }
 
 uint64_t FirstSustainedEntryNs(const TimeSeries& series, double target,
@@ -133,25 +100,6 @@ double WeightedJainFairnessIndex(const std::vector<double>& values,
     normalized.push_back(values[i] / weights[i]);
   }
   return JainFairnessIndex(normalized);
-}
-
-uint64_t SettleTimeNs(const TimeSeries& series, double target,
-                      double tolerance, uint64_t not_before_ns) {
-  const double band = std::abs(target) * tolerance;
-  // Find the last point outside the band; the settle time is the next one.
-  ptrdiff_t last_outside = -1;
-  for (size_t i = 0; i < series.size(); ++i) {
-    if (series.times_ns[i] < not_before_ns) {
-      last_outside = static_cast<ptrdiff_t>(i);
-      continue;
-    }
-    if (std::abs(series.values[i] - target) > band) {
-      last_outside = static_cast<ptrdiff_t>(i);
-    }
-  }
-  const size_t first_settled = static_cast<size_t>(last_outside + 1);
-  if (first_settled >= series.size()) return UINT64_MAX;
-  return series.times_ns[first_settled];
 }
 
 }  // namespace hybridtier

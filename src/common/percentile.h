@@ -3,87 +3,93 @@
 
 /**
  * @file
- * Latency percentile tracking.
- *
- * `WindowedPercentile` keeps the most recent N observations in a ring and
- * answers quantile queries over that window — this is how the paper's
- * "median latency over time" series (Fig 4) are produced.
+ * Latency statistics: the exact latency histogram behind every op
+ * latency percentile the simulator reports, the (time, value) series
+ * behind its timelines (the paper's "median latency over time", Fig 4),
+ * and the settle and fairness reductions benches apply to them.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace hybridtier {
 
-/** Ring buffer of recent observations with quantile queries. */
-class WindowedPercentile {
- public:
-  /** Creates a window holding the last `capacity` observations. */
-  explicit WindowedPercentile(size_t capacity = 4096);
-
-  /** Records one observation. */
-  void Add(double value);
-
-  /**
-   * Returns the q-quantile (q in [0,1]) of the current window using the
-   * nearest-rank method. Returns 0 when empty.
-   */
-  double Quantile(double q) const;
-
-  /** Convenience: the median of the current window. */
-  double Median() const { return Quantile(0.5); }
-
-  /** Number of observations currently in the window. */
-  size_t size() const { return count_ < capacity_ ? count_ : capacity_; }
-
-  /** Total observations ever recorded. */
-  uint64_t total_added() const { return count_; }
-
-  /** Drops all recorded observations. */
-  void Reset();
-
- private:
-  size_t capacity_;
-  uint64_t count_ = 0;
-  size_t next_ = 0;
-  std::vector<double> ring_;
-};
-
 /**
- * Uniform reservoir sampler for whole-run quantiles: keeps a fixed-size
- * uniform random sample of everything ever added (Vitter's Algorithm R),
- * so end-of-run quantiles reflect the entire run, not just its tail.
+ * Exact distribution of integer-nanosecond latencies: a value -> count
+ * store in an open-addressing hash table, sorted only when a quantile is
+ * asked for. Op latencies fall on a few discrete values, so the table
+ * stays small and every query reads the whole distribution, not a
+ * sample of it. Clear keeps the table, so a histogram that is read and
+ * cleared every stats interval allocates only while it grows.
  */
-class ReservoirSampler {
+class LatencyHistogram {
  public:
-  /** @param capacity reservoir size; @param seed replacement RNG seed. */
-  explicit ReservoirSampler(size_t capacity = 65536, uint64_t seed = 99);
-
   /** Records one observation. */
-  void Add(double value);
-
-  /** Returns the q-quantile of the sampled distribution; 0 when empty. */
-  double Quantile(double q) const;
-
-  /** Mean of all observations ever added (exact, not sampled). */
-  double Mean() const {
-    return total_ ? sum_ / static_cast<double>(total_) : 0.0;
+  void Add(uint64_t value_ns) {
+    if (2 * (distinct_ + 1) > slots_.size()) Grow();
+    Slot& slot = Find(value_ns);
+    if (slot.count == 0) {
+      slot.value = value_ns;
+      ++distinct_;
+    }
+    ++slot.count;
+    ++count_;
+    sum_ += value_ns;
   }
 
-  /** Observations ever added. */
-  uint64_t total_added() const { return total_; }
+  /**
+   * Grouped-data q-quantile (q in [0,1]): each value v covers the
+   * interval [v - 0.5, v + 0.5) and the rank q * count() is interpolated
+   * inside it, so q = 0 reads min - 0.5, q = 1 reads max + 0.5, and a
+   * lone value v reads v at q = 0.5. Returns 0 when empty.
+   */
+  double Quantile(double q) const { return Quantiles({q})[0]; }
 
-  /** Drops all state. */
-  void Reset();
+  /** Quantile() at each of `qs`, from one sorted copy of the table. */
+  std::vector<double> Quantiles(std::initializer_list<double> qs) const;
+
+  /** The median (Quantile(0.5)). */
+  double Median() const { return Quantile(0.5); }
+
+  /** Exact mean from the integer sum; 0 when empty. */
+  double Mean() const {
+    return count_ == 0 ? 0.0
+                       : static_cast<double>(sum_) /
+                             static_cast<double>(count_);
+  }
+
+  /** Observations recorded since construction or the last Clear. */
+  uint64_t count() const { return count_; }
+
+  /** Drops all observations (keeps the table's capacity). */
+  void Clear();
 
  private:
-  size_t capacity_;
-  uint64_t seed_;
-  uint64_t rng_state_;
-  uint64_t total_ = 0;
-  double sum_ = 0.0;
-  std::vector<double> reservoir_;
+  /** One open-addressing slot; count 0 marks it empty. */
+  struct Slot {
+    uint64_t value = 0;
+    uint64_t count = 0;
+  };
+
+  /** The slot holding `value`, or the empty slot where it belongs. */
+  Slot& Find(uint64_t value) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = ((value * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+    while (slots_[i].count != 0 && slots_[i].value != value) {
+      i = (i + 1) & mask;
+    }
+    return slots_[i];
+  }
+
+  /** Doubles the table (linear probing, kept at most half full). */
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t distinct_ = 0;
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
 };
 
 /**
@@ -103,15 +109,6 @@ struct TimeSeries {
   std::vector<uint64_t> times_ns;  //!< X coordinates, virtual ns.
   std::vector<double> values;      //!< Y coordinates.
 };
-
-/**
- * Returns the earliest time at which `series` enters and *stays* within
- * `tolerance` (relative) of `target`. Used to measure adaptation time
- * (paper Table 3: "reach within 1% of steady-state median latency").
- * Returns UINT64_MAX if the series never settles.
- */
-uint64_t SettleTimeNs(const TimeSeries& series, double target,
-                      double tolerance, uint64_t not_before_ns = 0);
 
 /**
  * Jain's fairness index over `values`: (sum x)^2 / (n * sum x^2).
@@ -134,7 +131,9 @@ double WeightedJainFairnessIndex(const std::vector<double>& values,
  * Noise-tolerant settle detector: returns the time of the first point at
  * or after `not_before_ns` from which at least `sustain_points`
  * consecutive points all lie within `tolerance` (relative) of `target`.
- * Returns UINT64_MAX if no such window exists.
+ * Used to measure adaptation time (paper Table 3: "reach within x% of
+ * steady-state median latency"). Returns UINT64_MAX if no such window
+ * exists.
  */
 uint64_t FirstSustainedEntryNs(const TimeSeries& series, double target,
                                double tolerance, size_t sustain_points,

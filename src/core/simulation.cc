@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "multitenant/tenant_stats.h"
 
 namespace hybridtier {
@@ -12,9 +11,7 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
                        TieringPolicy* policy)
     : config_(config),
       workload_(workload),
-      policy_(policy),
-      window_(config.latency_window),
-      reservoir_(65536, config.seed ^ 0xfeedULL) {
+      policy_(policy) {
   HT_ASSERT(workload != nullptr && policy != nullptr,
             "simulation needs a workload and a policy");
   HT_ASSERT(config.fast_tier_fraction > 0.0 &&
@@ -116,16 +113,7 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     sampler_config.seed = config.seed;
     budgeted_sampler_ =
         std::make_unique<BudgetedSampler>(sampler_config, tenants);
-    tenant_states_.reserve(tenants);
-    for (uint32_t t = 0; t < tenants; ++t) {
-      // Distinct multiplier from MakeMuxWorkload's per-tenant workload
-      // seeds, so no reservoir ever replays a tenant's access RNG.
-      uint64_t state = config.seed ^ (0xc2b2ae3d27d4eb4fULL * (t + 1));
-      tenant_states_.emplace_back(SplitMix64Next(state),
-                                  config.latency_window,
-                                  std::max<size_t>(16,
-                                                   config.tenant_reservoir));
-    }
+    tenant_states_.resize(tenants);
     // Presence schedule for O(active) interval accounting: windowless
     // tenants are present for the whole run; everyone else enters and
     // leaves `present_` as the stats clock crosses their window edges.
@@ -528,12 +516,16 @@ void Simulation::AdvancePresence(TimeNs at) {
   }
 }
 
-void Simulation::RecordTimelinePoint(TimeNs at, bool idle) {
-  // A point inside an all-idle churn gap has no op latency; carrying
-  // the last window median forward would plot an idle machine as still
-  // running.
-  result_.latency_timeline.Add(at, idle ? 0.0 : window_.Median());
-  result_.p99_timeline.Add(at, idle ? 0.0 : window_.Quantile(0.99));
+void Simulation::RecordTimelinePoint(TimeNs at) {
+  // Each point reads the ops that started in its interval, however long
+  // they ran. An interval in which no op started (an idle churn gap, or
+  // the points a long op spans) reads 0: an idle machine is not a slow
+  // one.
+  const std::vector<double> interval =
+      interval_latencies_.Quantiles({0.5, 0.99});
+  result_.latency_timeline.Add(at, interval[0]);
+  result_.p99_timeline.Add(at, interval[1]);
+  interval_latencies_.Clear();
 
   const uint64_t l1_app = hierarchy_->L1Misses(AccessOwner::kApp);
   const uint64_t l1_tier = hierarchy_->L1Misses(AccessOwner::kTiering);
@@ -566,7 +558,7 @@ void Simulation::RecordTimelinePoint(TimeNs at, bool idle) {
 
   if (tenant_source_ != nullptr) {
     // Per-tenant adaptation series: fast-tier occupancy share and the
-    // recent-window latency median, plus the weighted fairness index
+    // interval's latency median, plus the weighted fairness index
     // over the tenants present right now (absent tenants hold nothing
     // and would misread as unfairness). The walk covers only present
     // and still-draining tenants — O(active), not O(fleet) — so the
@@ -584,9 +576,8 @@ void Simulation::RecordTimelinePoint(TimeNs at, bool idle) {
           static_cast<double>(memory_->RegionResident(t, Tier::kFast)) /
           capacity;
       state.occupancy_timeline.Add(at, share);
-      // An idle tenant serves no ops; carrying its last window median
-      // forward would plot it as still running.
-      state.latency_timeline.Add(at, idle ? 0.0 : state.window.Median());
+      state.latency_timeline.Add(at, state.interval_latencies.Median());
+      state.interval_latencies.Clear();
       scratch_shares_.push_back(share);
       scratch_weights_.push_back(tenant_source_->tenant_weight(t));
     }
@@ -601,7 +592,9 @@ void Simulation::RecordTimelinePoint(TimeNs at, bool idle) {
           memory_->RegionResident(t, Tier::kFast);
       state.occupancy_timeline.Add(
           at, static_cast<double>(fast_resident) / capacity);
-      state.latency_timeline.Add(at, 0.0);
+      // Ops the tenant started before its departure edge.
+      state.latency_timeline.Add(at, state.interval_latencies.Median());
+      state.interval_latencies.Clear();
       if (fast_resident == 0) {
         draining_.erase(draining_.begin() + static_cast<ptrdiff_t>(i));
       } else {
@@ -848,13 +841,13 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   }
 
   ++ops_;
-  window_.Add(static_cast<double>(op_latency));
-  reservoir_.Add(static_cast<double>(op_latency));
+  latencies_.Add(op_latency);
+  interval_latencies_.Add(op_latency);
   if (tenant != nullptr) {
     ++tenant->ops;
     tenant->accesses += count;
-    tenant->reservoir.Add(static_cast<double>(op_latency));
-    tenant->window.Add(static_cast<double>(op_latency));
+    tenant->latencies.Add(op_latency);
+    tenant->interval_latencies.Add(op_latency);
   }
   if (observed_) [[unlikely]] ObserveOp(tenant_id, stall, op_latency);
 
@@ -952,7 +945,7 @@ SimulationResult Simulation::Run() {
           FlushMetadataTraffic();
           next_tick_ += config_.tick_interval_ns;
         } else {
-          RecordTimelinePoint(next_stats_, /*idle=*/true);
+          RecordTimelinePoint(next_stats_);
           next_stats_ += config_.stats_interval_ns;
         }
       }
@@ -989,7 +982,7 @@ SimulationResult Simulation::Run() {
       warmed_up = true;
       result_.warmup_end_ns = now_;
       hierarchy_->ResetStats();
-      reservoir_.Reset();
+      latencies_.Clear();
       result_.fast_mem_accesses = 0;
       result_.slow_mem_accesses = 0;
       result_.hint_faults = 0;
@@ -998,7 +991,7 @@ SimulationResult Simulation::Run() {
       for (TenantState& state : tenant_states_) {
         state.fast_mem_accesses = 0;
         state.slow_mem_accesses = 0;
-        state.reservoir.Reset();
+        state.latencies.Clear();
       }
       last_l1_app_misses_ = 0;
       last_l1_tiering_misses_ = 0;
@@ -1014,9 +1007,10 @@ SimulationResult Simulation::Run() {
       now_ == 0 ? 0.0
                 : static_cast<double>(ops_) * 1000.0 /
                       static_cast<double>(now_);
-  result_.median_latency_ns = reservoir_.Quantile(0.5);
-  result_.p99_latency_ns = reservoir_.Quantile(0.99);
-  result_.mean_latency_ns = reservoir_.Mean();
+  const std::vector<double> run = latencies_.Quantiles({0.5, 0.99});
+  result_.median_latency_ns = run[0];
+  result_.p99_latency_ns = run[1];
+  result_.mean_latency_ns = latencies_.Mean();
   result_.migration = migration_->stats();
   if (fault_runtime_ != nullptr) {
     // One final advance at the run's end time: transitions scheduled
@@ -1071,9 +1065,11 @@ void Simulation::FinalizeTenantResults() {
         now_ == 0 ? 0.0
                   : static_cast<double>(state.ops) * 1000.0 /
                         static_cast<double>(now_);
-    tenant.median_latency_ns = state.reservoir.Quantile(0.5);
-    tenant.p99_latency_ns = state.reservoir.Quantile(0.99);
-    tenant.mean_latency_ns = state.reservoir.Mean();
+    const std::vector<double> quantiles =
+        state.latencies.Quantiles({0.5, 0.99});
+    tenant.median_latency_ns = quantiles[0];
+    tenant.p99_latency_ns = quantiles[1];
+    tenant.mean_latency_ns = state.latencies.Mean();
 
     const PageRange range = tenant_source_->tenant_units(t, config_.mode);
     tenant.footprint_units = range.size();

@@ -56,14 +56,6 @@ struct SimulationConfig {
   size_t sample_buffer = 8192;          //!< PEBS buffer depth.
   TimeNs tick_interval_ns = 1 * kMillisecond;   //!< Policy maintenance.
   TimeNs stats_interval_ns = 20 * kMillisecond; //!< Timeline sampling.
-  size_t latency_window = 4096;         //!< Window for timeline medians.
-  /**
-   * Capacity of each tenant's latency reservoir (whole-run percentile
-   * estimate). The default matches the historical fixed size; fleet
-   * benches shrink it — per-tenant state must stay a few KB when a
-   * thousand tenants share one cell.
-   */
-  size_t tenant_reservoir = 16384;
   /**
    * Per-tenant metric probes are registered only for the K heaviest
    * tenants (ties broken by admission order); the rest roll up into a
@@ -137,7 +129,8 @@ struct TenantResult {
   uint64_t fast_resident_units = 0;  //!< End-of-run fast-tier occupancy.
   uint64_t footprint_units = 0;      //!< Tenant region size in units.
   double throughput_mops = 0.0;      //!< Tenant ops per virtual us.
-  double median_latency_ns = 0.0;    //!< Post-warmup op latency median.
+  /** Post-warmup op latency percentiles (exact, grouped-data) and mean. */
+  double median_latency_ns = 0.0;
   double p99_latency_ns = 0.0;
   double mean_latency_ns = 0.0;
 
@@ -151,7 +144,8 @@ struct TenantResult {
 
   // Per-tenant adaptation timelines, sampled every stats_interval_ns.
   TimeSeries occupancy_timeline;  //!< Fast units / fast capacity.
-  TimeSeries latency_timeline;    //!< Windowed median op latency.
+  /** Median latency of this tenant's ops in each interval; 0 = none. */
+  TimeSeries latency_timeline;
 
   /** Fraction of this tenant's demand fills served by the fast tier. */
   double FastAccessFraction() const {
@@ -183,13 +177,16 @@ struct SimulationResult {
 
   // Headline performance.
   double throughput_mops = 0.0;    //!< Operations per virtual us.
-  double median_latency_ns = 0.0;  //!< Whole-run op latency median.
+  /** Post-warmup op latency percentiles (exact, grouped-data) and mean. */
+  double median_latency_ns = 0.0;
   double p99_latency_ns = 0.0;
   double mean_latency_ns = 0.0;
 
-  // Timelines (sampled every stats_interval_ns).
-  TimeSeries latency_timeline;          //!< Windowed median op latency.
-  /** Windowed p99 op latency — the failover bench's recovery series. */
+  // Timelines (sampled every stats_interval_ns). The latency series read
+  // the ops that started in each point's interval, however long they
+  // ran; 0 = none did (an idle gap, or the points a long op spans).
+  TimeSeries latency_timeline;          //!< Per-interval median op latency.
+  /** Per-interval p99 op latency — the failover bench's recovery series. */
   TimeSeries p99_timeline;
   TimeSeries tiering_l1_share_timeline; //!< Per-interval tiering L1 share.
   TimeSeries tiering_llc_share_timeline;
@@ -308,14 +305,10 @@ class Simulation {
     uint64_t accesses = 0;
     uint64_t fast_mem_accesses = 0;
     uint64_t slow_mem_accesses = 0;
-    ReservoirSampler reservoir;
-    WindowedPercentile window;      //!< Recent op latencies (timeline).
+    LatencyHistogram latencies;           //!< Post-warmup op latencies.
+    LatencyHistogram interval_latencies;  //!< Started since last point.
     TimeSeries occupancy_timeline;  //!< Fast units / fast capacity.
-    TimeSeries latency_timeline;    //!< Windowed median op latency.
-
-    TenantState(uint64_t seed, size_t latency_window,
-                size_t reservoir_capacity)
-        : reservoir(reservoir_capacity, seed), window(latency_window) {}
+    TimeSeries latency_timeline;    //!< Per-interval median op latency.
   };
 
   /** One scheduled presence change (from TenantTagSource windows). */
@@ -334,10 +327,11 @@ class Simulation {
   void AdvancePresence(TimeNs at);
 
   /**
-   * Captures one timeline point stamped at scheduled sample time `at`.
-   * `idle` marks points inside an all-idle churn gap (no op latency).
+   * Captures one timeline point stamped at scheduled sample time `at`;
+   * its latency values cover the ops that started in [at - interval,
+   * at), recorded since the previous point.
    */
-  void RecordTimelinePoint(TimeNs at, bool idle = false);
+  void RecordTimelinePoint(TimeNs at);
 
   /** Fills result_.tenants / jain_fairness from the tenant states. */
   void FinalizeTenantResults();
@@ -419,8 +413,8 @@ class Simulation {
   uint64_t ops_ = 0;
   uint64_t accesses_ = 0;
   SimulationResult result_;
-  WindowedPercentile window_;
-  ReservoirSampler reservoir_;
+  LatencyHistogram latencies_;           //!< Post-warmup op latencies.
+  LatencyHistogram interval_latencies_;  //!< Started since last point.
   /** Effective dispatch mode (policy interest, or kInline when
    *  batch_execution is off). */
   AccessInterest access_interest_ = AccessInterest::kInline;

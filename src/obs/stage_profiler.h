@@ -40,7 +40,7 @@ enum class Stage : uint8_t {
   kPolicy,          //!< Policy dispatch (inline, batch, and OnSample).
   kSampler,         //!< Sampler OnAccess + drain.
   kMigration,       //!< Migration-stall accounting + tick maintenance.
-  kAccounting,      //!< Latency windows, reservoir, tenant bookkeeping.
+  kAccounting,      //!< Latency histograms, tenant bookkeeping.
   kCount,
 };
 

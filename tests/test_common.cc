@@ -219,59 +219,84 @@ TEST(RunningStats, Moments) {
 
 // -------------------------------------------------------- Percentiles --
 
-TEST(WindowedPercentile, MedianOfKnownData) {
-  WindowedPercentile window(128);
-  for (int i = 1; i <= 101; ++i) window.Add(i);
-  EXPECT_NEAR(window.Median(), 51.0, 1.0);
+TEST(LatencyHistogram, SingleValueReadsExactly) {
+  LatencyHistogram histogram;
+  for (int i = 0; i < 5; ++i) histogram.Add(424);
+  EXPECT_EQ(histogram.count(), 5u);
+  EXPECT_EQ(histogram.Median(), 424.0);
+  EXPECT_EQ(histogram.Mean(), 424.0);
 }
 
-TEST(WindowedPercentile, SlidesWindow) {
-  WindowedPercentile window(10);
-  for (int i = 0; i < 100; ++i) window.Add(1.0);
-  for (int i = 0; i < 10; ++i) window.Add(9.0);
-  EXPECT_DOUBLE_EQ(window.Median(), 9.0);
+TEST(LatencyHistogram, InterpolatesInsideTwoClusterSplit) {
+  // 30 ops at 100 ns, 70 at 200 ns: a nearest-rank read pins p50 at 200
+  // however the mass between the clusters moves; the grouped-data
+  // quantile places rank 50 20/70 of the way into the 200 ns interval.
+  LatencyHistogram histogram;
+  for (int i = 0; i < 70; ++i) histogram.Add(200);
+  for (int i = 0; i < 30; ++i) histogram.Add(100);
+  EXPECT_DOUBLE_EQ(histogram.Median(), 199.5 + 20.0 / 70.0);
+  EXPECT_DOUBLE_EQ(histogram.Quantile(0.25), 99.5 + 25.0 / 30.0);
+  EXPECT_DOUBLE_EQ(histogram.Quantile(0.3), 100.5);
 }
 
-TEST(WindowedPercentile, EmptyReturnsZero) {
-  WindowedPercentile window(8);
-  EXPECT_DOUBLE_EQ(window.Median(), 0.0);
+TEST(LatencyHistogram, QuantileEndpointsAreIntervalEdges) {
+  LatencyHistogram histogram;
+  for (const uint64_t v : {7, 3, 9, 3}) histogram.Add(v);
+  EXPECT_EQ(histogram.Quantile(0.0), 2.5);
+  EXPECT_EQ(histogram.Quantile(1.0), 9.5);
 }
 
-TEST(ReservoirSampler, ExactWhenUnderCapacity) {
-  ReservoirSampler reservoir(1000);
-  for (int i = 1; i <= 100; ++i) reservoir.Add(i);
-  EXPECT_NEAR(reservoir.Quantile(0.5), 50.0, 2.0);
-  EXPECT_DOUBLE_EQ(reservoir.Mean(), 50.5);
+TEST(LatencyHistogram, EmptyReadsZero) {
+  const LatencyHistogram histogram;
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.Median(), 0.0);
+  EXPECT_EQ(histogram.Quantile(0.99), 0.0);
+  EXPECT_EQ(histogram.Mean(), 0.0);
 }
 
-TEST(ReservoirSampler, ApproximatesWholeRun) {
-  ReservoirSampler reservoir(4096, 5);
-  // First half 100s, second half 200s: overall median must see both.
-  for (int i = 0; i < 50000; ++i) reservoir.Add(100.0);
-  for (int i = 0; i < 50000; ++i) reservoir.Add(200.0);
-  const double p25 = reservoir.Quantile(0.25);
-  const double p75 = reservoir.Quantile(0.75);
-  EXPECT_DOUBLE_EQ(p25, 100.0);
-  EXPECT_DOUBLE_EQ(p75, 200.0);
+TEST(LatencyHistogram, MeanIsExact) {
+  LatencyHistogram histogram;
+  uint64_t sum = 0;
+  for (uint64_t v = 1; v <= 1000; ++v) {
+    histogram.Add(v * 977);
+    sum += v * 977;
+  }
+  EXPECT_EQ(histogram.Mean(), static_cast<double>(sum) / 1000.0);
+  EXPECT_EQ(histogram.Mean(), 977.0 * 500.5);
+  // 1000 distinct values grow the table several times; every count
+  // survives the rehashes.
+  EXPECT_EQ(histogram.count(), 1000u);
+  EXPECT_EQ(histogram.Median(), 500.0 * 977 + 0.5);
+}
+
+TEST(LatencyHistogram, ClearDropsEverything) {
+  LatencyHistogram histogram;
+  for (int i = 0; i < 10; ++i) histogram.Add(1000);
+  histogram.Clear();
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.Median(), 0.0);
+  EXPECT_EQ(histogram.Mean(), 0.0);
+  histogram.Add(7);
+  EXPECT_EQ(histogram.Median(), 7.0);
+  EXPECT_EQ(histogram.Mean(), 7.0);
 }
 
 TEST(SettleTime, FindsSettlePoint) {
   TimeSeries series;
   series.Add(0, 100.0);
-  series.Add(10, 100.0);
+  series.Add(10, 10.0);   // inside the band, but not sustained
   series.Add(20, 50.0);   // disturbance
   series.Add(30, 10.5);
   series.Add(40, 10.0);
   series.Add(50, 10.1);
-  const uint64_t t = SettleTimeNs(series, 10.0, 0.10);
-  EXPECT_EQ(t, 30u);
+  EXPECT_EQ(FirstSustainedEntryNs(series, 10.0, 0.10, 3), 30u);
 }
 
 TEST(SettleTime, NeverSettlesReturnsMax) {
   TimeSeries series;
   series.Add(0, 100.0);
   series.Add(10, 200.0);
-  EXPECT_EQ(SettleTimeNs(series, 10.0, 0.01), UINT64_MAX);
+  EXPECT_EQ(FirstSustainedEntryNs(series, 10.0, 0.01, 1), UINT64_MAX);
 }
 
 TEST(SettleTime, RespectsNotBefore) {
@@ -279,7 +304,8 @@ TEST(SettleTime, RespectsNotBefore) {
   series.Add(0, 10.0);
   series.Add(10, 10.0);
   series.Add(20, 10.0);
-  EXPECT_EQ(SettleTimeNs(series, 10.0, 0.01, 15), 20u);
+  EXPECT_EQ(FirstSustainedEntryNs(series, 10.0, 0.01, 1, 15), 20u);
+  EXPECT_EQ(FirstSustainedEntryNs(series, 10.0, 0.01, 2, 15), UINT64_MAX);
 }
 
 // ------------------------------------------------------------ fairness --

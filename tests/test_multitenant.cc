@@ -1588,7 +1588,6 @@ TEST(MultiTenantSimulation, FleetBookkeepingScalesWithActiveTenants) {
   config.seed = 7;
   config.max_accesses = 1000000;
   config.max_time_ns = 200 * kMillisecond;
-  config.tenant_reservoir = 256;
   const SimulationResult result =
       RunSimulation(config, mux.get(), fair.get());
   ASSERT_GT(result.accesses, 0u);
@@ -1640,7 +1639,6 @@ TEST(MultiTenantSimulation, FleetRunsAreDeterministicAcrossReruns) {
     config.seed = 7;
     config.max_accesses = 300000;
     config.max_time_ns = 150 * kMillisecond;
-    config.tenant_reservoir = 256;
     const SimulationResult result =
         RunSimulation(config, mux.get(), fair.get());
     for (uint32_t t = 0; t < 32; ++t) {
