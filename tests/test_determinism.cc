@@ -309,31 +309,110 @@ constexpr GoldenCell kPreRefactorGoldens[] = {
      13159ull, 12183ull},
 };
 
+// Runs one golden cell on the shared harness (seed 11, 400k accesses)
+// and checks every recorded field.
+void ExpectMatchesGolden(const GoldenCell& golden, double scale,
+                         PageMode mode) {
+  SCOPED_TRACE(std::string(golden.workload) + "/" + golden.policy);
+  auto workload = MakeWorkload(golden.workload, scale, 11);
+  auto policy = MakePolicy(golden.policy);
+  SimulationConfig config;
+  config.max_accesses = 400000;
+  config.seed = 11;
+  config.mode = mode;
+  const SimulationResult r =
+      RunSimulation(config, workload.get(), policy.get());
+  EXPECT_EQ(r.ops, golden.ops);
+  EXPECT_EQ(r.accesses, golden.accesses);
+  EXPECT_EQ(r.duration_ns, golden.duration_ns);
+  EXPECT_EQ(r.fast_mem_accesses, golden.fast_mem);
+  EXPECT_EQ(r.slow_mem_accesses, golden.slow_mem);
+  EXPECT_EQ(r.hint_faults, golden.hint_faults);
+  EXPECT_EQ(r.migration.promoted_pages, golden.promoted);
+  EXPECT_EQ(r.migration.demoted_pages, golden.demoted);
+  EXPECT_EQ(r.samples_taken, golden.samples_taken);
+  EXPECT_EQ(r.l1_app_misses, golden.l1_app);
+  EXPECT_EQ(r.llc_app_misses, golden.llc_app);
+  EXPECT_EQ(r.l1_tiering_misses, golden.l1_tier);
+  EXPECT_EQ(r.llc_tiering_misses, golden.llc_tier);
+}
+
 TEST(Determinism, RefactoredEngineReproducesPreRefactorGoldens) {
   for (const GoldenCell& golden : kPreRefactorGoldens) {
-    SCOPED_TRACE(std::string(golden.workload) + "/" + golden.policy);
-    auto workload = MakeWorkload(
-        golden.workload,
-        std::string(golden.workload) == "zipf" ? 1.0 : 2.0, 11);
-    auto policy = MakePolicy(golden.policy);
-    SimulationConfig config;
-    config.max_accesses = 400000;
-    config.seed = 11;
-    const SimulationResult r =
-        RunSimulation(config, workload.get(), policy.get());
-    EXPECT_EQ(r.ops, golden.ops);
-    EXPECT_EQ(r.accesses, golden.accesses);
-    EXPECT_EQ(r.duration_ns, golden.duration_ns);
-    EXPECT_EQ(r.fast_mem_accesses, golden.fast_mem);
-    EXPECT_EQ(r.slow_mem_accesses, golden.slow_mem);
-    EXPECT_EQ(r.hint_faults, golden.hint_faults);
-    EXPECT_EQ(r.migration.promoted_pages, golden.promoted);
-    EXPECT_EQ(r.migration.demoted_pages, golden.demoted);
-    EXPECT_EQ(r.samples_taken, golden.samples_taken);
-    EXPECT_EQ(r.l1_app_misses, golden.l1_app);
-    EXPECT_EQ(r.llc_app_misses, golden.llc_app);
-    EXPECT_EQ(r.l1_tiering_misses, golden.l1_tier);
-    EXPECT_EQ(r.llc_tiering_misses, golden.llc_tier);
+    ExpectMatchesGolden(
+        golden, std::string(golden.workload) == "zipf" ? 1.0 : 2.0,
+        PageMode::kRegular);
+  }
+}
+
+// List-cache and huge-page goldens, captured on the same harness before
+// the policy-layer consolidation (shared NUMA-balancing and list-cache
+// bases, one watermark helper, one promotion-batch flush). The ARC and
+// TwoQ cells run at smaller scales than kPreRefactorGoldens so their
+// lists fill the fast tier and they actually migrate; the kHuge cells
+// run zipf at scale 16 so every standard policy promotes and demotes.
+struct ScaledGoldenCell {
+  double scale;
+  PageMode mode;
+  GoldenCell cell;
+};
+
+const ScaledGoldenCell kPolicyLayerGoldens[] = {
+    {0.1, PageMode::kRegular,
+     {"zipf", "ARC", 100000ull, 400000ull, 43104966ull, 32035ull,
+      225740ull, 0ull, 520ull, 520ull, 6564ull, 373246ull,
+      257775ull, 6908ull, 6897ull}},
+    {0.1, PageMode::kRegular,
+     {"zipf", "TwoQ", 100000ull, 400000ull, 43463618ull, 29474ull,
+      228290ull, 0ull, 464ull, 464ull, 6564ull, 373246ull,
+      257764ull, 6860ull, 6852ull}},
+    {0.5, PageMode::kRegular,
+     {"bfs-k", "ARC", 2804ull, 400010ull, 19484925ull, 1541ull,
+      126603ull, 0ull, 78ull, 78ull, 6564ull, 323541ull,
+      128144ull, 2261ull, 2123ull}},
+    {0.5, PageMode::kRegular,
+     {"bfs-k", "TwoQ", 2804ull, 400010ull, 19623033ull, 1357ull,
+      126663ull, 0ull, 31ull, 31ull, 6564ull, 323541ull,
+      128020ull, 2097ull, 2063ull}},
+    {0.5, PageMode::kRegular,
+     {"pr-k", "ARC", 35322ull, 400011ull, 26615086ull, 17973ull,
+      144991ull, 0ull, 230ull, 230ull, 6564ull, 298509ull,
+      162964ull, 5232ull, 5158ull}},
+    {0.5, PageMode::kRegular,
+     {"pr-k", "TwoQ", 35322ull, 400011ull, 26413830ull, 18377ull,
+      144547ull, 0ull, 220ull, 220ull, 6564ull, 298509ull,
+      162924ull, 5220ull, 5146ull}},
+    {16.0, PageMode::kHuge,
+     {"zipf", "TPP", 100000ull, 400000ull, 1083726537ull, 80417ull,
+      251290ull, 239772ull, 16215ull, 16215ull, 6564ull, 389106ull,
+      331707ull, 530389ull, 5076ull}},
+    {16.0, PageMode::kHuge,
+     {"zipf", "AutoNUMA", 100000ull, 400000ull, 814977024ull, 78996ull,
+      250692ull, 222971ull, 5686ull, 5686ull, 6564ull, 389106ull,
+      329688ull, 198622ull, 4885ull}},
+    {16.0, PageMode::kHuge,
+     {"zipf", "Memtis", 100000ull, 400000ull, 65040384ull, 54272ull,
+      272919ull, 0ull, 170ull, 177ull, 6564ull, 389106ull,
+      327191ull, 6794ull, 6113ull}},
+    {16.0, PageMode::kHuge,
+     {"zipf", "ARC", 100000ull, 400000ull, 385370265ull, 55710ull,
+      271659ull, 0ull, 2921ull, 2926ull, 6564ull, 389106ull,
+      327369ull, 7820ull, 7806ull}},
+    {16.0, PageMode::kHuge,
+     {"zipf", "TwoQ", 100000ull, 400000ull, 393527375ull, 59776ull,
+      267574ull, 0ull, 2994ull, 2999ull, 6564ull, 389106ull,
+      327350ull, 7770ull, 7760ull}},
+    {16.0, PageMode::kHuge,
+     {"zipf", "HybridTier", 100000ull, 400000ull, 66810356ull, 53769ull,
+      273890ull, 0ull, 188ull, 188ull, 6564ull, 389106ull,
+      327659ull, 86659ull, 10225ull}},
+};
+
+TEST(Determinism, PolicyLayerReproducesListCacheAndHugePageGoldens) {
+  for (const ScaledGoldenCell& golden : kPolicyLayerGoldens) {
+    ASSERT_GT(golden.cell.promoted, 0u);
+    ASSERT_GT(golden.cell.demoted, 0u);
+    ExpectMatchesGolden(golden.cell, golden.scale, golden.mode);
   }
 }
 
