@@ -19,8 +19,6 @@ HybridTierPolicy::HybridTierPolicy(const HybridTierConfig& config)
     : config_(config) {
   HT_ASSERT(config.momentum_threshold >= 1,
             "momentum threshold must be >= 1");
-  HT_ASSERT(config.demote_target_frac >= config.demote_trigger_frac,
-            "demotion target watermark below trigger watermark");
 }
 
 const char* HybridTierPolicy::name() const {
@@ -98,23 +96,11 @@ void HybridTierPolicy::UpdateThreshold() {
 void HybridTierPolicy::FlushPromotions(TimeNs now) {
   samples_at_last_flush_ = samples_seen_;
   UpdateThreshold();
-  if (pending_promotions_.empty()) return;
-  // A hot page is sampled many times per batch; migrate it once.
-  std::sort(pending_promotions_.begin(), pending_promotions_.end());
-  pending_promotions_.erase(
-      std::unique(pending_promotions_.begin(), pending_promotions_.end()),
-      pending_promotions_.end());
-  // Demand demotion: make room for the batch first, as the runtime's
-  // demotion path does when the fast tier is under allocation pressure.
-  const uint64_t free_pages = memory().FreePages(Tier::kFast);
-  if (free_pages < pending_promotions_.size()) {
-    DemoteColdPages(pending_promotions_.size() - free_pages, now,
-                    MigrationReason::kCapacityDemand);
-  }
-  // One batched move_pages syscall for the whole batch (paper §4.3).
-  migration().Promote(pending_promotions_, now,
-                      MigrationReason::kHotnessRank);
-  pending_promotions_.clear();
+  FlushPromotionBatch(&pending_promotions_, memory(), migration(), now,
+                      [&](uint64_t needed) {
+                        DemoteColdPages(needed, now,
+                                        MigrationReason::kCapacityDemand);
+                      });
 }
 
 void HybridTierPolicy::OnSample(const SampleRecord& sample) {
@@ -178,24 +164,6 @@ void HybridTierPolicy::OnSample(const SampleRecord& sample) {
       config_.promo_batch_samples) {
     FlushPromotions(sample.time_ns);
   }
-}
-
-void HybridTierPolicy::WatermarkDemotion(TimeNs now) {
-  TieredMemory& mem = memory();
-  const uint64_t capacity = mem.Capacity(Tier::kFast);
-  if (capacity == 0) return;
-  const double free_frac =
-      static_cast<double>(mem.FreePages(Tier::kFast)) /
-      static_cast<double>(capacity);
-  if (free_frac >= config_.demote_trigger_frac) return;
-
-  const uint64_t target_free = static_cast<uint64_t>(
-      config_.demote_target_frac * static_cast<double>(capacity));
-  const uint64_t needed = target_free > mem.FreePages(Tier::kFast)
-                              ? target_free - mem.FreePages(Tier::kFast)
-                              : 0;
-  if (needed == 0) return;
-  DemoteColdPages(needed, now, MigrationReason::kWatermark);
 }
 
 uint64_t HybridTierPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
@@ -283,7 +251,9 @@ uint64_t HybridTierPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
 
 void HybridTierPolicy::Tick(TimeNs now) {
   UpdateThreshold();
-  WatermarkDemotion(now);
+  const uint64_t needed = FreeWatermarkDeficit(
+      memory(), config_.demote_trigger_frac, config_.demote_target_frac);
+  if (needed > 0) DemoteColdPages(needed, now, MigrationReason::kWatermark);
 }
 
 size_t HybridTierPolicy::MetadataBytes() const {

@@ -145,7 +145,6 @@ class HybridTierPolicy : public TieringPolicy {
 
   void UpdateThreshold();
   void FlushPromotions(TimeNs now);
-  void WatermarkDemotion(TimeNs now);
 
   /**
    * Scans the fast tier applying the Table-1 demotion rules until

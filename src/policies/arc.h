@@ -16,24 +16,17 @@
 
 #include <cstdint>
 
+#include "policies/list_cache.h"
 #include "policies/lru_list.h"
-#include "policies/policy.h"
 
 namespace hybridtier {
 
 /** ARC tiering baseline. */
-class ArcPolicy : public TieringPolicy {
+class ArcPolicy final : public ListCachePolicy {
  public:
-  ArcPolicy() = default;
+  ArcPolicy() : ListCachePolicy(0xa5a5a5a5ULL) {}
 
-  void Bind(const PolicyContext& context) override;
   void OnSample(const SampleRecord& sample) override;
-  /** Sample-driven: never observes the demand stream (OnAccess stays
-   *  the inherited no-op), so per-access dispatch is skipped. */
-  AccessInterest access_interest() const override {
-    return AccessInterest::kNone;
-  }
-
   size_t MetadataBytes() const override;
   const char* name() const override { return "ARC"; }
 
@@ -50,18 +43,8 @@ class ArcPolicy : public TieringPolicy {
   /** ARC's REPLACE: demotes from T1 or T2 into the ghost lists. */
   void Replace(PageId incoming, bool in_b2, TimeNs now);
 
-  /** Demotes `unit` to the slow tier (single-page migration). */
-  void DemoteUnit(PageId unit, TimeNs now);
-
-  /** Promotes `unit` to the fast tier (single-page migration). */
-  void PromoteUnit(PageId unit, TimeNs now);
-
-  /** Touches the scattered metadata lines of one list operation. */
-  void TouchListMetadata(PageId unit);
-
   LruList t1_, t2_, b1_, b2_;
-  uint64_t p_ = 0;         //!< Adaptive target size of T1.
-  uint64_t capacity_ = 0;  //!< c = fast-tier units.
+  uint64_t p_ = 0;  //!< Adaptive target size of T1.
 };
 
 }  // namespace hybridtier

@@ -6,84 +6,39 @@
  * AutoNUMA baseline (Linux NUMA balancing with MGLRU demotion), as
  * described in the paper (§2.3.2, §5.2).
  *
- * AutoNUMA is *recency-based*: it periodically unmaps ("protects")
- * chunks of the application address space; the first access to an
- * unmapped page takes a hint fault, and the elapsed time between unmap
- * and fault is the page's hint-fault latency. Pages whose latency is
- * under a threshold (1 second upstream) are promoted immediately —
- * regardless of access history, which is exactly why it mispromotes
- * cold pages (paper Fig 4). Demotion uses multi-generational-LRU aging
- * driven by hardware accessed bits.
+ * AutoNUMA is *recency-based*: the elapsed time between a page's unmap
+ * and its hint fault is the page's hint-fault latency, and pages whose
+ * latency is under a threshold (1 second upstream) are promoted
+ * immediately — regardless of access history, which is exactly why it
+ * mispromotes cold pages (paper Fig 4). The protect scan, rate limiter
+ * and MGLRU demotion live in the NUMA-balancing base.
  */
 
-#include <cstdint>
-#include <memory>
-#include <vector>
+#include <cstddef>
 
-#include "policies/aging.h"
-#include "policies/policy.h"
+#include "policies/numa_balancing.h"
 
 namespace hybridtier {
 
 /** Tunables for the AutoNUMA baseline. */
-struct AutoNumaConfig {
+struct AutoNumaConfig : NumaBalancingConfig {
   /** Hint-fault latency below which a slow page is promoted. */
   TimeNs promotion_latency_ns = 20 * kMillisecond;
-  /** Address-space units protected per maintenance tick. */
-  uint64_t scan_chunk_units = 1024;
-  /** Accessed-bit harvest chunk per tick (MGLRU aging). */
-  uint64_t age_chunk_units = 2048;
-  /** Demote when fast free fraction falls below this. */
-  double demote_trigger_frac = 0.02;
-  /** Demote until fast free fraction reaches this. */
-  double demote_target_frac = 0.04;
-  /** Minimum age (generations unaccessed) for demotion eligibility. */
-  uint8_t demote_min_age = 2;
-  /** Fault-promotion rate limit, pages per maintenance tick (models
-   *  Linux NUMA-balancing migration rate limiting). */
-  uint64_t promotion_rate_per_tick = 48;
 };
 
 /** Linux AutoNUMA + MGLRU tiering baseline. */
-class AutoNumaPolicy : public TieringPolicy {
+class AutoNumaPolicy final : public NumaBalancingPolicy {
  public:
   explicit AutoNumaPolicy(const AutoNumaConfig& config = AutoNumaConfig{});
 
-  void Bind(const PolicyContext& context) override;
-  void OnAccess(PageId unit, const TouchResult& touch, TimeNs now) override;
-  /** Promotes at fault time inside OnAccess, so later accesses of the
-   *  same op must observe the migration: requires inline dispatch. */
-  AccessInterest access_interest() const override {
-    return AccessInterest::kInline;
-  }
-
-  void Tick(TimeNs now) override;
   size_t MetadataBytes() const override;
   const char* name() const override { return "AutoNUMA"; }
 
-  /** Hint faults observed. */
-  uint64_t hint_faults() const { return hint_faults_; }
-
-  /** Faults that resulted in promotion. */
-  uint64_t fault_promotions() const { return fault_promotions_; }
-
-  /** Promotions skipped by the migration rate limiter. */
-  uint64_t rate_limited_promotions() const {
-    return rate_limited_promotions_;
-  }
-
  private:
-  void WatermarkDemotion(TimeNs now);
+  bool PromotesOnFault(PageId unit, const TouchResult& touch,
+                       TimeNs now) override;
 
-  AutoNumaConfig config_;
-  std::unique_ptr<ClockAger> ager_;
-  PageId protect_cursor_ = 0;
-  PageId age_cursor_ = 0;
-  PageId demote_cursor_ = 0;
-  uint64_t hint_faults_ = 0;
-  uint64_t fault_promotions_ = 0;
-  uint64_t promotion_tokens_ = 0;
-  uint64_t rate_limited_promotions_ = 0;
+  TimeNs promotion_latency_ns_;
 };
 
 }  // namespace hybridtier

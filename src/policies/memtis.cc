@@ -19,8 +19,6 @@ constexpr uint64_t kPagemapBase = 1ULL << 48;  // Demotion scan pagemap.
 
 MemtisPolicy::MemtisPolicy(const MemtisConfig& config) : config_(config) {
   HT_ASSERT(config.cooling_period_samples > 0, "cooling period must be > 0");
-  HT_ASSERT(config.demote_target_frac >= config.demote_trigger_frac,
-            "demotion target watermark below trigger watermark");
 }
 
 void MemtisPolicy::Bind(const PolicyContext& context) {
@@ -100,41 +98,12 @@ void MemtisPolicy::OnSample(const SampleRecord& sample) {
       config_.promo_batch_samples) {
     samples_at_last_flush_ = samples_seen_;
     UpdateThreshold();
-    if (!pending_promotions_.empty()) {
-      // A hot page is sampled many times per batch; migrate it once.
-      std::sort(pending_promotions_.begin(), pending_promotions_.end());
-      pending_promotions_.erase(
-          std::unique(pending_promotions_.begin(),
-                      pending_promotions_.end()),
-          pending_promotions_.end());
-      // Demand demotion first, mirroring kmigrated making room.
-      const uint64_t free_pages = memory().FreePages(Tier::kFast);
-      if (free_pages < pending_promotions_.size()) {
-        DemoteColdPages(pending_promotions_.size() - free_pages,
-                        sample.time_ns, MigrationReason::kCapacityDemand);
-      }
-      migration().Promote(pending_promotions_, sample.time_ns,
-                          MigrationReason::kHotnessRank);
-      pending_promotions_.clear();
-    }
+    FlushPromotionBatch(&pending_promotions_, memory(), migration(),
+                        sample.time_ns, [&](uint64_t needed) {
+                          DemoteColdPages(needed, sample.time_ns,
+                                          MigrationReason::kCapacityDemand);
+                        });
   }
-}
-
-void MemtisPolicy::WatermarkDemotion(TimeNs now) {
-  TieredMemory& mem = memory();
-  const uint64_t capacity = mem.Capacity(Tier::kFast);
-  if (capacity == 0) return;
-  const double free_frac =
-      static_cast<double>(mem.FreePages(Tier::kFast)) /
-      static_cast<double>(capacity);
-  if (free_frac >= config_.demote_trigger_frac) return;
-
-  const uint64_t target_free = static_cast<uint64_t>(
-      config_.demote_target_frac * static_cast<double>(capacity));
-  const uint64_t needed = target_free > mem.FreePages(Tier::kFast)
-                              ? target_free - mem.FreePages(Tier::kFast)
-                              : 0;
-  if (needed > 0) DemoteColdPages(needed, now, MigrationReason::kWatermark);
 }
 
 uint64_t MemtisPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
@@ -177,7 +146,9 @@ uint64_t MemtisPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
 
 void MemtisPolicy::Tick(TimeNs now) {
   UpdateThreshold();
-  WatermarkDemotion(now);
+  const uint64_t needed = FreeWatermarkDeficit(
+      memory(), config_.demote_trigger_frac, config_.demote_target_frac);
+  if (needed > 0) DemoteColdPages(needed, now, MigrationReason::kWatermark);
 }
 
 size_t MemtisPolicy::MetadataBytes() const {

@@ -89,9 +89,6 @@ class MemtisPolicy : public TieringPolicy {
   /** Emits the metadata lines one sampled update touches. */
   void TouchSampleMetadata(PageId unit, uint32_t bucket);
 
-  /** Runs the incremental demotion scan if below the watermark. */
-  void WatermarkDemotion(TimeNs now);
-
   MemtisConfig config_;
   std::unique_ptr<ExactCounterTable> counters_;
   std::unique_ptr<Histogram> histogram_;

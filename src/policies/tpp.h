@@ -6,75 +6,50 @@
  * TPP baseline (Maruf et al., ASPLOS'23), reimplemented from its paper
  * and the HybridTier paper's characterization (§2.3.2, §8).
  *
- * TPP ("Transparent Page Placement") is recency-based like AutoNUMA but
- * adds an active-list filter: a slow-tier page is promoted only when a
- * hint fault shows it was *re-referenced recently* (we model the LRU
+ * TPP ("Transparent Page Placement") is Linux NUMA balancing plus an
+ * active-list filter: a slow-tier page is promoted only when a hint
+ * fault shows it was *re-referenced recently* (we model the LRU
  * active-list test as "second fault within a window"), which cuts some
  * of AutoNUMA's one-touch mispromotions but still ignores long-term
- * frequency. Demotion reclaims from the inactive list (accessed-bit
- * aging) and keeps fast-tier headroom for new allocations.
+ * frequency. Demotion reclaims from the inactive list (the base's
+ * accessed-bit aging) and keeps wider fast-tier headroom for new
+ * allocations.
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "policies/aging.h"
-#include "policies/policy.h"
+#include "policies/numa_balancing.h"
 
 namespace hybridtier {
 
-/** Tunables for the TPP baseline. */
-struct TppConfig {
+/** Tunables for the TPP baseline: TPP keeps larger free headroom than
+ *  AutoNUMA (demote below 4%, up to 8%) to absorb allocation bursts. */
+struct TppConfig : NumaBalancingConfig {
+  TppConfig()
+      : NumaBalancingConfig{.demote_trigger_frac = 0.04,
+                            .demote_target_frac = 0.08} {}
+
   /** Two hint faults within this window mark a page active -> promote. */
   TimeNs active_window_ns = 100 * kMillisecond;
-  /** Address-space units protected per maintenance tick. */
-  uint64_t scan_chunk_units = 1024;
-  /** Accessed-bit harvest chunk per tick. */
-  uint64_t age_chunk_units = 2048;
-  /** Demote when fast free fraction falls below this (TPP keeps larger
-   *  headroom than AutoNUMA to absorb allocation bursts). */
-  double demote_trigger_frac = 0.04;
-  /** Demote until fast free fraction reaches this. */
-  double demote_target_frac = 0.08;
-  /** Minimum generations unaccessed for demotion eligibility. */
-  uint8_t demote_min_age = 2;
-  /** Fault-promotion rate limit, pages per maintenance tick. */
-  uint64_t promotion_rate_per_tick = 48;
 };
 
 /** TPP tiering baseline. */
-class TppPolicy : public TieringPolicy {
+class TppPolicy final : public NumaBalancingPolicy {
  public:
   explicit TppPolicy(const TppConfig& config = TppConfig{});
 
-  void Bind(const PolicyContext& context) override;
-  void OnAccess(PageId unit, const TouchResult& touch, TimeNs now) override;
-  /** Promotes at fault time inside OnAccess, so later accesses of the
-   *  same op must observe the migration: requires inline dispatch. */
-  AccessInterest access_interest() const override {
-    return AccessInterest::kInline;
-  }
-
-  void Tick(TimeNs now) override;
   size_t MetadataBytes() const override;
   const char* name() const override { return "TPP"; }
 
-  /** Promotions executed via the two-fault filter. */
-  uint64_t fault_promotions() const { return fault_promotions_; }
-
  private:
-  void WatermarkDemotion(TimeNs now);
+  void BindRule(uint64_t footprint_units) override;
+  bool PromotesOnFault(PageId unit, const TouchResult& touch,
+                       TimeNs now) override;
 
-  TppConfig config_;
-  std::unique_ptr<ClockAger> ager_;
+  TimeNs active_window_ns_;
   std::vector<TimeNs> last_fault_time_;  //!< Per unit; 0 = never.
-  PageId protect_cursor_ = 0;
-  PageId age_cursor_ = 0;
-  PageId demote_cursor_ = 0;
-  uint64_t fault_promotions_ = 0;
-  uint64_t promotion_tokens_ = 0;
-  uint64_t rate_limited_promotions_ = 0;
 };
 
 }  // namespace hybridtier

@@ -2,48 +2,14 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-#include "common/units.h"
-#include "probstruct/hash.h"
-
 namespace hybridtier {
 
-namespace {
-constexpr uint64_t kListBase = 1ULL << 44;
-constexpr uint64_t kMapBase = 1ULL << 45;
-}  // namespace
-
 void TwoQPolicy::Bind(const PolicyContext& context) {
-  TieringPolicy::Bind(context);
-  capacity_ = context.fast_capacity_units;
+  ListCachePolicy::Bind(context);
   // Original-paper defaults (HybridTier paper §6.1): Kin = c/4,
   // Kout = c/2.
   kin_ = std::max<uint64_t>(1, capacity_ / 4);
   kout_ = std::max<uint64_t>(1, capacity_ / 2);
-}
-
-void TwoQPolicy::TouchListMetadata(PageId unit) {
-  sink().Touch(kListBase + (Mix64(unit) % (capacity_ * 4 + 64)) *
-                               kCacheLineSize);
-  sink().Touch(kMapBase +
-               (Mix64(unit ^ 0x5a5a5a5aULL) % (capacity_ * 4 + 64)) *
-                   kCacheLineSize);
-}
-
-void TwoQPolicy::DemoteUnit(PageId unit, TimeNs now) {
-  if (memory().IsResident(unit) &&
-      memory().TierOf(unit) == Tier::kFast) {
-    const PageId pages[] = {unit};
-    migration().Demote(pages, now, MigrationReason::kCapacityDemand);
-  }
-}
-
-void TwoQPolicy::PromoteUnit(PageId unit, TimeNs now) {
-  if (memory().IsResident(unit) &&
-      memory().TierOf(unit) == Tier::kSlow) {
-    const PageId pages[] = {unit};
-    migration().Promote(pages, now, MigrationReason::kHotnessRank);
-  }
 }
 
 void TwoQPolicy::ReclaimOne(TimeNs now) {

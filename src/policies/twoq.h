@@ -13,23 +13,18 @@
 
 #include <cstdint>
 
+#include "policies/list_cache.h"
 #include "policies/lru_list.h"
-#include "policies/policy.h"
 
 namespace hybridtier {
 
 /** TwoQ tiering baseline. */
-class TwoQPolicy : public TieringPolicy {
+class TwoQPolicy final : public ListCachePolicy {
  public:
-  TwoQPolicy() = default;
+  TwoQPolicy() : ListCachePolicy(0x5a5a5a5aULL) {}
 
   void Bind(const PolicyContext& context) override;
   void OnSample(const SampleRecord& sample) override;
-  /** Sample-driven: never observes the demand stream (OnAccess stays
-   *  the inherited no-op), so per-access dispatch is skipped. */
-  AccessInterest access_interest() const override {
-    return AccessInterest::kNone;
-  }
 
   size_t MetadataBytes() const override;
   const char* name() const override { return "TwoQ"; }
@@ -43,12 +38,7 @@ class TwoQPolicy : public TieringPolicy {
   /** Frees one cached slot per the 2Q reclaim rule. */
   void ReclaimOne(TimeNs now);
 
-  void DemoteUnit(PageId unit, TimeNs now);
-  void PromoteUnit(PageId unit, TimeNs now);
-  void TouchListMetadata(PageId unit);
-
   LruList a1in_, a1out_, am_;
-  uint64_t capacity_ = 0;
   uint64_t kin_ = 0;
   uint64_t kout_ = 0;
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -18,6 +19,8 @@
 #include "policies/autonuma.h"
 #include "policies/lru_list.h"
 #include "policies/memtis.h"
+#include "policies/numa_balancing.h"
+#include "policies/scan_util.h"
 #include "policies/policy.h"
 #include "policies/static_policy.h"
 #include "policies/tpp.h"
@@ -260,14 +263,69 @@ TEST(AutoNuma, IgnoresSlowFaults) {
   EXPECT_EQ(harness.memory().TierOf(60), Tier::kSlow);
 }
 
-TEST(AutoNuma, TickProtectsChunks) {
-  PolicyHarness harness(100, 100);
+// ---------------------------------------------------------- Watermark --
+
+TEST(FreeWatermarkDeficit, ZeroAtTriggerElseUpToTarget) {
+  PolicyHarness harness(100, 50);
+  harness.TouchAll(100);  // Fast full: 0 of 50 free.
+  EXPECT_EQ(FreeWatermarkDeficit(harness.memory(), 0.1, 0.2), 10u);
+  for (PageId page = 0; page < 4; ++page) {
+    ASSERT_TRUE(harness.memory().Migrate(page, Tier::kSlow));
+  }
+  EXPECT_EQ(FreeWatermarkDeficit(harness.memory(), 0.1, 0.2), 6u);
+  ASSERT_TRUE(harness.memory().Migrate(4, Tier::kSlow));  // 10% free.
+  EXPECT_EQ(FreeWatermarkDeficit(harness.memory(), 0.1, 0.2), 0u);
+}
+
+// ------------------------------------------- NUMA balancing (shared) --
+
+/**
+ * Builds the named hint-fault baseline ("TPP" or "AutoNUMA") with
+ * `edit` applied to its shared NUMA-balancing tunables. AutoNUMA
+ * promotes on faults under 1 ms of latency and TPP on a second fault
+ * within its (default 100 ms) window, so FaultTwice below makes a page
+ * eligible under either rule.
+ */
+template <typename Edit>
+std::unique_ptr<NumaBalancingPolicy> MakeHintFaultPolicy(
+    const std::string& name, const Edit& edit) {
+  if (name == "TPP") {
+    TppConfig config;
+    edit(config);
+    return std::make_unique<TppPolicy>(config);
+  }
   AutoNumaConfig config;
-  config.scan_chunk_units = 10;
-  AutoNumaPolicy policy(config);
-  harness.Bind(&policy);
+  config.promotion_latency_ns = kMillisecond;
+  edit(config);
+  return std::make_unique<AutoNumaPolicy>(config);
+}
+
+/**
+ * Faults `unit` twice from `now`: first 5 ms after its unmap (too slow
+ * for AutoNUMA; TPP only records it), then 0.5 ms after a re-unmap
+ * (eligible under both rules).
+ */
+void FaultTwice(PolicyHarness& harness, TieringPolicy& policy, PageId unit,
+                TimeNs now) {
+  const auto fault = [&](TimeNs protect_at, TimeNs fault_at) {
+    harness.memory().Protect(PageRange{unit, unit + 1}, protect_at);
+    const TouchResult touch = harness.memory().Touch(unit, fault_at);
+    ASSERT_TRUE(touch.hint_fault);
+    policy.OnAccess(unit, touch, fault_at);
+  };
+  fault(now, now + 5 * kMillisecond);
+  fault(now + 6 * kMillisecond, now + 6 * kMillisecond + 500000);
+}
+
+class NumaBalancing : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(NumaBalancing, TickProtectsChunks) {
+  PolicyHarness harness(100, 100);
+  auto policy = MakeHintFaultPolicy(
+      GetParam(), [](NumaBalancingConfig& c) { c.scan_chunk_units = 10; });
+  harness.Bind(policy.get());
   harness.TouchAll(100);
-  policy.Tick(0);
+  policy->Tick(0);
   uint64_t protected_count = 0;
   for (PageId page = 0; page < 100; ++page) {
     protected_count += harness.memory().IsProtected(page);
@@ -275,19 +333,60 @@ TEST(AutoNuma, TickProtectsChunks) {
   EXPECT_EQ(protected_count, 10u);
 }
 
-TEST(AutoNuma, DemotesAgedPagesUnderPressure) {
+TEST_P(NumaBalancing, DemotesAgedPagesUnderPressure) {
   PolicyHarness harness(100, 50);
-  AutoNumaConfig config;
-  config.demote_trigger_frac = 0.1;
-  config.demote_target_frac = 0.2;
-  AutoNumaPolicy policy(config);
-  harness.Bind(&policy);
+  auto policy = MakeHintFaultPolicy(GetParam(), [](NumaBalancingConfig& c) {
+    c.demote_trigger_frac = 0.1;
+    c.demote_target_frac = 0.2;
+  });
+  harness.Bind(policy.get());
   harness.TouchAll(100);  // Fast full (50 pages).
   // Two ticks age every page (no accesses in between).
-  policy.Tick(kMillisecond);
-  policy.Tick(2 * kMillisecond);
+  policy->Tick(kMillisecond);
+  policy->Tick(2 * kMillisecond);
   EXPECT_GE(harness.memory().FreePages(Tier::kFast), 5u);
 }
+
+TEST_P(NumaBalancing, RateLimiterBanksAtMostTwoTicks) {
+  PolicyHarness harness(100, 50);
+  auto policy = MakeHintFaultPolicy(GetParam(), [](NumaBalancingConfig& c) {
+    c.scan_chunk_units = 1;
+    c.promotion_rate_per_tick = 2;
+  });
+  harness.Bind(policy.get());
+  harness.TouchAll(100);
+  // Free 20 fast slots: promotions always fit and free space stays
+  // above both watermarks, so no tick demotes.
+  for (PageId page = 0; page < 20; ++page) {
+    ASSERT_TRUE(harness.memory().Migrate(page, Tier::kSlow));
+  }
+
+  // Bind grants one tick's worth: 2 of 5 eligible faults promote.
+  for (PageId page = 50; page < 55; ++page) {
+    FaultTwice(harness, *policy, page, 0);
+  }
+  EXPECT_EQ(policy->fault_promotions(), 2u);
+  EXPECT_EQ(policy->rate_limited_promotions(), 3u);
+  EXPECT_EQ(harness.memory().TierOf(50), Tier::kFast);
+  EXPECT_EQ(harness.memory().TierOf(51), Tier::kFast);
+  EXPECT_EQ(harness.memory().TierOf(52), Tier::kSlow);
+
+  // Three idle ticks bank tokens, but never beyond two ticks' worth.
+  for (TimeNs tick = 1; tick <= 3; ++tick) {
+    policy->Tick(tick * 10 * kMillisecond);
+  }
+  for (PageId page = 60; page < 66; ++page) {
+    FaultTwice(harness, *policy, page, 40 * kMillisecond);
+  }
+  EXPECT_EQ(policy->fault_promotions(), 6u);
+  EXPECT_EQ(policy->rate_limited_promotions(), 5u);
+  EXPECT_EQ(harness.memory().TierOf(63), Tier::kFast);
+  EXPECT_EQ(harness.memory().TierOf(64), Tier::kSlow);
+}
+
+INSTANTIATE_TEST_SUITE_P(HintFaultPolicies, NumaBalancing,
+                         ::testing::Values("TPP", "AutoNUMA"),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------- TPP --
 
