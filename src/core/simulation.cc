@@ -72,6 +72,21 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     sampler_track_ = trace_->Track("sampler");
   }
 
+  // Multi-tenant workloads carry per-op attribution; when present, the
+  // run also produces per-tenant results. The tenant layout becomes the
+  // memory's accounting regions before Bind: per-tenant occupancy reads
+  // (every stats interval, and the fair-share wrapper's quota checks)
+  // are O(1) region tallies instead of O(footprint) residency rescans.
+  tenant_source_ = dynamic_cast<TenantTagSource*>(workload);
+  if (tenant_source_ != nullptr) {
+    std::vector<PageRange> regions;
+    regions.reserve(tenant_source_->tenant_count());
+    for (uint32_t t = 0; t < tenant_source_->tenant_count(); ++t) {
+      regions.push_back(tenant_source_->tenant_units(t, config.mode));
+    }
+    memory_->DefineRegions(regions);
+  }
+
   PolicyContext context;
   context.memory = memory_.get();
   context.migration = migration_.get();
@@ -91,20 +106,8 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   access_events_.reserve(256);
   sample_buffer_.reserve(1024);
 
-  // Multi-tenant workloads carry per-op attribution; when present, the
-  // run also produces per-tenant results.
-  tenant_source_ = dynamic_cast<TenantTagSource*>(workload);
   if (tenant_source_ != nullptr) {
     const uint32_t tenants = tenant_source_->tenant_count();
-    // Register the tenant layout with the memory system so per-tenant
-    // occupancy reads (every stats interval) are O(tenants) counter
-    // lookups instead of O(footprint) residency rescans.
-    std::vector<PageRange> regions;
-    regions.reserve(tenants);
-    for (uint32_t t = 0; t < tenants; ++t) {
-      regions.push_back(tenant_source_->tenant_units(t, config.mode));
-    }
-    memory_->DefineRegions(regions);
     // Per-tenant sample budgets: a high-access-rate tenant cannot crowd
     // the sample stream that feeds the other tenants' demand estimators.
     BudgetedSamplerConfig sampler_config;

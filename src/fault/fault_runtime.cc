@@ -39,7 +39,6 @@ void FaultRuntime::ApplyTransition(uint32_t endpoint,
   const bool was_down = old_state == EndpointHealth::kDown;
   const bool is_down = new_state == EndpointHealth::kDown;
   perf_->SetEndpointDown(endpoint, is_down);
-  migration_->SetEndpointDown(endpoint, is_down);
   // Down beats degrade while active; on any non-down state the service
   // factor (1.0 when healthy) replaces whatever was in effect.
   if (!is_down) perf_->SetEndpointDegrade(endpoint, factor);

@@ -10,9 +10,10 @@
  *
  *  1. **Transitions.** Health edges from the `HealthTracker` are applied
  *     to the timing model (`PerfModel::SetEndpointDown/Degrade`), the
- *     migration engine (demotions onto dead devices are rejected), and
- *     the policy (`TieringPolicy::OnEndpointHealth` — the fair-share
- *     water-filler re-plans over effective capacity).
+ *     one holder of endpoint health — the migration engine reads it to
+ *     reject demotions onto dead devices — and then to the policy
+ *     (`TieringPolicy::OnEndpointHealth` — the fair-share water-filler
+ *     re-plans over effective capacity).
  *
  *  2. **Evacuation.** While an endpoint is down, its slow-resident
  *     pages are promoted off it in bounded batches (`evac_batch` per

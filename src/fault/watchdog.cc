@@ -33,17 +33,30 @@ bool InvariantWatchdog::CheckMemoryAccounting(std::string* error) const {
   const uint32_t endpoints = memory_->endpoint_count();
   std::vector<uint64_t> slow_by_endpoint(endpoints, 0);
   std::vector<uint64_t> fast_by_home(endpoints, 0);
+  // Per-region recount, indexed [tier][region]; empty without regions.
+  const uint32_t regions = memory_->region_count();
+  std::vector<uint64_t> by_region[kNumTiers] = {
+      std::vector<uint64_t>(regions, 0), std::vector<uint64_t>(regions, 0)};
+  const auto count_region = [&](PageId page, Tier tier) {
+    if (regions == 0) return;
+    const uint32_t region = memory_->RegionOf(page);
+    if (region != TieredMemory::kNoRegion) {
+      ++by_region[static_cast<size_t>(tier)][region];
+    }
+  };
   uint64_t fast_used = 0;
   uint64_t slow_used = 0;
   memory_->ScanResident(0, memory_->total_pages(), Tier::kFast,
                         [&](PageId page) {
                           ++fast_used;
                           ++fast_by_home[memory_->EndpointOf(page)];
+                          count_region(page, Tier::kFast);
                         });
   memory_->ScanResident(0, memory_->total_pages(), Tier::kSlow,
                         [&](PageId page) {
                           ++slow_used;
                           ++slow_by_endpoint[memory_->EndpointOf(page)];
+                          count_region(page, Tier::kSlow);
                         });
   if (fast_used != memory_->UsedPages(Tier::kFast) ||
       slow_used != memory_->UsedPages(Tier::kSlow)) {
@@ -72,6 +85,18 @@ bool InvariantWatchdog::CheckMemoryAccounting(std::string* error) const {
                               memory_->EndpointHomedFastResident(e),
                               " vs recount ", fast_by_home[e]);
       return false;
+    }
+  }
+  for (uint32_t r = 0; r < regions; ++r) {
+    for (const Tier tier : {Tier::kFast, Tier::kSlow}) {
+      const uint64_t tally = memory_->RegionResident(r, tier);
+      const uint64_t recount = by_region[static_cast<size_t>(tier)][r];
+      if (tally != recount) {
+        *error = detail::StrCat("region ", r, " ", TierName(tier),
+                                " tally diverges: ", tally, " vs recount ",
+                                recount);
+        return false;
+      }
     }
   }
   return true;

@@ -6,8 +6,8 @@
  * Opt-in runtime invariant checking.
  *
  * The simulator's accounting is all incremental — residency counters,
- * per-endpoint mirrors, region tallies, quota occupancy, the exact
- * latency decomposition — and a fault layer that migrates pages from
+ * per-endpoint mirrors, region tallies, the exact latency
+ * decomposition — and a fault layer that migrates pages from
  * outside the policy is exactly the kind of code that desynchronizes
  * incremental mirrors. `InvariantWatchdog` recounts the ground truth
  * (an O(footprint) flag scan) and cross-checks every derived counter at
@@ -17,12 +17,13 @@
  * Built-in checks (all against a fresh recount of the page flags):
  *  - per-tier used counts and used <= capacity;
  *  - per-endpoint slow-resident and fast-resident-by-home mirrors;
- *  - per-region residency tallies (when regions are defined);
+ *  - per-region, per-tier residency tallies (when regions are defined;
+ *    these are the fair-share wrapper's tenant occupancy);
  *  - the attribution identity Σ components == Σ op latency (when a
  *    `LatencyAttribution` is attached).
  * Components can register extra checks: `RegisterCheck` for ad-hoc
  * lambdas, or implement `InvariantSource` (the fair-share policy does,
- * validating quota/occupancy consistency) and register that.
+ * checking its quota bounds) and register that.
  *
  * Pure observation: checks read state, never mutate it, so an enabled
  * watchdog cannot change results — only abort on corruption.

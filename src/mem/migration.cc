@@ -18,11 +18,15 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
   // decode), so the batch is costed per endpoint.
   endpoint_pages_.assign(memory_->endpoint_count(), 0);
   uint64_t moved = 0;
+  // A demotion of a page whose HDM home is a down endpoint is refused
+  // and counted as failed: the kernel cannot copy into a device that no
+  // longer answers. Promotions off the endpoint still work — evacuation
+  // reads the dying device. The timing model holds endpoint health.
+  const bool any_down =
+      dst == Tier::kSlow && perf_model_->AnyEndpointDown();
   for (const PageId page : pages) {
-    if (any_down_ && dst == Tier::kSlow) [[unlikely]] {
-      // Can't demote onto a dead device: the page's HDM home is fixed.
-      const uint32_t home = memory_->EndpointOf(page);
-      if (home < endpoint_down_.size() && endpoint_down_[home]) {
+    if (any_down) [[unlikely]] {
+      if (perf_model_->EndpointDown(memory_->EndpointOf(page))) {
         ++stats_.failed_demotions;
         continue;
       }

@@ -106,23 +106,6 @@ class MigrationEngine {
    */
   virtual DecisionAudit* audit() const { return audit_; }
 
-  /**
-   * Marks `endpoint` down/up for demotion filtering (fault injection).
-   * A demotion of a page whose HDM home is a down endpoint is skipped
-   * and counted as failed: the kernel cannot copy into a device that no
-   * longer answers. Promotions off the endpoint still work — evacuation
-   * reads the dying device. Hooked on the *real* engine, like the trace
-   * and audit sinks.
-   */
-  void SetEndpointDown(uint32_t endpoint, bool down) {
-    if (endpoint >= endpoint_down_.size()) {
-      endpoint_down_.resize(endpoint + 1, false);
-    }
-    endpoint_down_[endpoint] = down;
-    any_down_ = false;
-    for (const bool d : endpoint_down_) any_down_ = any_down_ || d;
-  }
-
  private:
   TimeNs ExecuteBatch(std::span<const PageId> pages, Tier dst, TimeNs now,
                       MigrationReason reason);
@@ -132,8 +115,6 @@ class MigrationEngine {
   PageMode mode_;
   MigrationStats stats_;
   std::vector<uint64_t> endpoint_pages_;  //!< Per-endpoint batch scratch.
-  std::vector<bool> endpoint_down_;       //!< Demotion-blocked endpoints.
-  bool any_down_ = false;                 //!< Fast skip when healthy.
   TraceEmitter* trace_ = nullptr;
   TraceEmitter::TrackId trace_track_ = 0;
   DecisionAudit* audit_ = nullptr;

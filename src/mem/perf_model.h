@@ -219,9 +219,18 @@ class PerfModel {
    * Marks `endpoint` down/up. While down, demand accesses return the
    * configured `fault_stall_ns` without touching any channel, and
    * OccupyEndpoint still works (evacuation reads the dying device).
+   * This is the one copy of endpoint health: the migration engine and
+   * the fair-share wrapper ask `EndpointDown`/`AnyEndpointDown`.
    */
   void SetEndpointDown(uint32_t endpoint, bool down) {
-    endpoints_[endpoint].down = down;
+    Endpoint& e = endpoints_[endpoint];
+    if (e.down == down) return;
+    e.down = down;
+    if (down) {
+      ++down_endpoints_;
+    } else {
+      --down_endpoints_;
+    }
   }
 
   /**
@@ -236,6 +245,9 @@ class PerfModel {
   bool EndpointDown(uint32_t endpoint) const {
     return endpoints_[endpoint].down;
   }
+
+  /** True while any endpoint is marked down (O(1): a kept count). */
+  bool AnyEndpointDown() const { return down_endpoints_ > 0; }
 
   /** Demand accesses rejected by `endpoint` while it was down. */
   uint64_t EndpointStalledAccesses(uint32_t endpoint) const {
@@ -333,6 +345,7 @@ class PerfModel {
   uint64_t access_bytes_ = 0;  //!< Line * thread factor.
   TimeNs max_queue_delay_ns_ = 0;
   bool bounded_queue_ = false;
+  uint32_t down_endpoints_ = 0;  //!< Endpoints marked down right now.
 };
 
 }  // namespace hybridtier

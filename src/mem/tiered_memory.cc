@@ -167,11 +167,4 @@ void TieredMemory::DefineRegions(const std::vector<PageRange>& regions) {
   }
 }
 
-uint64_t TieredMemory::RegionResident(uint32_t region, Tier tier) const {
-  const auto& counts = region_resident_[static_cast<size_t>(tier)];
-  HT_ASSERT(region < counts.size(), "region ", region,
-            " outside the accounting layout");
-  return counts[region];
-}
-
 }  // namespace hybridtier

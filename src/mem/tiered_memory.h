@@ -213,18 +213,37 @@ class TieredMemory {
    */
   void DefineRegions(const std::vector<PageRange>& regions);
 
-  /** True once DefineRegions has installed an accounting layout. */
-  bool has_regions() const { return !region_resident_[0].empty(); }
+  /** Number of accounting regions (0 before DefineRegions). */
+  uint32_t region_count() const {
+    return static_cast<uint32_t>(region_resident_[0].size());
+  }
+
+  /** Region id of a page outside every accounting region. */
+  static constexpr uint32_t kNoRegion = UINT32_MAX;
+
+  /**
+   * Accounting region owning `page` — its index in the DefineRegions
+   * layout — or kNoRegion when no region covers it. O(1): one table
+   * read (needs DefineRegions).
+   */
+  uint32_t RegionOf(PageId page) const {
+    HT_ASSERT(page < region_of_.size(), "page ", page,
+              " outside the accounting layout");
+    return region_of_[page];
+  }
 
   /** Resident pages of `region` in `tier` (needs DefineRegions). */
-  uint64_t RegionResident(uint32_t region, Tier tier) const;
+  uint64_t RegionResident(uint32_t region, Tier tier) const {
+    const auto& counts = region_resident_[static_cast<size_t>(tier)];
+    HT_ASSERT(region < counts.size(), "region ", region,
+              " outside the accounting layout");
+    return counts[region];
+  }
 
   /** First-touch allocation policy in use. */
   AllocationPolicy allocation_policy() const { return allocation_policy_; }
 
  private:
-  static constexpr uint32_t kNoRegion = UINT32_MAX;
-
   /** First-touch allocation and hint-fault clearing (cold path). */
   TouchResult TouchSlowPath(PageId page, TimeNs now);
 

@@ -33,9 +33,9 @@ const char* QuotaModeName(QuotaMode mode) {
 
 /**
  * The migration gate handed to the base policy: promotions are filtered
- * by per-tenant quota headroom, demotions pass through with occupancy
- * tracking. All real work (and all stats) happens in the wrapped run's
- * engine; this object's own counters stay empty.
+ * by per-tenant quota headroom, demotions pass straight through. All
+ * real work (and all stats) happens in the wrapped run's engine; this
+ * object's own counters stay empty.
  */
 class FairSharePolicy::QuotaGate : public MigrationEngine {
  public:
@@ -51,7 +51,7 @@ class FairSharePolicy::QuotaGate : public MigrationEngine {
 
   TimeNs Demote(std::span<const PageId> pages, TimeNs now,
                 MigrationReason reason) override {
-    return owner_->TrackedDemote(pages, now, reason);
+    return inner_->Demote(pages, now, reason);
   }
 
   /** The audit lives on the real engine; the base policy reaches it
@@ -90,11 +90,24 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   HT_ASSERT(first.begin == 0 && last.end == context.footprint_units,
             "tenant directory covers units [", first.begin, ", ", last.end,
             ") but the run footprint is ", context.footprint_units);
-
+  // Occupancy and tenant lookups read the memory's region tallies, so
+  // its accounting regions must be the directory's, in the same order.
   const uint32_t n = directory_.size();
+  HT_ASSERT(context.memory->region_count() == n, "memory defines ",
+            context.memory->region_count(), " accounting regions for ", n,
+            " tenants");
+  for (uint32_t t = 0; t < n; ++t) {
+    const PageRange range = directory_.regions[t].UnitRange(context.mode);
+    HT_ASSERT(context.memory->RegionOf(range.begin) == t &&
+                  context.memory->RegionOf(range.end - 1) == t,
+              "memory region layout differs from the tenant directory at "
+              "tenant ", t);
+  }
+  // Endpoint health is read from the timing model (HomeDown).
+  HT_ASSERT(context.perf != nullptr, "fair-share wrapper needs a perf model");
+
   quota_.assign(n, 0);
   static_quota_.assign(n, 0);
-  fast_units_.assign(n, 0);
   window_fast_samples_.assign(n, 0);
   window_slow_samples_.assign(n, 0);
   demand_ema_.assign(n, 0.0);
@@ -108,15 +121,11 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   shadow_samples_.assign(n, 0);
   marginal_utility_.assign(n, 0.0);
   grace_until_ns_.assign(n, 0);
-  occupancy_ready_ = false;
-  endpoint_down_.assign(context.memory->endpoint_count(), 0);
-  any_endpoint_down_ = false;
-  // Endpoint awareness needs a timing model to read and more than one
-  // endpoint to distinguish; otherwise every unit costs the same and
-  // the cost-scaled rankings would just be the blind ones.
-  endpoint_aware_active_ = config_.endpoint_aware &&
-                           context.perf != nullptr &&
-                           context.memory->endpoint_count() > 1;
+  // Endpoint awareness needs more than one endpoint to distinguish;
+  // otherwise every unit costs the same and the cost-scaled rankings
+  // would just be the blind ones.
+  endpoint_aware_active_ =
+      config_.endpoint_aware && context.memory->endpoint_count() > 1;
   next_rebalance_ns_ = config_.rebalance_interval_ns;
 
   // Trace tracks: one controller track for rebalance decisions, one
@@ -196,19 +205,6 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   base_->Bind(gated);
 }
 
-bool FairSharePolicy::EnsureOccupancy() {
-  if (occupancy_ready_) return false;
-  for (uint32_t t = 0; t < directory_.size(); ++t) {
-    const PageRange range = directory_.regions[t].UnitRange(context().mode);
-    uint64_t count = 0;
-    memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                          [&count](PageId) { ++count; });
-    fast_units_[t] = count;
-  }
-  occupancy_ready_ = true;
-  return true;
-}
-
 void FairSharePolicy::AddActive(uint32_t tenant) {
   if (active_index_[tenant] != kNoSlot) return;
   active_index_[tenant] = static_cast<uint32_t>(active_.size());
@@ -261,28 +257,21 @@ void FairSharePolicy::ComputeStaticQuotas() {
 
 uint64_t FairSharePolicy::EffectiveFastCapacity() const {
   const uint64_t cap = context().fast_capacity_units;
-  if (!any_endpoint_down_) [[likely]] return cap;
+  const PerfModel& perf = *context().perf;
+  if (!perf.AnyEndpointDown()) [[likely]] return cap;
   uint64_t stranded = 0;
-  for (uint32_t e = 0; e < endpoint_down_.size(); ++e) {
-    if (endpoint_down_[e]) stranded += memory().EndpointHomedFastResident(e);
+  for (uint32_t e = 0; e < memory().endpoint_count(); ++e) {
+    if (perf.EndpointDown(e)) stranded += memory().EndpointHomedFastResident(e);
   }
   return cap - std::min(cap, stranded);
 }
 
 void FairSharePolicy::OnEndpointHealth(uint32_t endpoint,
                                        EndpointHealth state, TimeNs now) {
-  if (endpoint < endpoint_down_.size()) {
-    endpoint_down_[endpoint] = state == EndpointHealth::kDown ? 1 : 0;
-  }
-  any_endpoint_down_ = false;
-  for (const uint8_t down : endpoint_down_) {
-    if (down) any_endpoint_down_ = true;
-  }
   // Re-plan immediately over the effective capacity: the static quotas
   // shrink/grow with the stranded share, and a full re-division at the
   // transition instant replaces a thrashing sequence of enforcement
   // batches spread over the following rebalance window.
-  EnsureOccupancy();
   ComputeStaticQuotas();
   if (config_.rebalance) Rebalance(now);
   else quota_ = static_quota_;
@@ -294,11 +283,6 @@ void FairSharePolicy::OnEndpointHealth(uint32_t endpoint,
                       static_cast<double>(EffectiveFastCapacity())}});
   }
   base_->OnEndpointHealth(endpoint, state, now);
-}
-
-void FairSharePolicy::OnExternalMigration(TimeNs now) {
-  occupancy_ready_ = false;
-  base_->OnExternalMigration(now);
 }
 
 bool FairSharePolicy::CheckInvariants(std::string* error) const {
@@ -320,24 +304,6 @@ bool FairSharePolicy::CheckInvariants(std::string* error) const {
                             " units > fast capacity ",
                             context().fast_capacity_units);
     return false;
-  }
-  // The incremental occupancy mirror must match a fresh region recount
-  // whenever it claims to be in sync (external migrations invalidate
-  // it; the next EnsureOccupancy rescan re-seeds it).
-  if (occupancy_ready_) {
-    for (const uint32_t t : active_) {
-      const PageRange range =
-          directory_.regions[t].UnitRange(context().mode);
-      uint64_t count = 0;
-      memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                            [&count](PageId) { ++count; });
-      if (count != fast_units_[t]) {
-        *error = detail::StrCat("tenant ", t, " occupancy mirror ",
-                                fast_units_[t], " diverges from recount ",
-                                count);
-        return false;
-      }
-    }
   }
   return true;
 }
@@ -413,7 +379,7 @@ bool FairSharePolicy::AdvanceTenantWindows(uint32_t t, TimeNs now) {
     changed = true;
     if (trace_ != nullptr) {
       trace_->Instant(tenant_track_[t], "departure", now,
-                      {{"fast_units", static_cast<double>(fast_units_[t])}});
+                      {{"fast_units", static_cast<double>(fast_units(t))}});
     }
   }
   return changed;
@@ -453,7 +419,7 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
   // the slot's occupant survived the visit.
   for (size_t i = 0; i < draining_.size();) {
     const uint32_t t = draining_[i];
-    if (fast_units_[t] > 0) {
+    if (fast_units(t) > 0) {
       // Reclaim writeback, paced: demote up to release_batch fast units
       // per tick, in address order — hotness ranking is pointless for a
       // dead tenant's pages, sequential reclaim is what an exit path
@@ -477,19 +443,19 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
         }
       }
       HT_ASSERT(start != range.begin || unit < range.end ||
-                    !victims_.empty() || fast_units_[t] == 0,
+                    !victims_.empty() || fast_units(t) == 0,
                 "drain pass over tenant ", t, "'s region found none of its ",
-                fast_units_[t], " fast units");
+                fast_units(t), " fast units");
       // The zero quota gates every promotion path, but fault evacuation
       // promotes from outside the gate and can land fast units behind
       // the cursor; a pass that reaches the region end restarts at its
       // beginning so those are drained too.
       drain_cursor_[t] = unit < range.end ? unit : range.begin;
       if (!victims_.empty()) {
-        TrackedDemote(victims_, now, MigrationReason::kChurnDrain);
+        migration().Demote(victims_, now, MigrationReason::kChurnDrain);
       }
     }
-    if (fast_units_[t] == 0) {
+    if (fast_units(t) == 0) {
       FinishRelease(t, now);  // Removes t from draining_.
     } else {
       ++i;
@@ -501,29 +467,26 @@ void FairSharePolicy::ForceFinishDrain(uint32_t tenant, TimeNs now) {
   const PageRange range =
       directory_.regions[tenant].UnitRange(context().mode);
   victims_.clear();
-  uint64_t stranded = 0;
   memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                        [this, &stranded](PageId unit) {
+                        [this](PageId unit) {
                           sink().Touch(kSharePagemapBase +
                                        (unit / 8) * kCacheLineSize);
-                          if (HomeDown(unit)) {
-                            ++stranded;
-                          } else {
-                            victims_.push_back(unit);
-                          }
+                          if (!HomeDown(unit)) victims_.push_back(unit);
                         });
   if (!victims_.empty()) {
-    TrackedDemote(victims_, now, MigrationReason::kChurnDrain);
+    migration().Demote(victims_, now, MigrationReason::kChurnDrain);
   }
   // Units homed on a down endpoint cannot be written back; the release
   // frees them in place, as exit reclaim frees a dead process's pages.
-  fast_units_[tenant] -= stranded;
   FinishRelease(tenant, now);
 }
 
 void FairSharePolicy::FinishRelease(uint32_t tenant, TimeNs now) {
-  HT_ASSERT(fast_units_[tenant] == 0, "tenant ", tenant, " still holds ",
-            fast_units_[tenant], " fast units at release");
+  // Only units homed on a down endpoint (which the engine refuses to
+  // demote) may still be fast-resident here; Release frees them.
+  HT_ASSERT(fast_units(tenant) == 0 || context().perf->AnyEndpointDown(),
+            "tenant ", tenant, " still holds ", fast_units(tenant),
+            " fast units at release and no endpoint is down");
   // The region returns to the free pools, as exit reclaim would free a
   // dead process's memory; a later residency window re-allocates it
   // from scratch via first touches.
@@ -586,7 +549,7 @@ void FairSharePolicy::RebalanceDensity(TimeNs now) {
   for (const uint32_t t : active_) {
     const double density =
         static_cast<double>(window_fast_samples_[t]) /
-        static_cast<double>(std::max<uint64_t>(1, fast_units_[t]));
+        static_cast<double>(std::max<uint64_t>(1, fast_units(t)));
     demand_ema_[t] = demand_ema_[t] * 0.5 + density;
     total_demand += demand_ema_[t];
     sink().Touch(kQuotaTableBase + (t / 2) * kCacheLineSize);
@@ -696,7 +659,7 @@ void FairSharePolicy::Rebalance(TimeNs now) {
     for (const uint32_t t : active_) {
       trace_->Instant(tenant_track_[t], "quota", now,
                       {{"quota_units", static_cast<double>(quota_[t])},
-                       {"fast_units", static_cast<double>(fast_units_[t])},
+                       {"fast_units", static_cast<double>(fast_units(t))},
                        {"marginal_utility", marginal_utility_[t]}});
     }
   }
@@ -734,9 +697,9 @@ uint64_t FairSharePolicy::EndpointCostOf(PageId unit, TimeNs now) const {
 
 void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
                                      TimeNs now, MigrationReason reason) {
-  if (fast_units_[t] <= target) return;
-  const uint64_t excess =
-      std::min(fast_units_[t] - target, config_.max_enforce_batch);
+  const uint64_t fast = fast_units(t);
+  if (fast <= target) return;
+  const uint64_t excess = std::min(fast - target, config_.max_enforce_batch);
 
   // Find the tenant's fast-resident units (the pagemap walk every
   // watermark demoter performs); the filler and the base policy bring
@@ -786,9 +749,9 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
       victims_.push_back(victim_rank_[i].second);
     }
   }
-  const uint64_t before = fast_units_[t];
-  TrackedDemote(std::span<const PageId>(victims_).first(take), now, reason);
-  enforced_demotions_[t] += before - fast_units_[t];
+  migration().Demote(std::span<const PageId>(victims_).first(take), now,
+                     reason);
+  enforced_demotions_[t] += fast - fast_units(t);
 }
 
 void FairSharePolicy::EnforceQuotas(TimeNs now) {
@@ -804,9 +767,7 @@ void FairSharePolicy::EnforceQuotas(TimeNs now) {
 
 TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
                                      TimeNs now, MigrationReason reason) {
-  EnsureOccupancy();
   admitted_.clear();
-  batch_marks_.clear();
   batch_seen_.clear();
   std::fill(batch_admits_.begin(), batch_admits_.end(), 0);
 
@@ -843,26 +804,22 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
     ordered = admit_pages_;
   }
 
-  // Per-page admission states within one batch.
-  constexpr uint8_t kWasSlow = 0;      //!< Slow-resident; engine moves it.
-  constexpr uint8_t kNonResident = 1;  //!< First touch will allocate it.
-
   uint64_t batch_gated = 0;
   for (const PageId page : ordered) {
     // Dedup within the batch: a repeated page would be a no-op for the
-    // engine but would double-count in the occupancy accounting below.
+    // engine but would be charged against headroom twice below.
     if (!batch_seen_.insert(page).second) continue;
     // A page already fast-resident needs no promotion: drop it before
     // the headroom check, so a base policy re-promoting its (correctly
     // placed) hot set is neither charged nor miscounted as gated.
     const bool resident = memory().IsResident(page);
     if (resident && memory().TierOf(page) == Tier::kFast) continue;
-    const uint32_t t = directory_.TenantOfUnit(page, context().mode);
+    const uint32_t t = memory().RegionOf(page);
     // A non-resident page already carrying a durable charge is staged:
     // re-admitting it would double-charge one future landing.
     if (!resident && pending_pages_[t].count(page) > 0) continue;
     sink().Touch(kQuotaTableBase + (t / 2) * kCacheLineSize);
-    if (fast_units_[t] + pending_pages_[t].size() + batch_admits_[t] >=
+    if (fast_units(t) + pending_pages_[t].size() + batch_admits_[t] >=
         quota_[t]) {
       ++gated_promotions_[t];
       ++batch_gated;
@@ -875,7 +832,6 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
     // batch reserve no headroom for the rest and push the tenant past
     // quota.
     admitted_.push_back(page);
-    batch_marks_.push_back(resident ? kWasSlow : kNonResident);
     ++batch_admits_[t];
   }
   if (batch_gated > 0) {
@@ -887,47 +843,15 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
   if (admitted_.empty()) return 0;
 
   const TimeNs cost = migration().Promote(admitted_, now, reason);
-  for (size_t i = 0; i < admitted_.size(); ++i) {
-    const PageId page = admitted_[i];
-    const uint32_t t = directory_.TenantOfUnit(page, context().mode);
-    if (memory().IsResident(page)) {
-      if (memory().TierOf(page) == Tier::kFast &&
-          batch_marks_[i] == kWasSlow) {
-        ++fast_units_[t];
-      }
-    } else if (batch_marks_[i] == kNonResident) {
-      // The engine cannot move a page that does not exist yet; the
-      // admission still staged a future fast first-touch landing.
-      // Charge it durably — the page holds headroom until OnAccess
-      // sees its first touch — so a base policy re-promoting the same
-      // untouched region across batches cannot stage more landings
-      // than one batch of headroom.
-      pending_pages_[t].insert(page);
-    }
-  }
-  return cost;
-}
-
-TimeNs FairSharePolicy::TrackedDemote(std::span<const PageId> pages,
-                                      TimeNs now, MigrationReason reason) {
-  EnsureOccupancy();
-  batch_marks_.clear();  // Reused as "was fast" marks here.
-  batch_seen_.clear();
-  for (const PageId page : pages) {
-    // Only the first occurrence of a page can move it; later duplicates
-    // must not decrement the occupancy counter a second time.
-    const bool counted = memory().IsResident(page) &&
-                         memory().TierOf(page) == Tier::kFast &&
-                         batch_seen_.insert(page).second;
-    batch_marks_.push_back(counted ? 1 : 0);
-  }
-  const TimeNs cost = migration().Demote(pages, now, reason);
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (!batch_marks_[i]) continue;
-    const PageId page = pages[i];
-    if (memory().TierOf(page) == Tier::kSlow) {
-      --fast_units_[directory_.TenantOfUnit(page, context().mode)];
-    }
+  for (const PageId page : admitted_) {
+    if (memory().IsResident(page)) continue;
+    // The engine cannot move a page that does not exist yet; the
+    // admission still staged a future fast first-touch landing. Charge
+    // it durably — the page holds headroom until OnAccess sees its
+    // first touch — so a base policy re-promoting the same untouched
+    // region across batches cannot stage more landings than one batch
+    // of headroom.
+    pending_pages_[memory().RegionOf(page)].insert(page);
   }
   return cost;
 }
@@ -946,8 +870,8 @@ void FairSharePolicy::FillQuotas(TimeNs now) {
     // to the base policy, whose frequency threshold picks better pages
     // than a one-window sample count.
     const uint64_t fill_limit = FillLimit(t);
-    const uint64_t headroom =
-        fast_units_[t] < fill_limit ? fill_limit - fast_units_[t] : 0;
+    const uint64_t fast = fast_units(t);
+    const uint64_t headroom = fast < fill_limit ? fill_limit - fast : 0;
     if (headroom == 0) {
       // At or over the fill limit: candidates are unusable, drop them.
       candidates.clear();
@@ -995,31 +919,29 @@ void FairSharePolicy::FillQuotas(TimeNs now) {
     victims_.clear();  // Reused as the promotion batch here.
     for (uint64_t i = 0; i < take; ++i) victims_.push_back(ranked[i].second);
 
-    const uint64_t before = fast_units_[t];
     GatedPromote(victims_, now, MigrationReason::kQuotaFill);
-    fill_promotions_[t] += fast_units_[t] - before;
-    free_fast -= std::min(free_fast, fast_units_[t] - before);
+    const uint64_t promoted = fast_units(t) - fast;
+    fill_promotions_[t] += promoted;
+    free_fast -= std::min(free_fast, promoted);
   }
 }
 
 void FairSharePolicy::OnAccess(PageId unit, const TouchResult& touch,
                                TimeNs now) {
-  const bool fresh = EnsureOccupancy();
   if (touch.first_touch) {
-    const uint32_t t = directory_.TenantOfUnit(unit, context().mode);
-    if (!fresh && touch.tier == Tier::kFast) ++fast_units_[t];
     // If this unit carried a durable gate charge, the landing it
     // reserved headroom for has happened (or, when the touch landed
     // slow, will never consume fast headroom): release it. First
     // touches of uncharged units leave the staged charges alone.
-    if (!pending_pages_[t].empty()) pending_pages_[t].erase(unit);
+    std::unordered_set<PageId>& pending =
+        pending_pages_[memory().RegionOf(unit)];
+    if (!pending.empty()) pending.erase(unit);
   }
   base_->OnAccess(unit, touch, now);
 }
 
 void FairSharePolicy::OnSample(const SampleRecord& sample) {
-  EnsureOccupancy();
-  const uint32_t t = directory_.TenantOfUnit(sample.page, context().mode);
+  const uint32_t t = memory().RegionOf(sample.page);
   if (sample.tier == Tier::kFast) {
     ++window_fast_samples_[t];
   } else {
@@ -1054,7 +976,6 @@ void FairSharePolicy::OnSample(const SampleRecord& sample) {
 }
 
 void FairSharePolicy::Tick(TimeNs now) {
-  EnsureOccupancy();
   ApplyChurn(now);
   DrainDeparting(now);
   if (config_.rebalance) {

@@ -66,6 +66,17 @@
  *    waits for the next one and re-arrives (with the same arrival
  *    grace as a first arrival) into its freshly released region.
  *
+ * The wrapper keeps no copy of memory-system state. A tenant's fast
+ * occupancy is the memory's region tally (`TieredMemory::RegionResident`
+ * — the simulation defines one accounting region per tenant, in
+ * directory order, before Bind), the tenant of a unit is its region
+ * (`TieredMemory::RegionOf`), and endpoint health is the timing model's
+ * (`PerfModel::EndpointDown`). Pages moved from outside the policy
+ * (fault evacuation, spill) are therefore counted the moment they move.
+ * Reading these costs no modeled metadata traffic; the modeled quota
+ * table (`MetadataBytes`, the quota-row line touches) stands for the
+ * per-tenant counters a real implementation would keep.
+ *
  * Everything is deterministic: quotas are integer units computed in a
  * fixed tenant order, so same config + seed replays bit-identically.
  */
@@ -204,19 +215,21 @@ class FairSharePolicy : public TieringPolicy,
   void OnEndpointHealth(uint32_t endpoint, EndpointHealth state,
                         TimeNs now) override;
 
-  /** Fault evacuation/spill moved pages under us: the incremental
-   *  occupancy mirror is stale, so fall back to the lazy rescan. */
-  void OnExternalMigration(TimeNs now) override;
+  /** Occupancy is read from the memory, so there is nothing to
+   *  invalidate here; the wrapped policy still hears of the move. */
+  void OnExternalMigration(TimeNs now) override {
+    base_->OnExternalMigration(now);
+  }
 
-  // InvariantSource: quota/occupancy consistency for the watchdog.
+  // InvariantSource: quota bounds for the watchdog (occupancy is the
+  // region tallies, which the watchdog recounts itself).
   bool CheckInvariants(std::string* error) const override;
 
   /**
-   * Inline: OnAccess keeps gate charges and occupancy in sync with the
-   * memory state at the instant of each access (EnsureOccupancy rescans
-   * read live residency), and the wrapped policy may itself require
-   * inline delivery — deferring either to end of op would let the rescan
-   * observe later first-touches it then double-counts.
+   * Inline: OnAccess releases a pending first-touch gate charge at the
+   * instant of the charged unit's first touch, before any later access
+   * of the same op can be gated against it, and the wrapped policy may
+   * itself require inline delivery.
    */
   AccessInterest access_interest() const override {
     return AccessInterest::kInline;
@@ -234,8 +247,11 @@ class FairSharePolicy : public TieringPolicy,
   /** Current fast-tier quota of `tenant`, in tracking units. */
   uint64_t quota_units(uint32_t tenant) const { return quota_[tenant]; }
 
-  /** Tracked fast-tier occupancy of `tenant`, in tracking units. */
-  uint64_t fast_units(uint32_t tenant) const { return fast_units_[tenant]; }
+  /** Fast-tier occupancy of `tenant`, in tracking units: the memory's
+   *  region tally. */
+  uint64_t fast_units(uint32_t tenant) const {
+    return memory().RegionResident(tenant, Tier::kFast);
+  }
 
   /** Promotions dropped at the gate because `tenant` was at quota. */
   uint64_t gated_promotions(uint32_t tenant) const {
@@ -382,14 +398,6 @@ class FairSharePolicy : public TieringPolicy,
    */
   void FinishRelease(uint32_t tenant, TimeNs now);
 
-  /**
-   * Counts fast-resident units per tenant once, lazily, at the first
-   * event after the run's prefault. Returns true when this call did the
-   * initialization (callers then skip incremental updates that the scan
-   * already covered).
-   */
-  bool EnsureOccupancy();
-
   /** Weight-proportional quotas summing exactly to the fast capacity. */
   void ComputeStaticQuotas();
 
@@ -406,7 +414,9 @@ class FairSharePolicy : public TieringPolicy,
   /** True while `unit`'s home endpoint is down: the engine refuses to
    *  demote it. */
   bool HomeDown(PageId unit) const {
-    return any_endpoint_down_ && endpoint_down_[memory().EndpointOf(unit)];
+    const PerfModel& perf = *context().perf;
+    return perf.AnyEndpointDown() &&
+           perf.EndpointDown(memory().EndpointOf(unit));
   }
 
   /** Demand-driven re-division (density EMA or marginal utility). */
@@ -453,19 +463,12 @@ class FairSharePolicy : public TieringPolicy,
   TimeNs GatedPromote(std::span<const PageId> pages, TimeNs now,
                       MigrationReason reason);
 
-  /** Gate path: demotion batch with occupancy tracking. */
-  TimeNs TrackedDemote(std::span<const PageId> pages, TimeNs now,
-                       MigrationReason reason);
-
   std::unique_ptr<TieringPolicy> base_;
   TenantDirectory directory_;
   FairShareConfig config_;
   std::string name_;
 
   std::unique_ptr<QuotaGate> gate_;
-  bool occupancy_ready_ = false;
-  std::vector<uint8_t> endpoint_down_;  //!< Down mask (sized at Bind).
-  bool any_endpoint_down_ = false;      //!< Fast path: no fault active.
   /** endpoint_aware resolved against the bound context (see
    *  EndpointCostOf); false whenever awareness could change nothing. */
   bool endpoint_aware_active_ = false;
@@ -499,7 +502,6 @@ class FairSharePolicy : public TieringPolicy,
   // Per-tenant state, all indexed by tenant id.
   std::vector<uint64_t> quota_;         //!< Fast-tier quota, units.
   std::vector<uint64_t> static_quota_;  //!< Weight-proportional quota.
-  std::vector<uint64_t> fast_units_;    //!< Tracked fast occupancy.
   std::vector<uint64_t> window_fast_samples_;  //!< Fast-tier samples.
   std::vector<uint64_t> window_slow_samples_;  //!< Slow-tier samples.
   std::vector<double> demand_ema_;  //!< Halving-EMA of hit density.
@@ -532,9 +534,6 @@ class FairSharePolicy : public TieringPolicy,
 
   // Scratch (avoids per-batch allocation).
   std::vector<PageId> admitted_;
-  /** Per-page marks within one batch: "charged against headroom" in
-   *  GatedPromote, "was fast-resident" in TrackedDemote. */
-  std::vector<uint8_t> batch_marks_;
   std::vector<uint64_t> batch_admits_;
   std::vector<PageId> victims_;
   /** (score, unit) pairs for cheapest-first victim ordering: the score

@@ -1,8 +1,5 @@
 #include "multitenant/tenant.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "common/spec_reader.h"
 #include "multitenant/fleet.h"
 #include "workloads/factory.h"
@@ -63,22 +60,6 @@ double TenantDirectory::TotalWeight() const {
   double total = 0.0;
   for (const TenantRegion& region : regions) total += region.weight;
   return total;
-}
-
-uint32_t TenantDirectory::TenantOfUnit(PageId unit, PageMode mode) const {
-  // Regions are laid out contiguously in allocation order, so the owner
-  // is the last region whose range begins at or before `unit`.
-  const auto it = std::upper_bound(
-      regions.begin(), regions.end(), unit,
-      [mode](PageId u, const TenantRegion& region) {
-        return u < region.UnitRange(mode).begin;
-      });
-  HT_ASSERT(it != regions.begin(), "unit ", unit, " precedes all tenants");
-  const uint32_t tenant =
-      static_cast<uint32_t>(std::distance(regions.begin(), it)) - 1;
-  HT_ASSERT(regions[tenant].UnitRange(mode).Contains(unit), "unit ", unit,
-            " beyond the last tenant region");
-  return tenant;
 }
 
 }  // namespace hybridtier

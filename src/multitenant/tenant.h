@@ -109,13 +109,6 @@ struct TenantDirectory {
 
   /** Sum of all tenant weights. */
   double TotalWeight() const;
-
-  /**
-   * Tenant owning tracking unit `unit` under `mode`; fatal if the unit
-   * belongs to no region (the layout covers the whole footprint, so this
-   * only fires on out-of-range units).
-   */
-  uint32_t TenantOfUnit(PageId unit, PageMode mode) const;
 };
 
 }  // namespace hybridtier

@@ -197,9 +197,12 @@ class TieringPolicy {
 
   /**
    * Notifies the policy that pages were migrated *outside* its own
-   * decisions (fault evacuation/spill batches issued by the fault
-   * runtime). Policies that mirror occupancy incrementally must
-   * invalidate their mirrors here. Default: no state to invalidate.
+   * decisions (fault evacuation batches issued by the fault runtime).
+   * No policy in this tree keeps state it would invalidate: occupancy
+   * is read from `TieredMemory`'s region tallies, which every move
+   * updates. The hook stays as the seam for a policy that caches
+   * placement: decorators forward it, and the repository benchmark's
+   * timing decorators (perfbench/) override it. Default: nothing.
    */
   virtual void OnExternalMigration(TimeNs now) { (void)now; }
 

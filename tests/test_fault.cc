@@ -44,6 +44,11 @@ class TieredMemoryTestPeer {
     memory->endpoint_fast_resident_[endpoint] +=
         static_cast<uint64_t>(delta);
   }
+  static void CorruptRegionResident(TieredMemory* memory, uint32_t region,
+                                    Tier tier, int64_t delta) {
+    memory->region_resident_[static_cast<size_t>(tier)][region] +=
+        static_cast<uint64_t>(delta);
+  }
 };
 
 namespace {
@@ -450,6 +455,18 @@ TEST(Watchdog, CatchesEndpointMirrorCorruption) {
   ASSERT_TRUE(watchdog2.RunChecks(0));
   TieredMemoryTestPeer::CorruptEndpointFastResident(&memory2, 0, +2);
   EXPECT_FALSE(watchdog2.RunChecks(1000));
+}
+
+TEST(Watchdog, CatchesRegionTallyCorruption) {
+  TieredMemory memory(1024, 128, 1024, AllocationPolicy::kFastFirst, 2, 4);
+  memory.DefineRegions({PageRange{0, 512}, PageRange{512, 1024}});
+  for (PageId page = 0; page < 700; ++page) memory.Touch(page, 0);
+  InvariantWatchdog watchdog(&memory);
+  ASSERT_TRUE(watchdog.RunChecks(0)) << watchdog.last_error();
+  TieredMemoryTestPeer::CorruptRegionResident(&memory, 1, Tier::kSlow, +1);
+  EXPECT_FALSE(watchdog.RunChecks(1000));
+  EXPECT_NE(watchdog.last_error().find("region 1 slow"), std::string::npos)
+      << watchdog.last_error();
 }
 
 TEST(Watchdog, CatchesAttributionIdentityViolation) {

@@ -12,6 +12,7 @@
 #include "mem/perf_model.h"
 #include "mem/tier.h"
 #include "mem/tiered_memory.h"
+#include "mem/topology.h"
 
 namespace hybridtier {
 namespace {
@@ -303,6 +304,51 @@ TEST(MigrationEngine, TracksMigrationTime) {
   EXPECT_GT(engine.stats().migration_time_ns, 20u * 1200u);
 }
 
+TEST(MigrationEngine, RefusesDemotionHomedOnDownEndpoint) {
+  // Two endpoints, one-unit interleave: odd units are homed on
+  // endpoint 1. Health lives on the timing model alone.
+  Topology topology;
+  topology.endpoints.resize(2);
+  PerfModel perf(PerfModelConfig{}, DefaultFastTier(16), topology);
+  TieredMemory mem(32, 16, 32, AllocationPolicy::kFastFirst,
+                   /*endpoint_count=*/2);
+  MigrationEngine engine(&mem, &perf);
+  for (PageId page = 0; page < 8; ++page) mem.Touch(page, 0);
+  EXPECT_FALSE(perf.AnyEndpointDown());
+
+  perf.SetEndpointDown(1, true);
+  EXPECT_TRUE(perf.AnyEndpointDown());
+  perf.SetEndpointDown(1, true);  // Idempotent: still one down.
+  perf.SetEndpointDown(0, true);
+  perf.SetEndpointDown(0, false);
+  EXPECT_TRUE(perf.AnyEndpointDown());
+
+  // Unit 1 is homed on the down endpoint: refused and counted; unit 2
+  // (endpoint 0) still moves.
+  const std::vector<PageId> batch = {1, 2};
+  engine.Demote(batch, 0, MigrationReason::kCapacityDemand);
+  EXPECT_EQ(engine.stats().failed_demotions, 1u);
+  EXPECT_EQ(engine.stats().demoted_pages, 1u);
+  EXPECT_EQ(mem.TierOf(1), Tier::kFast);
+  EXPECT_EQ(mem.TierOf(2), Tier::kSlow);
+
+  // Promotions off the down endpoint still work (evacuation reads it).
+  mem.Touch(9, 0);
+  ASSERT_TRUE(mem.Migrate(9, Tier::kSlow));
+  const std::vector<PageId> evacuate = {9};
+  engine.Promote(evacuate, 0, MigrationReason::kFaultEvacuation);
+  EXPECT_EQ(mem.TierOf(9), Tier::kFast);
+
+  // Recovery: the same demotion is accepted again.
+  perf.SetEndpointDown(1, false);
+  EXPECT_FALSE(perf.AnyEndpointDown());
+  const std::vector<PageId> retry = {1};
+  engine.Demote(retry, 0, MigrationReason::kCapacityDemand);
+  EXPECT_EQ(engine.stats().failed_demotions, 1u);
+  EXPECT_EQ(engine.stats().demoted_pages, 2u);
+  EXPECT_EQ(mem.TierOf(1), Tier::kSlow);
+}
+
 // ---------------------------------------------- per-region accounting --
 
 /** Ground truth: rescan `mem` for resident pages of `tier` in range. */
@@ -319,7 +365,7 @@ TEST(TieredMemory, RegionCountersMatchRescanThroughLifecycle) {
   const std::vector<PageRange> regions = {PageRange{0, 128},
                                           PageRange{128, 256}};
   mem.DefineRegions(regions);
-  ASSERT_TRUE(mem.has_regions());
+  ASSERT_EQ(mem.region_count(), 2u);
 
   const auto expect_match = [&](const char* stage) {
     for (uint32_t r = 0; r < regions.size(); ++r) {
@@ -370,6 +416,18 @@ TEST(TieredMemory, DefineRegionsSeedsCountersFromExistingState) {
   EXPECT_EQ(mem.RegionResident(0, Tier::kSlow), 20u);
   EXPECT_EQ(mem.RegionResident(1, Tier::kFast), 0u);
   EXPECT_EQ(mem.RegionResident(1, Tier::kSlow), 30u);
+}
+
+TEST(TieredMemory, RegionOfReadsTheLayout) {
+  TieredMemory mem(100, 30, 100);
+  mem.DefineRegions({PageRange{10, 50}, PageRange{50, 90}});
+  EXPECT_EQ(mem.region_count(), 2u);
+  EXPECT_EQ(mem.RegionOf(9), TieredMemory::kNoRegion);
+  EXPECT_EQ(mem.RegionOf(10), 0u);
+  EXPECT_EQ(mem.RegionOf(49), 0u);
+  EXPECT_EQ(mem.RegionOf(50), 1u);
+  EXPECT_EQ(mem.RegionOf(89), 1u);
+  EXPECT_EQ(mem.RegionOf(90), TieredMemory::kNoRegion);
 }
 
 }  // namespace
