@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "core/policy_factory.h"
@@ -413,6 +414,68 @@ TEST(Determinism, PolicyLayerReproducesListCacheAndHugePageGoldens) {
     ASSERT_GT(golden.cell.promoted, 0u);
     ASSERT_GT(golden.cell.demoted, 0u);
     ExpectMatchesGolden(golden.cell, golden.scale, golden.mode);
+  }
+}
+
+// Fair share under a fault: an endpoint-aware FairSharePolicy(HybridTier)
+// fleet on a 3-endpoint switch topology loses ep2 mid-run, so every
+// enforcement pass after the fault ranks evacuated units the engine
+// refuses to demote. Captured before the enforcement ranking moved from
+// a partial sort to a selection; victim choice, refusals and the
+// resulting placement must stay bit-identical.
+struct FairShareFaultGolden {
+  uint64_t accesses, duration_ns;
+  uint64_t promoted, demoted, failed_demotions;
+  uint64_t promotion_batches, demotion_batches;
+  uint64_t fast_mem;
+  double p50, p99, weighted_jain;
+  uint64_t enforced_demotions[24];
+};
+
+constexpr FairShareFaultGolden kFairShareFaultGolden = {
+    300000ull, 49305333ull, 6152ull, 6454ull, 156402ull, 325ull, 618ull,
+    152962ull, 549.84251036116041, 2969.8266666666668,
+    0.81535519386632849,
+    {273ull, 422ull, 500ull, 559ull, 756ull, 660ull, 708ull, 749ull,
+     777ull, 425ull, 0ull, 0ull, 0ull, 0ull, 0ull, 4ull, 4ull, 13ull, 15ull,
+     14ull, 11ull, 20ull, 15ull, 12ull}};
+
+TEST(Determinism, EndpointAwareFairShareUnderFaultMatchesGolden) {
+  auto mux = MakeMuxWorkload(
+      ParseTenantList("fleet:24,zipf=0.9,fp=512,fpskew=0.3,churn=none,"
+                      "seed=7"),
+      11);
+  FairShareConfig fair_config;
+  fair_config.endpoint_aware = true;
+  FairSharePolicy fair(MakePolicy("HybridTier"), mux->directory(),
+                       fair_config);
+  SimulationConfig config;
+  config.fast_tier_fraction = 0.4;
+  config.max_accesses = 300000;
+  config.seed = 11;
+  config.topology = "cxl:(1,(2,3)),lat=124:250:250,bw=34:8:8,link=10";
+  config.faults = "faults:ep2@20ms=down";
+  const SimulationResult r = RunSimulation(config, mux.get(), &fair);
+
+  const FairShareFaultGolden& golden = kFairShareFaultGolden;
+  EXPECT_EQ(r.fault.endpoints_downed, 1u);
+  EXPECT_EQ(r.accesses, golden.accesses);
+  EXPECT_EQ(r.duration_ns, golden.duration_ns);
+  EXPECT_EQ(r.migration.promoted_pages, golden.promoted);
+  EXPECT_EQ(r.migration.demoted_pages, golden.demoted);
+  EXPECT_EQ(r.migration.failed_demotions, golden.failed_demotions);
+  EXPECT_EQ(r.migration.promotion_batches, golden.promotion_batches);
+  EXPECT_EQ(r.migration.demotion_batches, golden.demotion_batches);
+  EXPECT_EQ(r.fast_mem_accesses, golden.fast_mem);
+  // Doubles must match bit-for-bit, not approximately.
+  EXPECT_EQ(r.median_latency_ns, golden.p50);
+  EXPECT_EQ(r.p99_latency_ns, golden.p99);
+  EXPECT_EQ(r.weighted_jain_fairness, golden.weighted_jain);
+  ASSERT_EQ(mux->directory().regions.size(),
+            std::size(golden.enforced_demotions));
+  for (uint32_t t = 0; t < std::size(golden.enforced_demotions); ++t) {
+    EXPECT_EQ(fair.enforced_demotions(t), golden.enforced_demotions[t])
+        << "tenant " << t;
   }
 }
 

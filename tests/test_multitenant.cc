@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/policy_factory.h"
@@ -422,10 +424,9 @@ class FairShareHarness {
                             std::unique_ptr<TieringPolicy> base =
                                 std::make_unique<PromoteAllPolicy>(),
                             TenantDirectory directory = TwoTenantDirectory(),
-                            uint32_t endpoints = 1)
-      : memory_(2048, 512, 2048, allocation, endpoints),
-        perf_(PerfModelConfig{}, DefaultFastTier(512),
-              EndpointTopology(endpoints)),
+                            const Topology& topology = EndpointTopology(1))
+      : memory_(2048, 512, 2048, allocation, topology.endpoint_count()),
+        perf_(PerfModelConfig{}, DefaultFastTier(512), topology),
         engine_(&memory_, &perf_),
         policy_(std::move(base), directory, config) {
     // Count metadata touches without buffering lines for replay (the
@@ -461,6 +462,7 @@ class FairShareHarness {
 
   TieredMemory& memory() { return memory_; }
   FairSharePolicy& policy() { return policy_; }
+  const MigrationStats& migration_stats() const { return engine_.stats(); }
 
   /** Marks `endpoint` down or healthy, as the fault runtime would. */
   void SetEndpointDown(uint32_t endpoint, bool down, TimeNs now) {
@@ -761,6 +763,114 @@ TEST(FairSharePolicy, EnforcementDemotesColdestUnitsFirst) {
   EXPECT_EQ(harness.policy().fast_units(0), harness.FastResident(0));
 }
 
+/**
+ * Test policy with a non-monotone hotness map full of ties: eleven
+ * levels scattered over the address space, so every level spans many
+ * units and a quota cut falls inside one. Issues no migrations itself.
+ */
+class ScatteredHotnessPolicy : public TieringPolicy {
+ public:
+  void Tick(TimeNs) override {}
+  uint32_t HotnessOf(PageId unit) const override {
+    return static_cast<uint32_t>((unit * 37) % 11);
+  }
+  size_t MetadataBytes() const override { return 0; }
+  const char* name() const override { return "ScatteredHotness"; }
+};
+
+/**
+ * The `take` units of [0, 512) with the smallest (hotness, home-endpoint
+ * cost, unit) keys under ScatteredHotnessPolicy, units interleaved one
+ * apart over `endpoint_cost.size()` endpoints. All-equal costs give the
+ * endpoint-blind (hotness, unit) order.
+ */
+std::set<PageId> ColdestTake(uint64_t take,
+                             const std::vector<TimeNs>& endpoint_cost) {
+  const ScatteredHotnessPolicy hotness;
+  std::vector<std::tuple<uint32_t, TimeNs, PageId>> keys;
+  for (PageId unit = 0; unit < 512; ++unit) {
+    keys.emplace_back(hotness.HotnessOf(unit),
+                      endpoint_cost[unit % endpoint_cost.size()], unit);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::set<PageId> coldest;
+  for (uint64_t i = 0; i < take; ++i) coldest.insert(std::get<2>(keys[i]));
+  return coldest;
+}
+
+/** Tenant a's units that enforcement moved to the slow tier. */
+std::set<PageId> DemotedUnits(FairShareHarness& harness) {
+  std::set<PageId> demoted;
+  for (PageId unit = 0; unit < 512; ++unit) {
+    if (harness.memory().TierOf(unit) == Tier::kSlow) demoted.insert(unit);
+  }
+  return demoted;
+}
+
+TEST(FairSharePolicy, EnforcementDemotesExactlyTheColdestTake) {
+  // Fast-first prefault puts tenant a's units 0..511 in the fast tier,
+  // 128 over its 384-unit quota; the 128th coldest unit sits inside a
+  // hotness level shared by ~46 units, so the choice within that level
+  // is decided by the tie-breaks alone.
+  FairShareConfig config;
+  config.rebalance = false;
+  config.fill_to_quota = false;
+
+  // Endpoint-blind: exactly the 128 smallest (hotness, unit) keys.
+  FairShareHarness blind(AllocationPolicy::kFastFirst, config,
+                         std::make_unique<ScatteredHotnessPolicy>());
+  blind.TouchAll();
+  blind.policy().Tick(1 * kMillisecond);
+  const std::set<PageId> blind_set = ColdestTake(128, {0});
+  EXPECT_EQ(DemotedUnits(blind), blind_set);
+  EXPECT_EQ(blind.policy().enforced_demotions(0), 128u);
+
+  // Endpoint-aware on an asymmetric layout (ep0 124 ns, ep1 400 ns,
+  // ep2 250 ns, nothing queued yet): among equally hot units the ones
+  // homed on a cheaper endpoint leave first.
+  const std::vector<TimeNs> latency = {124, 400, 250};
+  const Topology topology =
+      ParseTopologySpec("cxl:(1,2,3),lat=124:400:250");
+  config.endpoint_aware = true;
+  FairShareHarness aware(AllocationPolicy::kFastFirst, config,
+                         std::make_unique<ScatteredHotnessPolicy>(),
+                         TwoTenantDirectory(), topology);
+  aware.TouchAll();
+  aware.policy().Tick(1 * kMillisecond);
+  const std::set<PageId> aware_set = ColdestTake(128, latency);
+  EXPECT_NE(aware_set, blind_set);  // The tie-break bites.
+  EXPECT_EQ(DemotedUnits(aware), aware_set);
+  EXPECT_EQ(aware.policy().enforced_demotions(0), 128u);
+
+  // ep0, the cheapest endpoint, goes down: its fast-resident units are
+  // pinned, and the quota is re-divided over the effective capacity.
+  // The ranking still covers them, so the pinned units among the
+  // coldest are requested, refused, counted as failed and stay fast;
+  // every other unit below the cut moves, and none above it does.
+  FairShareHarness down(AllocationPolicy::kFastFirst, config,
+                        std::make_unique<ScatteredHotnessPolicy>(),
+                        TwoTenantDirectory(), topology);
+  down.TouchAll();
+  down.SetEndpointDown(0, true, 0);
+  const uint64_t take = 512 - down.policy().quota_units(0);
+  ASSERT_GT(take, 128u);
+  down.policy().Tick(1 * kMillisecond);
+  const std::set<PageId> ranked = ColdestTake(take, latency);
+  std::set<PageId> movable;
+  uint64_t pinned = 0;
+  for (const PageId unit : ranked) {
+    if (unit % 3 == 0) {
+      ++pinned;
+    } else {
+      movable.insert(unit);
+    }
+  }
+  ASSERT_GT(pinned, 0u);
+  EXPECT_EQ(DemotedUnits(down), movable);
+  EXPECT_EQ(down.migration_stats().failed_demotions, pinned);
+  EXPECT_EQ(down.policy().enforced_demotions(0), take - pinned);
+}
+
 // ----------------------------------------------- marginal-utility mode --
 
 /** Feeds one OnSample record per unit in [begin, end), `rounds` times. */
@@ -943,7 +1053,7 @@ TEST(FairSharePolicy, DrainParksOnDownEndpointUntilRecovery) {
   FairShareHarness harness(
       AllocationPolicy::kSlowOnly, config, std::make_unique<IdlePolicy>(),
       RecurringDirectory(5 * kMillisecond, 20 * kMillisecond),
-      /*endpoints=*/2);
+      EndpointTopology(2));
   harness.TouchAll();
   for (PageId page = 1024; page < 1280; ++page) {
     ASSERT_TRUE(harness.memory().Migrate(page, Tier::kFast));
@@ -1056,7 +1166,7 @@ TEST(FairSharePolicy, ReArrivalReleasesStrandedUnitsInPlace) {
   FairShareHarness harness(
       AllocationPolicy::kSlowOnly, config, std::make_unique<IdlePolicy>(),
       RecurringDirectory(5 * kMillisecond, 6 * kMillisecond),
-      /*endpoints=*/2);
+      EndpointTopology(2));
   harness.TouchAll();
   for (PageId page = 1024; page < 1280; ++page) {
     ASSERT_TRUE(harness.memory().Migrate(page, Tier::kFast));
