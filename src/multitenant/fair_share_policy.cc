@@ -688,9 +688,7 @@ uint64_t FairSharePolicy::FillLimit(uint32_t tenant) const {
   return quota_[tenant] - std::min(quota_[tenant], margin);
 }
 
-uint64_t FairSharePolicy::EndpointCostOf(PageId unit, TimeNs now) const {
-  if (!endpoint_aware_active_) return 1;
-  const uint32_t endpoint = memory().EndpointOf(unit);
+uint64_t FairSharePolicy::EndpointCost(uint32_t endpoint, TimeNs now) const {
   return static_cast<uint64_t>(context().perf->EndpointIdleLatency(endpoint)) +
          static_cast<uint64_t>(context().perf->EndpointBacklog(endpoint, now));
 }
@@ -720,6 +718,16 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
     // address order would evict the hot pages whenever they sit at the
     // scanned end — the base policy promotes them right back, and the
     // swap repeats every enforcement pass (rotation churn).
+    //
+    // The endpoint tie-break cost depends only on the unit's endpoint,
+    // and `now` is fixed for the pass: read it once per endpoint.
+    if (endpoint_aware_active_) {
+      victim_endpoint_cost_.resize(memory().endpoint_count());
+      for (uint32_t e = 0; e < victim_endpoint_cost_.size(); ++e) {
+        victim_endpoint_cost_[e] =
+            std::min<uint64_t>(EndpointCost(e, now), 0xffff);
+      }
+    }
     victim_rank_.clear();
     victim_rank_.reserve(victims_.size());
     for (const PageId unit : victims_) {
@@ -737,13 +745,17 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
       victim_rank_.emplace_back(
           endpoint_aware_active_
               ? (hotness << 16) +
-                    std::min<uint64_t>(EndpointCostOf(unit, now), 0xffff)
+                    victim_endpoint_cost_[memory().EndpointOf(unit)]
               : hotness,
           unit);
     }
-    // Only the coldest `take` need ordering; the rest stay resident.
-    std::partial_sort(victim_rank_.begin(), victim_rank_.begin() + take,
-                      victim_rank_.end());
+    // Select, don't sort: the unit makes every (score, unit) key
+    // unique, so the first `take` entries after the selection are
+    // exactly the set a full sort would put there. Their order is
+    // irrelevant — the engine's batch outcome is order-independent
+    // (per-endpoint page counts; slow capacity covers the footprint).
+    std::nth_element(victim_rank_.begin(), victim_rank_.begin() + take,
+                     victim_rank_.end());
     victims_.clear();
     for (uint64_t i = 0; i < take; ++i) {
       victims_.push_back(victim_rank_[i].second);
@@ -789,7 +801,8 @@ TimeNs FairSharePolicy::GatedPromote(std::span<const PageId> pages,
     admit_order_.clear();
     admit_order_.reserve(pages.size());
     for (const PageId page : pages) {
-      admit_order_.emplace_back(EndpointCostOf(page, now), page);
+      admit_order_.emplace_back(
+          EndpointCost(memory().EndpointOf(page), now), page);
     }
     std::stable_sort(admit_order_.begin(), admit_order_.end(),
                      [](const std::pair<uint64_t, PageId>& a,
@@ -898,9 +911,11 @@ void FairSharePolicy::FillQuotas(TimeNs now) {
         const uint64_t count = j - i;
         ranked.emplace_back(
             endpoint_aware_active_
-                ? (count << 16) + std::min<uint64_t>(
-                                      EndpointCostOf(candidates[i], now),
-                                      0xffff)
+                ? (count << 16) +
+                      std::min<uint64_t>(
+                          EndpointCost(memory().EndpointOf(candidates[i]),
+                                       now),
+                          0xffff)
                 : count,
             candidates[i]);
       }

@@ -15,8 +15,11 @@
  *    tenants already at quota. Batching, syscall costs, and stats of
  *    surviving pages are unchanged.
  *  - A maintenance tick demotes pages of tenants that sit over quota
- *    (first-touch allocation and quota shrinks put them there), in
- *    address order from the top of the tenant's region — the base policy
+ *    (first-touch allocation and quota shrinks put them there), coldest
+ *    first by the base policy's `HotnessOf` (ties by address; in
+ *    endpoint-aware mode, first by home-endpoint cost, cheap devices
+ *    first). The coldest excess is *selected*, not sorted, so a pass
+ *    costs time linear in the tenant's fast units; the base policy
  *    re-promotes the hot subset within quota.
  *  - The same tick *fills* under-quota tenants: their recently sampled
  *    slow pages are promoted into the guaranteed headroom, hottest
@@ -439,16 +442,20 @@ class FairSharePolicy : public TieringPolicy,
   uint64_t FillLimit(uint32_t tenant) const;
 
   /**
-   * Cost of landing slow-tier traffic on `unit`'s home endpoint right
-   * now: idle latency + capped backlog. 1 when endpoint awareness is
-   * inactive (single endpoint, knob off, or no bound perf model), so
-   * cost-scaled rankings reduce to their endpoint-blind forms. A
+   * Cost of landing slow-tier traffic on `endpoint` right now: idle
+   * latency + capped backlog. Only the endpoint-aware rankings ask
+   * (`endpoint_aware_active_`); blind mode ranks without it. A
    * simulator-internal read (like HotnessOf): no metadata traffic.
    */
-  uint64_t EndpointCostOf(PageId unit, TimeNs now) const;
+  uint64_t EndpointCost(uint32_t endpoint, TimeNs now) const;
 
-  /** Demotes tenant `t` down to `target` fast units (one batch),
-   *  stamped with `reason` (enforcement vs. rotation). */
+  /**
+   * Demotes tenant `t` down to `target` fast units (one batch), stamped
+   * with `reason` (enforcement vs. rotation). The batch is the coldest
+   * excess by (hotness, endpoint cost, unit), chosen by selection in
+   * time linear in the tenant's fast units; it includes units pinned
+   * by a down endpoint, which the engine refuses.
+   */
   void DemoteToTarget(uint32_t t, uint64_t target, TimeNs now,
                       MigrationReason reason);
 
@@ -469,8 +476,8 @@ class FairSharePolicy : public TieringPolicy,
   std::string name_;
 
   std::unique_ptr<QuotaGate> gate_;
-  /** endpoint_aware resolved against the bound context (see
-   *  EndpointCostOf); false whenever awareness could change nothing. */
+  /** endpoint_aware resolved against the bound context; false
+   *  whenever awareness could change nothing (a single endpoint). */
   bool endpoint_aware_active_ = false;
   TimeNs next_rebalance_ns_ = 0;
 
@@ -536,10 +543,13 @@ class FairSharePolicy : public TieringPolicy,
   std::vector<PageId> admitted_;
   std::vector<uint64_t> batch_admits_;
   std::vector<PageId> victims_;
-  /** (score, unit) pairs for cheapest-first victim ordering: the score
-   *  is the hotness estimate, with the home-endpoint cost packed into
-   *  the low bits as a tie-breaker in endpoint-aware mode. */
+  /** (score, unit) pairs for cheapest-first victim selection: the
+   *  score is the hotness estimate, with the home-endpoint cost packed
+   *  into the low bits as a tie-breaker in endpoint-aware mode. */
   std::vector<std::pair<uint64_t, PageId>> victim_rank_;
+  /** Per-endpoint victim tie-break cost, min(cost, 0xffff), for the
+   *  current enforcement pass. */
+  std::vector<uint64_t> victim_endpoint_cost_;
   /** (cost, page) scratch for endpoint-aware admission ordering. */
   std::vector<std::pair<uint64_t, PageId>> admit_order_;
   /** Reordered promotion batch fed to the admission loop. */
