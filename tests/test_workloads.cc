@@ -211,6 +211,60 @@ TEST(Graph, DeterministicForSeed) {
   EXPECT_EQ(a.row_offsets, b.row_offsets);
 }
 
+/** FNV-1a over the little-endian bytes of `row_offsets` then `cols`. */
+uint64_t GraphDigest(const Graph& graph) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const uint64_t offset : graph.row_offsets) mix(offset, 8);
+  for (const uint32_t col : graph.cols) mix(col, 4);
+  return h;
+}
+
+struct GraphGolden {
+  uint32_t scale;
+  uint32_t edge_factor;
+  uint64_t seed;
+  uint64_t num_edges;
+  uint64_t digest;
+};
+
+// Pinned bytes of the generated CSR: DeterministicForSeed only compares a
+// generator with itself, so these catch a change to the graph itself.
+TEST(Graph, KroneckerMatchesGolden) {
+  const GraphGolden goldens[] = {
+      {4, 1, 1, 16, 0x8f7f6a18e140e72full},
+      {10, 8, 1, 8192, 0x344032668f701e9aull},
+      {14, 8, 7, 131072, 0xf4b7007e1542de35ull},
+  };
+  for (const GraphGolden& g : goldens) {
+    const Graph graph = GenerateKronecker(g.scale, g.edge_factor, g.seed);
+    EXPECT_EQ(graph.num_edges(), g.num_edges) << "scale " << g.scale;
+    EXPECT_EQ(GraphDigest(graph), g.digest)
+        << "scale " << g.scale << " digest 0x" << std::hex
+        << GraphDigest(graph);
+  }
+}
+
+TEST(Graph, UniformMatchesGolden) {
+  const GraphGolden goldens[] = {
+      {4, 1, 1, 16, 0x6b10acca0c93578aull},
+      {10, 8, 1, 8192, 0xe757e4f1397c037dull},
+      {14, 8, 7, 131072, 0xf8d19737ae8e1c46ull},
+  };
+  for (const GraphGolden& g : goldens) {
+    const Graph graph = GenerateUniformRandom(g.scale, g.edge_factor, g.seed);
+    EXPECT_EQ(graph.num_edges(), g.num_edges) << "scale " << g.scale;
+    EXPECT_EQ(GraphDigest(graph), g.digest)
+        << "scale " << g.scale << " digest 0x" << std::hex
+        << GraphDigest(graph);
+  }
+}
+
 // -------------------------------------------------------- GAP kernels --
 
 class GapKernelTest : public ::testing::TestWithParam<GapKernel> {};
