@@ -2,9 +2,10 @@
  * @file
  * Microbenchmarks (google-benchmark) for the tracking data structures:
  * update/lookup throughput of the blocked CBF vs standard CBF vs exact
- * table, cooling passes, Zipf sampling, and the cache model. These back
- * the paper's data-structure-level claims (compactness and locality of
- * the blocked CBF) with direct operation costs.
+ * table, cooling passes, Zipf sampling, the cache model, and GAP graph
+ * generation. These back the paper's data-structure-level claims
+ * (compactness and locality of the blocked CBF) with direct operation
+ * costs, and give graph set-up a standing cost per generated edge.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "probstruct/cbf.h"
 #include "probstruct/exact_table.h"
 #include "probstruct/sizing.h"
+#include "workloads/graph.h"
 #include "workloads/zipf.h"
 
 namespace hybridtier {
@@ -116,6 +118,32 @@ void BM_CacheHierarchyAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheHierarchyAccess);
+
+// Graph generation at scale 16 (64 Ki nodes, 8 edges per node); items
+// are generated edges.
+constexpr uint32_t kGraphEdgeFactor = 8;
+
+void BM_GenerateKronecker(benchmark::State& state) {
+  const auto scale = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GenerateKronecker(scale, kGraphEdgeFactor, 1).cols.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          (kGraphEdgeFactor << scale));
+}
+BENCHMARK(BM_GenerateKronecker)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateUniformRandom(benchmark::State& state) {
+  const auto scale = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GenerateUniformRandom(scale, kGraphEdgeFactor, 1).cols.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          (kGraphEdgeFactor << scale));
+}
+BENCHMARK(BM_GenerateUniformRandom)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hybridtier

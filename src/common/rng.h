@@ -54,8 +54,28 @@ class Rng {
   }
 
   /** Returns a double uniformly distributed in [0, 1). */
-  double NextDouble() {
-    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  double NextDouble() { return UnitOf(NextU64()); }
+
+  /** The double NextDouble() returns for the raw draw `x`. */
+  static double UnitOf(uint64_t x) {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  }
+
+  /**
+   * Returns the raw-draw threshold `t` such that, for every 64-bit `x`,
+   * `x < t` exactly when `UnitOf(x) < p`, so `NextU64() < t` replaces
+   * `NextDouble() < p` without changing a single outcome.
+   *
+   * UnitOf(x) < p is (x >> 11) < p * 2^53. Scaling by a power of two is
+   * exact, and for an integer m, m < y exactly when m < ceil(y); so the
+   * test is (x >> 11) < ceil(p * 2^53), i.e. x < ceil(p * 2^53) << 11.
+   * Requires 0 < p < 1: p < 1 keeps the ceiling at most 2^53 - 1, so the
+   * shift cannot overflow (p = 1 would wrap to t = 0 and reject every x).
+   */
+  static uint64_t UnitThreshold(double p) {
+    HT_ASSERT(p > 0.0 && p < 1.0, "UnitThreshold requires 0 < p < 1, got ",
+              p);
+    return static_cast<uint64_t>(std::ceil(p * 0x1.0p53)) << 11;
   }
 
   /** Returns an integer uniformly distributed in [0, bound). */

@@ -22,7 +22,7 @@ constexpr uint32_t kBaseGraphScale = 18;
 constexpr uint32_t kEdgeFactor = 8;
 
 /**
- * Per-process cache of generated graphs, keyed by (kind, scale). The
+ * Per-process cache of generated graphs, keyed by (kind, scale, seed). The
  * mutex makes concurrent workload construction safe (parallel sweep
  * cells build their GAP workloads from worker threads); generation is
  * serialized under it, which only ever costs the first cell per key.

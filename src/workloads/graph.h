@@ -45,6 +45,12 @@ struct Graph {
  * probabilities (A=0.57, B=0.19, C=0.19). Vertex labels are randomly
  * permuted, as the GAP generator does, so generator locality does not
  * leak into the page-access pattern.
+ *
+ * Each bit of an edge compares one raw draw x with
+ * Rng::UnitThreshold(p) for p = A, A+B and A+B+C. Since NextDouble() is
+ * (x >> 11) * 2^-53, NextDouble() < p holds exactly when
+ * x < ceil(p * 2^53) << 11, so the graph for a seed is the one the
+ * floating-point comparisons give, built without a branch on the draw.
  */
 Graph GenerateKronecker(uint32_t scale, uint32_t edge_factor, uint64_t seed);
 

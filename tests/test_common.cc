@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -43,6 +44,28 @@ TEST(Rng, NextDoubleInUnitInterval) {
     EXPECT_GE(x, 0.0);
     EXPECT_LT(x, 1.0);
   }
+}
+
+TEST(Rng, UnitThresholdMatchesNextDoubleComparison) {
+  constexpr double kProbabilities[] = {
+      0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 0.5, 1e-9, 1.0 - 0x1.0p-53};
+  for (const double p : kProbabilities) {
+    const uint64_t t = Rng::UnitThreshold(p);
+    auto expect_agree = [&](uint64_t x) {
+      ASSERT_EQ(x < t, Rng::UnitOf(x) < p) << "p " << p << " x " << x;
+    };
+    for (const uint64_t x : {uint64_t{0}, t - 2049, t - 1, t, t + 2047,
+                             std::numeric_limits<uint64_t>::max()}) {
+      expect_agree(x);
+    }
+    uint64_t state = 42;
+    for (int i = 0; i < 1000000; ++i) expect_agree(SplitMix64Next(state));
+  }
+}
+
+TEST(Rng, UnitThresholdRefusesClosedEnds) {
+  EXPECT_DEATH(Rng::UnitThreshold(1.0), "0 < p < 1");
+  EXPECT_DEATH(Rng::UnitThreshold(0.0), "0 < p < 1");
 }
 
 TEST(Rng, NextBoundedRespectsBound) {
