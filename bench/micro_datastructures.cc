@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/cache_sim.h"
 #include "common/rng.h"
 #include "probstruct/blocked_cbf.h"
@@ -63,6 +65,28 @@ void BM_BlockedCbfGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockedCbfGet);
+
+// The batched read fair-share enforcement ranks victims with: the same
+// filter and keys as BM_BlockedCbfGet, 1024 keys per GetEach call.
+void BM_BlockedCbfGetEach(benchmark::State& state) {
+  BlockedCountingBloomFilter cbf(FrequencyCbfSizing(kFastPages), 1);
+  Rng rng(7);
+  for (uint64_t i = 0; i < kFastPages / 4; ++i) {
+    cbf.Increment(rng.NextBounded(kFastPages));
+  }
+  std::vector<uint64_t> keys(1024);
+  std::vector<uint32_t> counts(keys.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (uint64_t& key : keys) key = rng.NextBounded(kFastPages);
+    state.ResumeTiming();
+    cbf.GetEach(keys, counts);
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_BlockedCbfGetEach);
 
 void BM_StandardCbfGet(benchmark::State& state) {
   CountingBloomFilter cbf(FrequencyCbfSizing(kFastPages), 1);

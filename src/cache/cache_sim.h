@@ -164,6 +164,12 @@ class Cache {
     __builtin_prefetch(&stamps_[set * ways_], 1);
   }
 
+  /** Counts `count` hits for `owner` without probing: exact only for
+   *  repeats of the line accessed last (CacheHierarchy::ReplayTiering). */
+  void AddHits(AccessOwner owner, uint64_t count) {
+    stats_.hits[static_cast<size_t>(owner)] += count;
+  }
+
   /** Invalidates all lines and clears LRU state (stats are kept). */
   void Flush();
 

@@ -11,6 +11,12 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
       l1_tiering_(config.l1, "L1d-tiering"),
       llc_(config.llc, "LLC") {}
 
+void CacheHierarchy::ReplayTiering(std::span<const uint64_t> lines,
+                                   uint64_t repeats) {
+  for (const uint64_t line : lines) Access(line, AccessOwner::kTiering);
+  l1_tiering_.AddHits(AccessOwner::kTiering, repeats);
+}
+
 uint64_t CacheHierarchy::L1Misses(AccessOwner owner) const {
   const size_t o = static_cast<size_t>(owner);
   return l1_app_.stats().misses[o] + l1_tiering_.stats().misses[o];

@@ -13,6 +13,7 @@
  */
 
 #include <cstdint>
+#include <span>
 
 #include "cache/cache_sim.h"
 #include "common/units.h"
@@ -65,6 +66,17 @@ class CacheHierarchy {
     return HitLevel::kMemory;
   }
 
+  /**
+   * Replays a folded run of tiering-core accesses: each byte address of
+   * `lines` through Access in order, then `repeats` accesses that each
+   * repeated the line before them (folded metadata touches, see
+   * `MetadataTrafficCounter`). Nothing else reaches the tiering L1
+   * inside the run, so each repeat would hit the most-recently-used way
+   * of its set and never reach the LLC; counting them as tiering L1
+   * hits gives every level the statistics and the contents that
+   * replaying them one by one gives.
+   */
+  void ReplayTiering(std::span<const uint64_t> lines, uint64_t repeats);
 
   /** Statistics of the application-core L1. */
   const CacheStats& l1_app_stats() const { return l1_app_.stats(); }

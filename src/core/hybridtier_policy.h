@@ -102,6 +102,12 @@ class HybridTierPolicy : public TieringPolicy {
     return freq_->Get(unit);
   }
 
+  /** Batched HotnessOf: one frequency-filter probe pass. */
+  void HotnessOfEach(std::span<const PageId> units,
+                     std::span<uint32_t> out) const override {
+    freq_->GetEach(units, out);
+  }
+
   /** Current histogram-derived frequency threshold. */
   uint32_t freq_threshold() const { return freq_threshold_; }
 

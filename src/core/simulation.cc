@@ -623,9 +623,8 @@ void Simulation::RecordTimelinePoint(TimeNs at) {
 
 void Simulation::FlushMetadataTraffic() {
   if (metadata_counter_.empty()) return;
-  for (const uint64_t line : metadata_counter_.lines()) {
-    hierarchy_->Access(line, AccessOwner::kTiering);
-  }
+  hierarchy_->ReplayTiering(metadata_counter_.lines(),
+                            metadata_counter_.repeats());
   metadata_counter_.Clear();
 }
 

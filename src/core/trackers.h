@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "policies/policy.h"
 #include "probstruct/blocked_cbf.h"
@@ -65,6 +66,11 @@ class AccessTracker {
   /** Estimated count of `unit` (no traffic reported; simulator-internal
    *  reads during scans should use GetTracked instead). */
   uint32_t Get(PageId unit) const { return estimator_->Get(unit); }
+
+  /** Batched Get: `out[i]` = Get(units[i]); one estimator call. */
+  void GetEach(std::span<const PageId> units, std::span<uint32_t> out) const {
+    estimator_->GetEach(units, out);
+  }
 
   /** Estimated count, reporting the lookup's metadata lines to `sink`. */
   uint32_t GetTracked(PageId unit, MetadataTrafficCounter& sink) const;

@@ -293,6 +293,44 @@ class TieredMemory {
   friend class TieredMemoryTestPeer;
 };
 
+/**
+ * `TieredMemory::EndpointOf` for an ascending run of units, without a
+ * division per unit: the walk remembers the interleave stripe of the
+ * last unit, steps to the next stripe (and endpoint) when a unit crosses
+ * its end, and decodes with one division only when a unit skips whole
+ * stripes. A dense walk over a tenant's region divides once.
+ */
+class EndpointWalk {
+ public:
+  explicit EndpointWalk(const TieredMemory& memory)
+      : stripe_units_(memory.interleave_units()),
+        endpoints_(memory.endpoint_count()),
+        endpoint_(endpoints_ - 1) {}
+
+  /** Home endpoint of `unit`; `unit` must not precede the last one. */
+  uint32_t Next(PageId unit) {
+    if (unit >= stripe_end_) {
+      if (unit - stripe_end_ < stripe_units_) {
+        stripe_end_ += stripe_units_;
+        endpoint_ = endpoint_ + 1 == endpoints_ ? 0 : endpoint_ + 1;
+      } else {
+        const uint64_t stripe = unit / stripe_units_;
+        endpoint_ = static_cast<uint32_t>(stripe % endpoints_);
+        stripe_end_ = (stripe + 1) * stripe_units_;
+      }
+    }
+    return endpoint_;
+  }
+
+ private:
+  uint64_t stripe_units_;
+  uint32_t endpoints_;
+  // The walk starts in stripe -1, which ends at unit 0 and whose
+  // successor, stripe 0, lives on endpoint 0.
+  uint32_t endpoint_;
+  PageId stripe_end_ = 0;
+};
+
 }  // namespace hybridtier
 
 #endif  // HYBRIDTIER_MEM_TIERED_MEMORY_H_

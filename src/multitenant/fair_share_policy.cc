@@ -720,7 +720,10 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
     // swap repeats every enforcement pass (rotation churn).
     //
     // The endpoint tie-break cost depends only on the unit's endpoint,
-    // and `now` is fixed for the pass: read it once per endpoint.
+    // and `now` is fixed for the pass: read it once per endpoint. The
+    // scan found the victims in ascending address order, so their
+    // endpoints come from one walk over the interleave stripes, and
+    // their hotness from one batched read.
     if (endpoint_aware_active_) {
       victim_endpoint_cost_.resize(memory().endpoint_count());
       for (uint32_t e = 0; e < victim_endpoint_cost_.size(); ++e) {
@@ -728,10 +731,14 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
             std::min<uint64_t>(EndpointCost(e, now), 0xffff);
       }
     }
+    victim_hotness_.resize(victims_.size());
+    base_->HotnessOfEach(victims_, victim_hotness_);
+    EndpointWalk endpoints(memory());
     victim_rank_.clear();
     victim_rank_.reserve(victims_.size());
-    for (const PageId unit : victims_) {
-      const uint64_t hotness = base_->HotnessOf(unit);
+    for (size_t i = 0; i < victims_.size(); ++i) {
+      const PageId unit = victims_[i];
+      const uint64_t hotness = victim_hotness_[i];
       // Endpoint-aware: hotness stays the primary key (demoting a
       // strictly hotter unit to spare a colder one always loses more
       // hits than any endpoint gap saves), with the cost of the
@@ -744,8 +751,7 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
       // hotness key.
       victim_rank_.emplace_back(
           endpoint_aware_active_
-              ? (hotness << 16) +
-                    victim_endpoint_cost_[memory().EndpointOf(unit)]
+              ? (hotness << 16) + victim_endpoint_cost_[endpoints.Next(unit)]
               : hotness,
           unit);
     }

@@ -242,6 +242,10 @@ class FairSharePolicy : public TieringPolicy,
   uint32_t HotnessOf(PageId unit) const override {
     return base_->HotnessOf(unit);
   }
+  void HotnessOfEach(std::span<const PageId> units,
+                     std::span<uint32_t> out) const override {
+    base_->HotnessOfEach(units, out);
+  }
 
   // TenantQuotaStatsSource:
   bool GetTenantQuotaStats(uint32_t tenant,
@@ -547,6 +551,8 @@ class FairSharePolicy : public TieringPolicy,
    *  score is the hotness estimate, with the home-endpoint cost packed
    *  into the low bits as a tie-breaker in endpoint-aware mode. */
   std::vector<std::pair<uint64_t, PageId>> victim_rank_;
+  /** Base-policy hotness of each of `victims_`, read in one batch. */
+  std::vector<uint32_t> victim_hotness_;
   /** Per-endpoint victim tie-break cost, min(cost, 0xffff), for the
    *  current enforcement pass. */
   std::vector<uint64_t> victim_endpoint_cost_;

@@ -56,6 +56,10 @@ namespace hybridtier {
  * at the next flush point — in exactly the order they were reported, so
  * the modeled LLC sees the same access sequence as before.
  *
+ * A touch of the same 64 B line as the previously recorded one only
+ * adds to `repeats()`; `CacheHierarchy::ReplayTiering` counts those as
+ * the tiering-L1 hits they are, without replaying them.
+ *
  * When recording is off (overhead-free runs and unit tests that only
  * count traffic) lines are dropped and only the counter advances.
  */
@@ -64,7 +68,14 @@ class MetadataTrafficCounter {
   /** Records one tiering-owned access to the 64 B line at `line_addr`. */
   void Touch(uint64_t line_addr) {
     ++touches_;
-    if (recording_) lines_.push_back(line_addr);
+    if (!recording_) return;
+    const uint64_t line = line_addr / kCacheLineSize;
+    if (line == last_line_) {
+      ++repeats_;
+      return;
+    }
+    last_line_ = line;
+    lines_.push_back(line_addr);
   }
 
   /** Buffer lines for replay (on) or count only (off). Default on. */
@@ -73,18 +84,31 @@ class MetadataTrafficCounter {
   /** Total Touch calls, recorded or not. */
   uint64_t touches() const { return touches_; }
 
-  /** Buffered lines awaiting replay, in report order. */
+  /** Buffered lines awaiting replay, in report order, each repeat of
+   *  the line before it folded away. */
   const std::vector<uint64_t>& lines() const { return lines_; }
+
+  /** Buffered touches folded into the entry before them. */
+  uint64_t repeats() const { return repeats_; }
 
   /** True when no lines await replay. */
   bool empty() const { return lines_.empty(); }
 
-  /** Drops buffered lines; capacity is kept so steady state is
-   *  allocation-free. The touch counter is not reset. */
-  void Clear() { lines_.clear(); }
+  /** Drops buffered lines and repeats; capacity is kept so steady state
+   *  is allocation-free. The touch counter is not reset. */
+  void Clear() {
+    lines_.clear();
+    repeats_ = 0;
+    last_line_ = kNoLine;
+  }
 
  private:
+  /** No line index reaches it (addresses are below 2^64). */
+  static constexpr uint64_t kNoLine = UINT64_MAX;
+
   std::vector<uint64_t> lines_;
+  uint64_t repeats_ = 0;
+  uint64_t last_line_ = kNoLine;  //!< Line index of the last entry.
   uint64_t touches_ = 0;
   bool recording_ = true;
 };
@@ -217,6 +241,18 @@ class TieringPolicy {
   virtual uint32_t HotnessOf(PageId unit) const {
     (void)unit;
     return 0;
+  }
+
+  /**
+   * Batched HotnessOf: `out[i]` = HotnessOf(units[i]) for every i
+   * (`out` must be as long as `units`). Rankers that read many units per
+   * pass call this once; policies whose estimate has a cheaper batched
+   * read override it. The default loops HotnessOf, so a policy that
+   * overrides only the scalar read stays consistent.
+   */
+  virtual void HotnessOfEach(std::span<const PageId> units,
+                             std::span<uint32_t> out) const {
+    for (size_t i = 0; i < units.size(); ++i) out[i] = HotnessOf(units[i]);
   }
 
   /** Current metadata footprint in bytes (paper Table 4 metric). */

@@ -48,16 +48,45 @@ void BlockedCountingBloomFilter::Locate(uint64_t key, uint64_t* block_out,
   }
 }
 
-uint32_t BlockedCountingBloomFilter::Get(uint64_t key) const {
-  uint64_t block;
-  uint32_t slots[kMaxHashes];
-  Locate(key, &block, slots);
-  const size_t base = block * slots_per_block_;
+inline uint32_t BlockedCountingBloomFilter::MinCount(
+    const HashPair& hp) const {
+  const size_t base = BlockBase(hp);
   uint32_t min_count = counters_.max_value();
   for (uint32_t i = 0; i < num_hashes_; ++i) {
-    min_count = std::min(min_count, counters_.Get(base + slots[i]));
+    const size_t slot = ReduceRange(DerivedHash(hp, i + 1), slots_per_block_);
+    min_count = std::min(min_count, counters_.Get(base + slot));
   }
   return min_count;
+}
+
+uint32_t BlockedCountingBloomFilter::Get(uint64_t key) const {
+  return MinCount(HashKey(key, seed_));
+}
+
+void BlockedCountingBloomFilter::GetEach(std::span<const uint64_t> keys,
+                                         std::span<uint32_t> out) const {
+  HT_ASSERT(out.size() == keys.size(), "GetEach output holds ", out.size(),
+            " counts for ", keys.size(), " keys");
+  // A filter larger than the host caches misses on nearly every probe,
+  // and the probes of a batch are independent: hash kLookahead keys
+  // ahead and prefetch their blocks, so those misses overlap.
+  constexpr size_t kLookahead = 8;
+  HashPair ahead[kLookahead];
+  const auto stage = [&](size_t k) {
+    ahead[k % kLookahead] = HashKey(keys[k], seed_);
+    const size_t base = BlockBase(ahead[k % kLookahead]);
+    // A block is one 64 B line of the filter, which need not start on
+    // a host cache line: fetch both of its ends.
+    counters_.Prefetch(base);
+    counters_.Prefetch(base + slots_per_block_ - 1);
+  };
+  const size_t n = keys.size();
+  for (size_t k = 0; k < std::min(n, kLookahead); ++k) stage(k);
+  for (size_t i = 0; i < n; ++i) {
+    const HashPair hp = ahead[i % kLookahead];
+    if (i + kLookahead < n) stage(i + kLookahead);
+    out[i] = MinCount(hp);
+  }
 }
 
 uint32_t BlockedCountingBloomFilter::Increment(uint64_t key) {

@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "probstruct/estimator.h"
@@ -34,6 +35,8 @@ class BlockedCountingBloomFilter : public FrequencyEstimator {
                                       uint64_t seed = 1);
 
   uint32_t Get(uint64_t key) const override;
+  void GetEach(std::span<const uint64_t> keys,
+               std::span<uint32_t> out) const override;
   uint32_t Increment(uint64_t key) override;
   uint32_t IncrementWithOld(uint64_t key, uint32_t* old_count) override;
   void CoolByHalving() override;
@@ -56,6 +59,15 @@ class BlockedCountingBloomFilter : public FrequencyEstimator {
  private:
   /** Fills block index and the k in-block slot indices for `key`. */
   void Locate(uint64_t key, uint64_t* block_out, uint32_t* slots_out) const;
+
+  /** First counter of the block `hp` selects. */
+  size_t BlockBase(const HashPair& hp) const {
+    return ReduceRange(hp.h1, num_blocks_) * slots_per_block_;
+  }
+
+  /** Smallest of the k counters of the key hashed to `hp`: the estimate
+   *  Get returns. Slots are read as they are derived. */
+  uint32_t MinCount(const HashPair& hp) const;
 
   PackedCounterArray counters_;
   size_t num_blocks_;

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hybridtier {
@@ -24,6 +25,16 @@ class FrequencyEstimator {
 
   /** Returns the estimated access count of `key`. */
   virtual uint32_t Get(uint64_t key) const = 0;
+
+  /**
+   * Batched Get: `out[i]` = Get(keys[i]) for every i (`out` must be as
+   * long as `keys`). One virtual call per batch; the default loops Get,
+   * and estimators override it to probe without per-key dispatch.
+   */
+  virtual void GetEach(std::span<const uint64_t> keys,
+                       std::span<uint32_t> out) const {
+    for (size_t i = 0; i < keys.size(); ++i) out[i] = Get(keys[i]);
+  }
 
   /** Records one access to `key`; returns the new estimated count. */
   virtual uint32_t Increment(uint64_t key) = 0;

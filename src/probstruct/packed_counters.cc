@@ -30,24 +30,11 @@ PackedCounterArray::PackedCounterArray(size_t count, uint32_t bits)
             "counter width must be 4, 8, or 16, got ", bits);
   HT_ASSERT(count > 0, "counter array must not be empty");
   max_value_ = (1u << bits_) - 1;
-  per_word_ = 64 / bits_;
-  words_.assign((count + per_word_ - 1) / per_word_, 0);
-}
-
-uint32_t PackedCounterArray::Get(size_t i) const {
-  HT_ASSERT(i < count_, "counter index ", i, " out of range ", count_);
-  const uint64_t word = words_[i / per_word_];
-  const uint32_t shift = (i % per_word_) * bits_;
-  return static_cast<uint32_t>((word >> shift) & max_value_);
-}
-
-void PackedCounterArray::Set(size_t i, uint32_t value) {
-  HT_ASSERT(i < count_, "counter index ", i, " out of range ", count_);
-  if (value > max_value_) value = max_value_;
-  uint64_t& word = words_[i / per_word_];
-  const uint32_t shift = (i % per_word_) * bits_;
-  word &= ~(static_cast<uint64_t>(max_value_) << shift);
-  word |= static_cast<uint64_t>(value) << shift;
+  const uint32_t per_word = 64 / bits_;
+  bits_shift_ = static_cast<uint32_t>(std::countr_zero(bits_));
+  word_shift_ = static_cast<uint32_t>(std::countr_zero(per_word));
+  lane_mask_ = per_word - 1;
+  words_.assign((count + per_word - 1) / per_word, 0);
 }
 
 uint32_t PackedCounterArray::SaturatingIncrement(size_t i) {

@@ -10,11 +10,17 @@
  * 16 bits for huge pages (§4.4). Counters are packed into 64-bit words;
  * the periodic "cooling" halving is a masked parallel shift over whole
  * words rather than a per-counter loop.
+ *
+ * Both the width and the counters per word (16, 8 or 4) are powers of
+ * two, so counter `i` lives in word `i >> word_shift` at bit offset
+ * `(i & lane_mask) << bits_shift`: Get and Set index with a shift and a
+ * mask, never a division, and are inlined into the estimators' probes.
  */
 
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/units.h"
 
 namespace hybridtier {
@@ -29,10 +35,28 @@ class PackedCounterArray {
   PackedCounterArray(size_t count, uint32_t bits);
 
   /** Returns counter `i`. */
-  uint32_t Get(size_t i) const;
+  uint32_t Get(size_t i) const {
+    HT_ASSERT(i < count_, "counter index ", i, " out of range ", count_);
+    return static_cast<uint32_t>((words_[i >> word_shift_] >> LaneShift(i)) &
+                                 max_value_);
+  }
 
   /** Sets counter `i` to `value` (clamped to the counter maximum). */
-  void Set(size_t i, uint32_t value);
+  void Set(size_t i, uint32_t value) {
+    HT_ASSERT(i < count_, "counter index ", i, " out of range ", count_);
+    if (value > max_value_) value = max_value_;
+    uint64_t& word = words_[i >> word_shift_];
+    const uint32_t shift = LaneShift(i);
+    word &= ~(static_cast<uint64_t>(max_value_) << shift);
+    word |= static_cast<uint64_t>(value) << shift;
+  }
+
+  /** Hints the host to fetch the word holding counter `i` ahead of a
+   *  Get. `i` must be below size(); unchecked, as a hint changes no
+   *  state. */
+  void Prefetch(size_t i) const {
+    __builtin_prefetch(words_.data() + (i >> word_shift_));
+  }
 
   /** Increments counter `i`, saturating at max_value(); returns new value. */
   uint32_t SaturatingIncrement(size_t i);
@@ -67,10 +91,17 @@ class PackedCounterArray {
   }
 
  private:
+  /** Bit offset of counter `i` within its word. */
+  uint32_t LaneShift(size_t i) const {
+    return static_cast<uint32_t>(i & lane_mask_) << bits_shift_;
+  }
+
   size_t count_;
   uint32_t bits_;
   uint32_t max_value_;
-  uint32_t per_word_;
+  uint32_t bits_shift_;  //!< log2(bits_).
+  uint32_t word_shift_;  //!< log2(counters per word).
+  size_t lane_mask_;     //!< Counters per word, minus one.
   std::vector<uint64_t> words_;
 };
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache_sim.h"
 #include "cache/hierarchy.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "policies/policy.h"
 
 namespace hybridtier {
 namespace {
@@ -192,6 +195,114 @@ TEST(Hierarchy, ByteAddressesMapToLines) {
   hierarchy.Access(100, AccessOwner::kApp);  // Line 1 (64..127).
   EXPECT_EQ(hierarchy.Access(127, AccessOwner::kApp), HitLevel::kL1);
   EXPECT_EQ(hierarchy.Access(128, AccessOwner::kApp), HitLevel::kMemory);
+}
+
+// ------------------------------------------- folded metadata replay --
+
+/** One access of a mixed stream. */
+struct StreamAccess {
+  AccessOwner owner;
+  uint64_t addr;  //!< Byte address.
+};
+
+/**
+ * Runs of repeated tiering lines (any byte of the line) interleaved with
+ * app accesses, over few enough lines that every level evicts and the
+ * two owners meet in the LLC's sets.
+ */
+std::vector<StreamAccess> RunsOfTieringLinesAmongAppAccesses() {
+  constexpr uint64_t kTieringBase = uint64_t{1} << 20;
+  Rng rng(11);
+  std::vector<StreamAccess> stream;
+  for (int segment = 0; segment < 500; ++segment) {
+    const uint64_t runs = rng.NextBounded(6);
+    for (uint64_t run = 0; run < runs; ++run) {
+      const uint64_t line = rng.NextBounded(96);
+      const uint64_t length = 1 + rng.NextBounded(4);
+      for (uint64_t i = 0; i < length; ++i) {
+        stream.push_back({AccessOwner::kTiering,
+                          kTieringBase + line * kCacheLineSize +
+                              rng.NextBounded(kCacheLineSize)});
+      }
+    }
+    const uint64_t app = rng.NextBounded(5);
+    for (uint64_t i = 0; i < app; ++i) {
+      stream.push_back(
+          {AccessOwner::kApp, rng.NextBounded(256) * kCacheLineSize});
+    }
+  }
+  return stream;
+}
+
+void ExpectSameStats(const CacheStats& folded, const CacheStats& reference,
+                     const char* level) {
+  for (size_t owner = 0; owner < kNumOwners; ++owner) {
+    EXPECT_EQ(folded.hits[owner], reference.hits[owner])
+        << level << " hits, owner " << owner;
+    EXPECT_EQ(folded.misses[owner], reference.misses[owner])
+        << level << " misses, owner " << owner;
+  }
+}
+
+TEST(Hierarchy, FoldedTieringReplayMatchesLineByLine) {
+  const std::vector<StreamAccess> stream =
+      RunsOfTieringLinesAmongAppAccesses();
+
+  // Reference: every access through the hierarchy, one by one.
+  CacheHierarchy reference(SmallHierarchy());
+  std::vector<HitLevel> reference_app;
+  for (const StreamAccess& access : stream) {
+    const HitLevel level = reference.Access(access.addr, access.owner);
+    if (access.owner == AccessOwner::kApp) reference_app.push_back(level);
+  }
+
+  // Folded: tiering touches are buffered by the metadata counter, which
+  // is flushed before each app access and at the end, as the simulation
+  // flushes metadata traffic.
+  CacheHierarchy folded(SmallHierarchy());
+  MetadataTrafficCounter counter;
+  uint64_t folded_repeats = 0;
+  const auto flush = [&] {
+    folded_repeats += counter.repeats();
+    folded.ReplayTiering(counter.lines(), counter.repeats());
+    counter.Clear();
+  };
+  std::vector<HitLevel> folded_app;
+  for (const StreamAccess& access : stream) {
+    if (access.owner == AccessOwner::kTiering) {
+      counter.Touch(access.addr);
+      continue;
+    }
+    flush();
+    folded_app.push_back(folded.Access(access.addr, AccessOwner::kApp));
+  }
+  flush();
+
+  ASSERT_GT(folded_repeats, 500u);  // The stream does exercise folding.
+  EXPECT_EQ(folded_app, reference_app);
+  ExpectSameStats(folded.l1_app_stats(), reference.l1_app_stats(),
+                  "L1-app");
+  ExpectSameStats(folded.l1_tiering_stats(), reference.l1_tiering_stats(),
+                  "L1-tiering");
+  ExpectSameStats(folded.llc_stats(), reference.llc_stats(), "LLC");
+  EXPECT_GT(reference.LlcMisses(AccessOwner::kTiering), 0u);
+}
+
+TEST(MetadataTrafficCounter, FoldsOnlyRepeatsOfTheLastLine) {
+  MetadataTrafficCounter counter;
+  for (const uint64_t addr : {0, 8, 63, 64, 0, 0, 200, 255, 256}) {
+    counter.Touch(addr);
+  }
+  EXPECT_EQ(counter.touches(), 9u);
+  EXPECT_EQ(counter.lines(), (std::vector<uint64_t>{0, 64, 0, 200, 256}));
+  EXPECT_EQ(counter.repeats(), 4u);
+
+  // Clear forgets the last line: the next touch of it is recorded.
+  counter.Clear();
+  counter.Touch(300);
+  EXPECT_EQ(counter.lines(), (std::vector<uint64_t>{300}));
+  EXPECT_EQ(counter.repeats(), 0u);
+  EXPECT_EQ(counter.touches(), 10u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "common/units.h"
 #include "core/hybridtier_policy.h"
@@ -17,6 +19,7 @@
 #include "mem/migration.h"
 #include "mem/perf_model.h"
 #include "mem/tiered_memory.h"
+#include "policies/memtis.h"
 #include "workloads/cachelib.h"
 #include "workloads/factory.h"
 
@@ -31,14 +34,16 @@ using CountingSink = MetadataTrafficCounter;
 class CoreHarness {
  public:
   CoreHarness(uint64_t footprint, uint64_t fast_capacity,
-              AllocationPolicy allocation = AllocationPolicy::kFastFirst)
+              AllocationPolicy allocation = AllocationPolicy::kFastFirst,
+              PageMode mode = PageMode::kRegular)
       : memory_(footprint, fast_capacity, footprint, allocation),
         perf_(PerfModelConfig{}, DefaultFastTier(fast_capacity),
               DefaultTopology()),
-        engine_(&memory_, &perf_) {
+        engine_(&memory_, &perf_, mode) {
     context_.memory = &memory_;
     context_.migration = &engine_;
     context_.metadata_sink = &sink_;
+    context_.mode = mode;
     context_.footprint_units = footprint;
     context_.fast_capacity_units = fast_capacity;
   }
@@ -337,6 +342,89 @@ TEST(HybridTier, HugePageModeUses16BitCounters) {
   context.fast_capacity_units = 1 << 8;
   policy.Bind(context);
   EXPECT_EQ(policy.frequency_tracker().max_count(), 65535u);
+}
+
+// ------------------------------------------------- batched hotness --
+
+/**
+ * Expects `policy.HotnessOfEach` to read, for every unit of [0, units)
+ * in address order followed by a scattered tail with repeats, exactly
+ * what `HotnessOf` reads for it, and the estimates to be non-trivial.
+ */
+void ExpectHotnessOfEachMatches(const TieringPolicy& policy,
+                                uint64_t units) {
+  std::vector<PageId> order;
+  for (PageId unit = 0; unit < units; ++unit) order.push_back(unit);
+  for (PageId unit = 0; unit < units; unit += 3) {
+    order.push_back((unit * 13) % units);
+  }
+  std::vector<uint32_t> batch(order.size(), UINT32_MAX);
+  policy.HotnessOfEach(order, batch);
+  std::set<uint32_t> levels;
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(batch[i], policy.HotnessOf(order[i]))
+        << policy.name() << ", unit " << order[i];
+    levels.insert(batch[i]);
+  }
+  EXPECT_GT(levels.size(), 4u) << policy.name();
+}
+
+/** Samples unit p of [0, units) (p * 7) % 37 times. */
+void SampleSkewed(TieringPolicy& policy, CoreHarness& harness,
+                  uint64_t units) {
+  TimeNs now = 0;
+  for (PageId unit = 0; unit < units; ++unit) {
+    for (uint64_t i = 0; i < (unit * 7) % 37; ++i) {
+      policy.OnSample(harness.Sample(unit, ++now));
+    }
+  }
+}
+
+TEST(HotnessOfEach, HybridTierMatchesHotnessOfForEveryEstimator) {
+  for (const EstimatorKind kind :
+       {EstimatorKind::kBlockedCbf, EstimatorKind::kStandardCbf,
+        EstimatorKind::kExact}) {
+    // 4 KiB units count to 15 (4-bit); huge units count past it (16-bit).
+    for (const PageMode mode : {PageMode::kRegular, PageMode::kHuge}) {
+      CoreHarness harness(512, 64, AllocationPolicy::kFastFirst, mode);
+      HybridTierConfig config;
+      config.estimator = kind;
+      HybridTierPolicy policy(config);
+      harness.Bind(&policy);
+      harness.TouchAll(512);
+      SampleSkewed(policy, harness, 512);
+      ASSERT_EQ(policy.frequency_tracker().max_count(),
+                mode == PageMode::kHuge ? 65535u : 15u);
+      SCOPED_TRACE(EstimatorKindName(kind));
+      ExpectHotnessOfEachMatches(policy, 512);
+    }
+  }
+}
+
+TEST(HotnessOfEach, MemtisMatchesHotnessOf) {
+  CoreHarness harness(512, 64);
+  MemtisConfig config;
+  config.promo_batch_samples = 1000000;  // No flushes during the test.
+  MemtisPolicy policy(config);
+  harness.Bind(&policy);
+  harness.TouchAll(512);
+  SampleSkewed(policy, harness, 512);
+  ExpectHotnessOfEachMatches(policy, 512);
+}
+
+/** Overrides only the scalar read, as a policy written before the
+ *  batched one would. */
+class ScalarHotnessPolicy : public TieringPolicy {
+ public:
+  uint32_t HotnessOf(PageId unit) const override {
+    return static_cast<uint32_t>((unit * 37) % 11);
+  }
+  size_t MetadataBytes() const override { return 0; }
+  const char* name() const override { return "ScalarHotness"; }
+};
+
+TEST(HotnessOfEach, DefaultLoopsTheScalarRead) {
+  ExpectHotnessOfEachMatches(ScalarHotnessPolicy(), 512);
 }
 
 TEST(HybridTier, VariantNames) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -869,6 +870,45 @@ TEST(FairSharePolicy, EnforcementDemotesExactlyTheColdestTake) {
   EXPECT_EQ(DemotedUnits(down), movable);
   EXPECT_EQ(down.migration_stats().failed_demotions, pinned);
   EXPECT_EQ(down.policy().enforced_demotions(0), take - pinned);
+}
+
+/** ScatteredHotnessPolicy with a batched read of its own that counts
+ *  its calls, so a wrapper that fell back to per-unit reads shows. */
+class BatchedHotnessPolicy : public ScatteredHotnessPolicy {
+ public:
+  void HotnessOfEach(std::span<const PageId> units,
+                     std::span<uint32_t> out) const override {
+    ++batch_calls;
+    TieringPolicy::HotnessOfEach(units, out);
+  }
+  mutable uint64_t batch_calls = 0;
+};
+
+TEST(FairSharePolicy, HotnessOfEachForwardsToTheBase) {
+  FairShareConfig config;
+  config.rebalance = false;
+  config.fill_to_quota = false;
+  auto owned = std::make_unique<BatchedHotnessPolicy>();
+  const BatchedHotnessPolicy& base = *owned;
+  FairShareHarness harness(AllocationPolicy::kFastFirst, config,
+                           std::move(owned));
+
+  std::vector<PageId> units;
+  for (PageId unit = 0; unit < 2048; unit += 5) units.push_back(unit);
+  std::vector<uint32_t> hotness(units.size(), UINT32_MAX);
+  harness.policy().HotnessOfEach(units, hotness);
+  EXPECT_EQ(base.batch_calls, 1u);
+  for (size_t i = 0; i < units.size(); ++i) {
+    EXPECT_EQ(hotness[i], harness.policy().HotnessOf(units[i]))
+        << "unit " << units[i];
+  }
+
+  // Enforcement ranks tenant a's 128 excess units with one batched read
+  // of its fast units, not one read per unit.
+  harness.TouchAll();
+  harness.policy().Tick(1 * kMillisecond);
+  EXPECT_EQ(harness.policy().enforced_demotions(0), 128u);
+  EXPECT_EQ(base.batch_calls, 2u);
 }
 
 // ----------------------------------------------- marginal-utility mode --

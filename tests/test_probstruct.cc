@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -113,6 +114,34 @@ TEST_P(PackedCountersWidths, SetClampsOverflow) {
   PackedCounterArray counters(4, bits);
   counters.Set(2, UINT32_MAX);
   EXPECT_EQ(counters.Get(2), counters.max_value());
+}
+
+TEST_P(PackedCountersWidths, SetGetCoversEveryLaneOfSeveralWords) {
+  // Five whole words and half of a sixth. Each Set writes one lane, and
+  // after every write each counter must still read what was last put
+  // there: random values, then all-ones lanes between all-zero ones,
+  // then the reverse, so a wrong word, shift or mask shows up as a
+  // changed neighbour.
+  const uint32_t bits = GetParam();
+  const size_t per_word = 64 / bits;
+  const size_t count = 5 * per_word + per_word / 2;
+  PackedCounterArray counters(count, bits);
+  const uint32_t max = counters.max_value();
+  Rng rng(bits);
+  std::vector<uint32_t> reference(count, 0);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t value =
+          pass == 0 ? static_cast<uint32_t>(rng.NextBounded(max + 1))
+                    : (pass == 1 ? max : 0);
+      counters.Set(i, value);
+      reference[i] = value;
+      for (size_t j = 0; j < count; ++j) {
+        ASSERT_EQ(counters.Get(j), reference[j])
+            << "lane " << j << " after Set(" << i << ", " << value << ")";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, PackedCountersWidths,
@@ -274,6 +303,26 @@ TEST_P(CbfBothKinds, DeterministicAcrossInstances) {
   for (int i = 0; i < 1000; ++i) {
     const uint64_t key = rng.NextBounded(300);
     EXPECT_EQ(a->Increment(key), b->Increment(key));
+  }
+}
+
+TEST_P(CbfBothKinds, GetEachMatchesGetAtEveryBatchLength) {
+  // Lengths around the blocked filter's prefetch lookahead (8 keys),
+  // at both counter widths, over keys with repeats.
+  for (const uint32_t bits : {4u, 16u}) {
+    auto cbf = Make(4096, bits);
+    Rng rng(17);
+    for (int i = 0; i < 6000; ++i) cbf->Increment(rng.NextBounded(400));
+    for (const size_t length : {0, 1, 7, 8, 9, 16, 300}) {
+      std::vector<uint64_t> keys(length);
+      for (uint64_t& key : keys) key = rng.NextBounded(500);
+      std::vector<uint32_t> counts(length, UINT32_MAX);
+      cbf->GetEach(keys, counts);
+      for (size_t i = 0; i < length; ++i) {
+        EXPECT_EQ(counts[i], cbf->Get(keys[i]))
+            << bits << "-bit, length " << length << ", key " << keys[i];
+      }
+    }
   }
 }
 

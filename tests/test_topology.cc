@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
@@ -143,6 +145,31 @@ TEST(Topology, EndpointOfInterleavesByGranularity) {
   TieredMemory single_mem(20000, 10, 20000, AllocationPolicy::kSlowOnly,
                           single.endpoint_count(), single.interleave_units);
   EXPECT_EQ(single_mem.EndpointOf(12345), 0u);
+}
+
+TEST(Topology, EndpointWalkMatchesEndpointOf) {
+  // Three endpoints, four units per stripe: ascending walks that repeat
+  // a unit, step inside a stripe, into the next one, and skip several.
+  const Topology topology = ParseTopologySpec("cxl:(1,2,3),gran=4");
+  TieredMemory mem(4096, 10, 4096, AllocationPolicy::kSlowOnly,
+                   topology.endpoint_count(), topology.interleave_units);
+  ASSERT_EQ(mem.interleave_units(), 4u);
+  constexpr uint64_t kSteps[] = {0, 1, 1, 1, 2, 3, 4, 5, 7, 8, 12, 13, 40};
+  Rng rng(5);
+  for (int walk_index = 0; walk_index < 20; ++walk_index) {
+    EndpointWalk walk(mem);
+    for (PageId unit = rng.NextBounded(9); unit < 4096;
+         unit += kSteps[rng.NextBounded(std::size(kSteps))]) {
+      ASSERT_EQ(walk.Next(unit), mem.EndpointOf(unit))
+          << "walk " << walk_index << ", unit " << unit;
+    }
+  }
+  // A single-endpoint layout walks to endpoint 0 throughout.
+  TieredMemory single(100, 10, 100, AllocationPolicy::kSlowOnly);
+  EndpointWalk single_walk(single);
+  for (const PageId unit : {0, 1, 2, 50, 99}) {
+    EXPECT_EQ(single_walk.Next(unit), 0u);
+  }
 }
 
 // -------------------------------------------- per-endpoint perf model --
