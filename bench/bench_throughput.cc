@@ -5,15 +5,13 @@
  *
  * Measures wall-clock simulated-accesses-per-second for each (workload x
  * policy) cell of a fixed zipf+GAP matrix and writes
- * `BENCH_throughput.json` next to the CSV. Two knobs select the engine
- * configuration under test:
+ * `BENCH_throughput.json` next to the CSV. One knob selects the
+ * generation mode under test:
  *
  *   --live     generate ops live in the loop (default: record the op
  *              stream once per workload and replay it — bit-identical
  *              results, generator off the hot path; see
  *              workloads/trace.h)
- *   --legacy   force per-access policy dispatch (default: batched
- *              execution; results are bit-identical either way)
  *
  * Methodology: each cell runs `--reps N` times (default 3) and reports
  * the best run (minimum wall time) — the standard way to strip scheduler
@@ -80,19 +78,9 @@ double WorkloadScale(const std::string& id) {
 struct Options {
   unsigned jobs = 0;
   unsigned reps = 3;
-  bool live = false;     //!< Generate ops in the loop (no replay).
-  bool legacy = false;   //!< Per-access policy dispatch.
+  bool live = false;  //!< Generate ops in the loop (no replay).
   std::string check_file;
   double min_ratio = 0.9;
-  /**
-   * >0 enables the load-immune engine gate: measure the legacy-dispatch
-   * live-generation configuration in the same invocation and require
-   * the primary configuration's per-policy geomean to stay at least
-   * this factor above it. Both sides slow down together under host
-   * load or on weaker hardware, so the ratio detects genuine engine
-   * regressions where an absolute accesses/sec floor cannot.
-   */
-  double check_relative = 0.0;
   /**
    * Sample every Nth op through a StageProfiler and print the
    * per-stage ns/access breakdown (generation / cache / policy /
@@ -105,19 +93,15 @@ struct Options {
 
 [[noreturn]] void Usage(const char* argv0, int code) {
   std::printf(
-      "usage: %s [--jobs N] [--reps N] [--live] [--legacy]\n"
+      "usage: %s [--jobs N] [--reps N] [--live] [--profile-stages]\n"
       "          [--check FILE] [--min-ratio R]\n"
       "  --jobs N      sweep worker threads (timings are only stable\n"
       "                with --jobs 1)\n"
       "  --reps N      runs per cell; the best is reported (default 3)\n"
       "  --live        generate ops live instead of trace replay\n"
-      "  --legacy      per-access policy dispatch instead of batched\n"
       "  --check FILE  fail if any per-policy geomean falls below\n"
       "                min-ratio x FILE's \"current\" geomean\n"
       "  --min-ratio R regression tolerance for --check (default 0.9)\n"
-      "  --check-relative R  also measure the legacy+live engine in\n"
-      "                this invocation and fail if the primary engine's\n"
-      "                geomean advantage falls below R (load-immune)\n"
       "  --profile-stages  sample engine stages (generation, cache,\n"
       "                policy, sampler, migration, accounting) and\n"
       "                print the per-policy ns/access breakdown\n",
@@ -151,10 +135,6 @@ Options ParseArgs(int argc, char** argv) {
       options.live = true;
       continue;
     }
-    if (arg == "--legacy") {
-      options.legacy = true;
-      continue;
-    }
     if (arg == "--check") {
       options.check_file = next_value("--check");
       continue;
@@ -162,11 +142,6 @@ Options ParseArgs(int argc, char** argv) {
     if (arg == "--min-ratio") {
       options.min_ratio =
           ParseDoubleFlag(arg, next_value("--min-ratio"), 0.0, 1000.0);
-      continue;
-    }
-    if (arg == "--check-relative") {
-      options.check_relative =
-          ParseDoubleFlag(arg, next_value("--check-relative"), 0.0, 1000.0);
       continue;
     }
     if (arg == "--profile-stages") {
@@ -193,20 +168,11 @@ uint64_t NowNs() {
       .count();
 }
 
-SimulationConfig CellConfig(bool legacy) {
-  SimulationConfig config;
-  config.max_accesses = kAccessBudget;
-  config.seed = kSeed;
-  config.batch_execution = !legacy;
-  return config;
-}
-
 /** Runs one cell `reps` times; returns the best (min-wall) run. */
 CellResult MeasureCell(const std::string& workload_id,
                        const std::string& policy_name,
                        const std::shared_ptr<const RecordedTrace>& trace,
-                       unsigned reps, bool legacy,
-                       StageProfiler* profiler) {
+                       unsigned reps, StageProfiler* profiler) {
   CellResult cell;
   cell.workload = workload_id;
   cell.policy = policy_name;
@@ -224,7 +190,9 @@ CellResult MeasureCell(const std::string& workload_id,
       workload = live_workload.get();
     }
     auto policy = MakePolicy(policy_name);
-    SimulationConfig config = CellConfig(legacy);
+    SimulationConfig config;
+    config.max_accesses = kAccessBudget;
+    config.seed = kSeed;
     // The profiler accumulates across all reps of this cell.
     config.telemetry.stages = profiler;
     Simulation simulation(config, workload, policy.get());
@@ -240,15 +208,15 @@ CellResult MeasureCell(const std::string& workload_id,
 }
 
 /**
- * Measures the whole matrix in one configuration. When `profilers` is
- * non-null it must hold one StageProfiler per grid cell; each cell
- * writes only its own slot (safe under --jobs).
+ * Measures the whole matrix. When `profilers` is non-null it must hold
+ * one StageProfiler per grid cell; each cell writes only its own slot
+ * (safe under --jobs).
  */
 std::vector<CellResult> MeasureMatrix(
-    const Options& options, bool live, bool legacy,
+    const Options& options,
     const std::map<std::string, std::shared_ptr<const RecordedTrace>>&
         traces,
-    std::vector<StageProfiler>* profilers = nullptr) {
+    std::vector<StageProfiler>* profilers) {
   SweepGrid grid;
   grid.AddAxis("workload", Workloads());
   grid.AddAxis("policy", Policies());
@@ -259,8 +227,8 @@ std::vector<CellResult> MeasureMatrix(
     const std::string& workload_id = cell.Get("workload");
     auto it = traces.find(workload_id);
     return MeasureCell(workload_id, cell.Get("policy"),
-                       live || it == traces.end() ? nullptr : it->second,
-                       options.reps, legacy,
+                       it == traces.end() ? nullptr : it->second,
+                       options.reps,
                        profilers == nullptr ? nullptr
                                             : &(*profilers)[cell.index()]);
   });
@@ -287,8 +255,6 @@ void WriteJson(const std::string& path, const Options& options,
       << "  \"bench\": \"bench_throughput\",\n"
       << "  \"generation\": \""
       << (options.live ? "live" : "replay") << "\",\n"
-      << "  \"engine\": \"" << (options.legacy ? "legacy" : "batch")
-      << "\",\n"
       << "  \"access_budget\": " << kAccessBudget << ",\n"
       << "  \"reps\": " << options.reps << ",\n"
       << "  \"cells\": [\n";
@@ -373,8 +339,7 @@ int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
   Banner("bench_throughput",
          std::string("simulator accesses/sec, ") +
-             (options.live ? "live generation" : "trace replay") + ", " +
-             (options.legacy ? "legacy dispatch" : "batched execution"));
+             (options.live ? "live generation" : "trace replay"));
 
   // Record each workload's op stream once, outside the timed region;
   // every policy cell replays the same immutable trace.
@@ -398,8 +363,7 @@ int main(int argc, char** argv) {
     profilers.resize(Workloads().size() * Policies().size());
   }
   const std::vector<CellResult> cells = MeasureMatrix(
-      options, options.live, options.legacy, traces,
-      options.profile_stages ? &profilers : nullptr);
+      options, traces, options.profile_stages ? &profilers : nullptr);
 
   TablePrinter table({"workload", "policy", "accesses", "best wall (s)",
                       "Macc/s"});
@@ -484,34 +448,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (options.check_relative > 0.0) {
-    // Load-immune engine gate: the reference (legacy dispatch, live
-    // generation) runs on the same machine in the same minute, so host
-    // speed and neighbor load cancel out of the ratio.
-    std::printf("[bench_throughput] measuring legacy+live reference for "
-                "the relative gate\n");
-    const std::vector<CellResult> reference = MeasureMatrix(
-        options, /*live=*/true, /*legacy=*/true, traces);
-    const std::map<std::string, double> reference_geomeans =
-        GeomeansByPolicy(reference);
-    bool failed = false;
-    for (const auto& [policy, value] : geomeans) {
-      const double ref = reference_geomeans.at(policy);
-      const double ratio = ref > 0.0 ? value / ref : 0.0;
-      const bool below = ratio < options.check_relative;
-      std::printf("[bench_throughput] relative %s: %.2f vs legacy+live "
-                  "%.2f = %.2fx (floor %.2fx) %s\n",
-                  policy.c_str(), value, ref, ratio,
-                  options.check_relative, below ? "FAIL" : "ok");
-      failed |= below;
-    }
-    if (failed) {
-      std::fprintf(stderr,
-                   "[bench_throughput] engine advantage fell below "
-                   "%.2fx of the legacy path\n",
-                   options.check_relative);
-      return 1;
-    }
-  }
   return 0;
 }

@@ -98,11 +98,8 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   context.fast_capacity_units = fast_capacity_units_;
   policy_->Bind(context);
 
-  // Resolve the dispatch mode once: the policy's declared interest, or
-  // forced per-access legacy dispatch when batching is disabled.
-  access_interest_ = config.batch_execution
-                         ? policy_->access_interest()
-                         : AccessInterest::kInline;
+  // Resolve the dispatch mode once, after Bind.
+  access_interest_ = policy_->access_interest();
   access_events_.reserve(256);
   sample_buffer_.reserve(1024);
 
@@ -747,7 +744,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     }
 
     if (inline_policy) {
-      // Legacy-exact dispatch: the policy may migrate or touch metadata
+      // Per-access dispatch: the policy may migrate or touch metadata
       // here, and the next access must observe both.
       policy_->OnAccess(unit, touch, now_);
       if (!metadata_counter_.empty()) FlushMetadataTraffic();

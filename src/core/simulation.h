@@ -92,24 +92,15 @@ struct SimulationConfig {
   bool watchdog = false;
   /** Failover behavior knobs (only read when `faults` is non-empty). */
   FaultRuntimeConfig fault_runtime;
-  /**
-   * Batched access execution (default): policies that declare no
-   * per-access interest are skipped in the hot loop, and batch-capable
-   * policies receive one OnAccessBatch call per op instead of a virtual
-   * OnAccess per access. `false` forces the legacy per-access dispatch
-   * for every policy. The two paths produce bit-identical results —
-   * batching only changes dispatch, never what a policy observes — and
-   * the determinism suite gates on that equivalence.
-   */
-  bool batch_execution = true;
   uint64_t seed = 1;                    //!< Sampler jitter seed.
   /**
    * Optional telemetry sinks (metrics registry, trace emitter, stage
    * profiler, latency attribution, decision audit), all non-owning and
    * null by default. Metric and trace content is keyed to virtual time
-   * and stays bit-identical across dispatch engines and sweep `--jobs`
-   * values; the stage profiler is the one wall-clock exception (bench
-   * reporting only). No sink ever changes a modeled quantity.
+   * and stays bit-identical across runs, live/replay generation and
+   * sweep `--jobs` values; the stage profiler is the one wall-clock
+   * exception (bench reporting only). No sink ever changes a modeled
+   * quantity.
    */
   Telemetry telemetry;
 };
@@ -415,8 +406,9 @@ class Simulation {
   SimulationResult result_;
   LatencyHistogram latencies_;           //!< Post-warmup op latencies.
   LatencyHistogram interval_latencies_;  //!< Started since last point.
-  /** Effective dispatch mode (policy interest, or kInline when
-   *  batch_execution is off). */
+  /** The policy's declared access interest, resolved once after Bind:
+   *  kNone policies are never called per access, kBatched ones get one
+   *  OnAccessBatch per op, kInline ones one OnAccess per access. */
   AccessInterest access_interest_ = AccessInterest::kInline;
   std::vector<TouchEvent> access_events_;   //!< Per-op batch buffer.
   std::vector<SampleRecord> sample_buffer_; //!< Per-op drain buffer.

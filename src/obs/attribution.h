@@ -33,7 +33,7 @@
  *
  * Observation only: a null pointer is the disabled state, nothing here
  * feeds back into timing, and all counters are pure functions of the
- * simulated event stream (byte-identical across engines and `--jobs`).
+ * simulated event stream (byte-identical across runs and `--jobs`).
  */
 
 #include <cstdint>

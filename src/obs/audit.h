@@ -34,7 +34,7 @@
  * Like the rest of `src/obs/`, everything here is observation only:
  * the audit never feeds back into timing or placement, a null audit
  * pointer is the disabled state, and every output is a pure function
- * of the simulated event stream (byte-identical across engines and
+ * of the simulated event stream (byte-identical across runs and
  * `--jobs` values).
  */
 

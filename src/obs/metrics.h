@@ -16,7 +16,7 @@
  * `Snapshot(now)` appends one point per metric in registration order,
  * building per-metric time series in virtual time. Because both the
  * sample times and the values are pure functions of the simulated
- * event stream, serialized output is byte-identical across engines and
+ * event stream, serialized output is byte-identical across runs and
  * `--jobs` values — the determinism suite gates exactly that.
  *
  * Two metric flavors cover the simulator's needs:

@@ -17,11 +17,11 @@
  *  - **Deterministic**: timestamps are virtual nanoseconds, event
  *    order is emission order, and serialization is plain snprintf —
  *    so a run's trace bytes are a pure function of the simulated
- *    events. The determinism suite gates trace bytes across engines
- *    (batched vs legacy dispatch, live vs replay) and `--jobs` values
- *    the same way it gates results. (`SweepRunner`'s sweep-level
- *    traces are the deliberate exception: they record *wall-clock*
- *    spans and are documented as measurements.)
+ *    events. The determinism suite gates trace bytes across runs,
+ *    live vs replay generation, and `--jobs` values the same way it
+ *    gates results. (`SweepRunner`'s sweep-level traces are the
+ *    deliberate exception: they record *wall-clock* spans and are
+ *    documented as measurements.)
  *
  *  - **Allocation-free steady state**: event names and argument keys
  *    are `const char*` (string literals or strings interned up front),

@@ -29,8 +29,8 @@
  *    to OnAccessBatch in one (devirtualized-per-batch) call.
  *  - kInline: the policy mutates placement inside OnAccess (TPP and
  *    AutoNUMA promote at fault time), so later accesses of the same op
- *    must observe the migration; the simulator calls OnAccess per
- *    access, exactly like the legacy path.
+ *    must observe the migration; the simulator calls OnAccess once per
+ *    access, immediately after the access is modeled.
  */
 
 #include <cstdint>
@@ -171,7 +171,7 @@ class TieringPolicy {
    * at a different interleaving than per-access dispatch and break the
    * bit-identity guarantee). Policies that do any of those inside
    * OnAccess must return kInline — the default, so unknown subclasses
-   * keep exact legacy per-access semantics.
+   * are called once per access, which is always safe.
    */
   virtual AccessInterest access_interest() const {
     return AccessInterest::kInline;

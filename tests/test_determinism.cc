@@ -10,6 +10,10 @@
 
 #include <iterator>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/policy_factory.h"
 #include "core/simulation.h"
@@ -81,6 +85,31 @@ TEST(Determinism, DifferentSeedsProduceDifferentRuns) {
               a.migration.promoted_pages != b.migration.promoted_pages);
 }
 
+void ExpectIdenticalTimelines(const TimeSeries& a, const TimeSeries& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.times_ns[i], b.times_ns[i]);
+    EXPECT_EQ(a.values[i], b.values[i]);  // Bit-for-bit.
+  }
+}
+
+void ExpectFullyIdentical(const SimulationResult& a,
+                          const SimulationResult& b) {
+  ExpectIdenticalHeadlines(a, b);
+  EXPECT_EQ(a.l1_app_misses, b.l1_app_misses);
+  EXPECT_EQ(a.l1_tiering_misses, b.l1_tiering_misses);
+  EXPECT_EQ(a.llc_app_misses, b.llc_app_misses);
+  EXPECT_EQ(a.llc_tiering_misses, b.llc_tiering_misses);
+  EXPECT_EQ(a.metadata_bytes, b.metadata_bytes);
+  EXPECT_EQ(a.samples_dropped, b.samples_dropped);
+  EXPECT_EQ(a.migration.promotion_batches, b.migration.promotion_batches);
+  EXPECT_EQ(a.migration.demotion_batches, b.migration.demotion_batches);
+  ExpectIdenticalTimelines(a.latency_timeline, b.latency_timeline);
+  ExpectIdenticalTimelines(a.tiering_llc_share_timeline,
+                           b.tiering_llc_share_timeline);
+  ExpectIdenticalTimelines(a.fast_used_timeline, b.fast_used_timeline);
+}
+
 SimulationResult RunMultiTenantCell() {
   std::vector<TenantSpec> specs = ParseTenantList("zipf,cdn:2,silo");
   for (TenantSpec& spec : specs) spec.scale = 0.05;
@@ -95,7 +124,7 @@ SimulationResult RunMultiTenantCell() {
 TEST(Determinism, MultiTenantPerTenantResultsAreBitIdentical) {
   const SimulationResult a = RunMultiTenantCell();
   const SimulationResult b = RunMultiTenantCell();
-  ExpectIdenticalHeadlines(a, b);
+  ExpectFullyIdentical(a, b);
   EXPECT_EQ(a.jain_fairness, b.jain_fairness);
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
   for (size_t t = 0; t < a.tenants.size(); ++t) {
@@ -129,14 +158,6 @@ SimulationResult RunChurnCell() {
   return RunSimulation(config, mux.get(), fair.get());
 }
 
-void ExpectIdenticalTimelines(const TimeSeries& a, const TimeSeries& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.times_ns[i], b.times_ns[i]);
-    EXPECT_EQ(a.values[i], b.values[i]);  // Bit-for-bit.
-  }
-}
-
 TEST(Determinism, ChurnTimelinesAreBitIdentical) {
   const SimulationResult a = RunChurnCell();
   const SimulationResult b = RunChurnCell();
@@ -158,76 +179,140 @@ TEST(Determinism, ChurnTimelinesAreBitIdentical) {
 }
 
 // ----------------------------------------------------------------------
-// Hot-path refactor gates: the batched execution engine must be
-// observably indistinguishable from the legacy per-access path, and
-// both must still reproduce the stats the pre-refactor simulator
-// produced.
+// Dispatch gates. The simulator calls a policy per access only when the
+// policy declares kInline (policies/policy.h); the sample-driven kNone
+// policies are skipped in the hot loop. Skipping must be unobservable,
+// and every policy must get exactly the dispatch it declares.
 
-void ExpectFullyIdentical(const SimulationResult& a,
-                          const SimulationResult& b) {
-  ExpectIdenticalHeadlines(a, b);
-  EXPECT_EQ(a.l1_app_misses, b.l1_app_misses);
-  EXPECT_EQ(a.l1_tiering_misses, b.l1_tiering_misses);
-  EXPECT_EQ(a.llc_app_misses, b.llc_app_misses);
-  EXPECT_EQ(a.llc_tiering_misses, b.llc_tiering_misses);
-  EXPECT_EQ(a.metadata_bytes, b.metadata_bytes);
-  EXPECT_EQ(a.samples_dropped, b.samples_dropped);
-  EXPECT_EQ(a.migration.promotion_batches, b.migration.promotion_batches);
-  EXPECT_EQ(a.migration.demotion_batches, b.migration.demotion_batches);
-  ExpectIdenticalTimelines(a.latency_timeline, b.latency_timeline);
-  ExpectIdenticalTimelines(a.tiering_llc_share_timeline,
-                           b.tiering_llc_share_timeline);
-  ExpectIdenticalTimelines(a.fast_used_timeline, b.fast_used_timeline);
-}
+/**
+ * Forwards every `TieringPolicy` hook to `inner` and counts the access
+ * hooks the simulator calls. With `force_inline` it declares kInline
+ * whatever `inner` declares, so the simulator calls OnAccess once per
+ * access; otherwise it declares `inner`'s interest. It forwards no
+ * optional view (`TenantQuotaStatsSource`, `InvariantSource`), so around
+ * a policy that has one it is fit for counting dispatch only.
+ */
+class DispatchProbe final : public TieringPolicy {
+ public:
+  /** `inner` is borrowed. */
+  DispatchProbe(TieringPolicy* inner, bool force_inline)
+      : inner_(inner), force_inline_(force_inline) {}
 
-/** One cell under either dispatch engine. */
-SimulationResult RunEngineCell(const std::string& workload_id,
-                               const std::string& policy_name,
-                               bool batch_execution) {
+  void Bind(const PolicyContext& context) override { inner_->Bind(context); }
+  AccessInterest access_interest() const override {
+    return force_inline_ ? AccessInterest::kInline
+                         : inner_->access_interest();
+  }
+  void OnAccess(PageId unit, const TouchResult& touch, TimeNs now) override {
+    ++on_access_calls_;
+    inner_->OnAccess(unit, touch, now);
+  }
+  void OnSample(const SampleRecord& sample) override {
+    inner_->OnSample(sample);
+  }
+  void Tick(TimeNs now) override { inner_->Tick(now); }
+  void OnEndpointHealth(uint32_t endpoint, EndpointHealth state,
+                        TimeNs now) override {
+    inner_->OnEndpointHealth(endpoint, state, now);
+  }
+  void OnExternalMigration(TimeNs now) override {
+    inner_->OnExternalMigration(now);
+  }
+  uint32_t HotnessOf(PageId unit) const override {
+    return inner_->HotnessOf(unit);
+  }
+  void HotnessOfEach(std::span<const PageId> units,
+                     std::span<uint32_t> out) const override {
+    inner_->HotnessOfEach(units, out);
+  }
+  size_t MetadataBytes() const override { return inner_->MetadataBytes(); }
+  const char* name() const override { return inner_->name(); }
+
+  uint64_t on_access_calls() const { return on_access_calls_; }
+  uint64_t on_batch_calls() const { return on_batch_calls_; }
+
+ protected:
+  void OnAccessBatchImpl(std::span<const TouchEvent> events) override {
+    ++on_batch_calls_;
+    inner_->OnAccessBatch(events);
+  }
+
+ private:
+  TieringPolicy* inner_;
+  bool force_inline_;
+  uint64_t on_access_calls_ = 0;
+  uint64_t on_batch_calls_ = 0;
+};
+
+/** One cell, its policy dispatched as declared or forced per access. */
+SimulationResult RunDispatchCell(const std::string& workload_id,
+                                 const std::string& policy_name,
+                                 bool force_inline) {
   auto workload =
       MakeWorkload(workload_id, workload_id == "zipf" ? 0.25 : 1.0, 17);
   auto policy = MakePolicy(policy_name);
+  DispatchProbe forced(policy.get(), /*force_inline=*/true);
   SimulationConfig config;
   config.max_accesses = 300000;
   config.seed = 17;
-  config.batch_execution = batch_execution;
-  return RunSimulation(config, workload.get(), policy.get());
+  return RunSimulation(config, workload.get(),
+                       force_inline ? &forced : policy.get());
 }
 
-TEST(Determinism, BatchedAndLegacyDispatchAreBitIdentical) {
+TEST(Determinism, SkippedAndPerAccessDispatchAreBitIdentical) {
   for (const char* workload : {"zipf", "bfs-k"}) {
-    for (const char* policy :
-         {"HybridTier", "Memtis", "TPP", "AutoNUMA", "ARC", "FirstTouch"}) {
+    for (const char* policy : {"HybridTier", "Memtis", "ARC", "FirstTouch"}) {
       SCOPED_TRACE(std::string(workload) + "/" + policy);
-      const SimulationResult batched =
-          RunEngineCell(workload, policy, /*batch_execution=*/true);
-      const SimulationResult legacy =
-          RunEngineCell(workload, policy, /*batch_execution=*/false);
-      ExpectFullyIdentical(batched, legacy);
+      ASSERT_EQ(MakePolicy(policy)->access_interest(), AccessInterest::kNone);
+      const SimulationResult skipped =
+          RunDispatchCell(workload, policy, /*force_inline=*/false);
+      const SimulationResult per_access =
+          RunDispatchCell(workload, policy, /*force_inline=*/true);
+      ExpectFullyIdentical(skipped, per_access);
     }
   }
 }
 
-TEST(Determinism, BatchedAndLegacyDispatchMatchForFairShare) {
-  const auto run = [](bool batch_execution) {
-    std::vector<TenantSpec> specs = ParseTenantList("zipf,cdn:2,silo");
-    for (TenantSpec& spec : specs) spec.scale = 0.05;
-    auto mux = MakeMuxWorkload(specs, 11);
-    auto fair = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
-                                                  mux->directory());
-    SimulationConfig config = TestConfig();
-    config.max_accesses = 300000;
-    config.batch_execution = batch_execution;
-    return RunSimulation(config, mux.get(), fair.get());
+TEST(Determinism, PolicyDispatchMatchesAccessInterest) {
+  struct Case {
+    const char* policy;
+    AccessInterest interest;
   };
-  const SimulationResult batched = run(true);
-  const SimulationResult legacy = run(false);
-  ExpectFullyIdentical(batched, legacy);
-  ASSERT_EQ(batched.tenants.size(), legacy.tenants.size());
-  for (size_t t = 0; t < batched.tenants.size(); ++t) {
-    EXPECT_EQ(batched.tenants[t].fast_resident_units,
-              legacy.tenants[t].fast_resident_units);
-    EXPECT_EQ(batched.tenants[t].ops, legacy.tenants[t].ops);
+  const Case cases[] = {
+      {"HybridTier", AccessInterest::kNone},
+      {"Memtis", AccessInterest::kNone},
+      {"TPP", AccessInterest::kInline},
+      {"AutoNUMA", AccessInterest::kInline},
+      {"ARC", AccessInterest::kNone},
+      {"TwoQ", AccessInterest::kNone},
+      {"FirstTouch", AccessInterest::kNone},
+      {"FairShare(HybridTier)", AccessInterest::kInline},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.policy);
+    std::unique_ptr<Workload> workload;
+    std::unique_ptr<TieringPolicy> policy;
+    if (std::string(c.policy) == "FairShare(HybridTier)") {
+      std::vector<TenantSpec> specs = ParseTenantList("zipf,cdn:2");
+      for (TenantSpec& spec : specs) spec.scale = 0.05;
+      auto mux = MakeMuxWorkload(specs, 11);
+      policy = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
+                                                 mux->directory());
+      workload = std::move(mux);
+    } else {
+      workload = MakeWorkload("zipf", 0.05, 11);
+      policy = MakePolicy(c.policy);
+    }
+    EXPECT_EQ(policy->access_interest(), c.interest);
+    DispatchProbe probe(policy.get(), /*force_inline=*/false);
+    SimulationConfig config = TestConfig();
+    config.max_accesses = 50000;
+    const SimulationResult result =
+        RunSimulation(config, workload.get(), &probe);
+    EXPECT_GT(result.accesses, 0u);
+    EXPECT_EQ(probe.on_access_calls(),
+              c.interest == AccessInterest::kInline ? result.accesses : 0u);
+    EXPECT_EQ(probe.on_batch_calls(), 0u);
   }
 }
 
