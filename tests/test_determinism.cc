@@ -316,6 +316,81 @@ TEST(Determinism, PolicyDispatchMatchesAccessInterest) {
   }
 }
 
+/**
+ * Owns `inner` and forwards every `TieringPolicy` hook to it except
+ * `HotnessOfEach`, which it leaves to the base-class loop over
+ * `HotnessOf`: the per-unit hotness reads the fair-share victim ranking
+ * made before it read the base policy's hotness in one batch.
+ */
+class PerUnitHotnessReads final : public TieringPolicy {
+ public:
+  explicit PerUnitHotnessReads(std::unique_ptr<TieringPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  void Bind(const PolicyContext& context) override { inner_->Bind(context); }
+  AccessInterest access_interest() const override {
+    return inner_->access_interest();
+  }
+  void OnAccess(PageId unit, const TouchResult& touch, TimeNs now) override {
+    inner_->OnAccess(unit, touch, now);
+  }
+  void OnSample(const SampleRecord& sample) override {
+    inner_->OnSample(sample);
+  }
+  void Tick(TimeNs now) override { inner_->Tick(now); }
+  void OnEndpointHealth(uint32_t endpoint, EndpointHealth state,
+                        TimeNs now) override {
+    inner_->OnEndpointHealth(endpoint, state, now);
+  }
+  void OnExternalMigration(TimeNs now) override {
+    inner_->OnExternalMigration(now);
+  }
+  uint32_t HotnessOf(PageId unit) const override {
+    ++hotness_reads_;
+    return inner_->HotnessOf(unit);
+  }
+  size_t MetadataBytes() const override { return inner_->MetadataBytes(); }
+  const char* name() const override { return inner_->name(); }
+
+  /** Units whose hotness was read, one `HotnessOf` call each. */
+  uint64_t hotness_reads() const { return hotness_reads_; }
+
+ protected:
+  void OnAccessBatchImpl(std::span<const TouchEvent> events) override {
+    inner_->OnAccessBatch(events);
+  }
+
+ private:
+  std::unique_ptr<TieringPolicy> inner_;
+  mutable uint64_t hotness_reads_ = 0;
+};
+
+TEST(Determinism, BatchedAndLegacyDispatchMatchForFairShare) {
+  // The multi-tenant cell with HybridTier's batched hotness probe against
+  // the same cell reading hotness one unit at a time.
+  std::vector<TenantSpec> specs = ParseTenantList("zipf,cdn:2,silo");
+  for (TenantSpec& spec : specs) spec.scale = 0.05;
+  auto mux = MakeMuxWorkload(specs, 11);
+  auto per_unit_owned =
+      std::make_unique<PerUnitHotnessReads>(MakePolicy("HybridTier"));
+  const PerUnitHotnessReads* per_unit = per_unit_owned.get();
+  FairSharePolicy fair(std::move(per_unit_owned), mux->directory());
+  SimulationConfig config = TestConfig();
+  config.max_accesses = 300000;
+  const SimulationResult legacy = RunSimulation(config, mux.get(), &fair);
+  const SimulationResult batched = RunMultiTenantCell();
+
+  EXPECT_GT(per_unit->hotness_reads(), 0u);  // Victims were ranked.
+  EXPECT_GT(batched.migration.demoted_pages, 0u);
+  ExpectFullyIdentical(batched, legacy);
+  ASSERT_EQ(batched.tenants.size(), legacy.tenants.size());
+  for (size_t t = 0; t < batched.tenants.size(); ++t) {
+    EXPECT_EQ(batched.tenants[t].fast_resident_units,
+              legacy.tenants[t].fast_resident_units);
+    EXPECT_EQ(batched.tenants[t].ops, legacy.tenants[t].ops);
+  }
+}
+
 TEST(Determinism, TraceReplayMatchesLiveGeneration) {
   for (const char* workload_id : {"zipf", "bfs-k"}) {
     SCOPED_TRACE(workload_id);
