@@ -639,5 +639,60 @@ TEST(Determinism, EndpointAwareFairShareUnderFaultMatchesGolden) {
   }
 }
 
+// A churning fair-share cell: FairSharePolicy(HybridTier) over a zipf
+// tenant, a cdn tenant that departs mid-run and a second zipf tenant
+// that arrives mid-run, on a 1:8 fast tier. The run crosses several
+// rebalance ticks, fills under-quota tenants, rotates badly placed
+// ones, gates promotions at quota, and drains the departed tenant's
+// share, so the exact per-tenant counts pin every fair-share design
+// constant along with the controller itself.
+struct ChurnGolden {
+  uint64_t accesses, duration_ns;
+  uint64_t promoted, demoted;
+  double p50, p99, weighted_jain;
+  uint64_t quota[3], enforced[3], fill[3], released[3], gated[3];
+};
+
+constexpr ChurnGolden kChurnGolden = {
+    1172283ull, 100007735ull, 3149ull, 5943ull,
+    345.25080665177461, 1627.6660439560439, 0.9989708283333123,
+    {2006ull, 0ull, 2026ull},   // quota
+    {1513ull, 606ull, 667ull},  // enforced
+    {525ull, 858ull, 570ull},   // fill
+    {0ull, 27136ull, 0ull},     // released
+    {308ull, 629ull, 142ull}};  // gated
+
+TEST(Determinism, ChurningFairShareMatchesGolden) {
+  std::vector<TenantSpec> specs =
+      ParseTenantList("zipf,cdn:2@0-6e7,zipf@3e7");
+  for (TenantSpec& spec : specs) spec.scale = 0.05;
+  auto mux = MakeMuxWorkload(specs, 7);
+  FairSharePolicy fair(MakePolicy("HybridTier"), mux->directory());
+  SimulationConfig config;
+  config.max_accesses = 30000000;
+  config.max_time_ns = 100 * kMillisecond;
+  config.seed = 7;
+  const SimulationResult r = RunSimulation(config, mux.get(), &fair);
+
+  const ChurnGolden& golden = kChurnGolden;
+  EXPECT_EQ(r.accesses, golden.accesses);
+  EXPECT_EQ(r.duration_ns, golden.duration_ns);
+  EXPECT_EQ(r.migration.promoted_pages, golden.promoted);
+  EXPECT_EQ(r.migration.demoted_pages, golden.demoted);
+  // Doubles must match bit-for-bit, not approximately.
+  EXPECT_EQ(r.median_latency_ns, golden.p50);
+  EXPECT_EQ(r.p99_latency_ns, golden.p99);
+  EXPECT_EQ(r.weighted_jain_fairness, golden.weighted_jain);
+  ASSERT_EQ(mux->tenant_count(), 3u);
+  for (uint32_t t = 0; t < 3; ++t) {
+    SCOPED_TRACE("tenant " + std::to_string(t));
+    EXPECT_EQ(fair.quota_units(t), golden.quota[t]);
+    EXPECT_EQ(fair.enforced_demotions(t), golden.enforced[t]);
+    EXPECT_EQ(fair.fill_promotions(t), golden.fill[t]);
+    EXPECT_EQ(fair.released_units(t), golden.released[t]);
+    EXPECT_EQ(fair.gated_promotions(t), golden.gated[t]);
+  }
+}
+
 }  // namespace
 }  // namespace hybridtier

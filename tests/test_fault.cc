@@ -318,14 +318,48 @@ TEST(FaultRuntime, EvacuationParksInBackoffWhenFastCannotHoldDrain) {
   // of spinning, leaving stragglers that pay the fault stall.
   config.fast_tier_fraction = 1.0 / 8;
   config.faults = "faults:ep2@2ms=down";
+  // Long enough for the doubling backoff to reach its cap.
+  config.max_time_ns = 200 * kMillisecond;
 
   Simulation simulation(config, workload.get(), policy.get());
   const SimulationResult result = simulation.Run();
 
-  EXPECT_GT(result.fault.evacuated_pages, 0u);
-  EXPECT_GT(result.fault.evac_retries, 0u);
+  // Exact counts: the retry count follows the backoff schedule (first
+  // delay, doubling, cap), so it pins all three.
+  EXPECT_EQ(result.fault.evac_retries, 9u);
+  EXPECT_EQ(result.fault.evacuated_pages, 418u);
+  EXPECT_EQ(result.fault.stalled_accesses, 62320u);
+  EXPECT_EQ(result.duration_ns, 200004161u);
   EXPECT_GT(simulation.memory().EndpointResident(2), 0u);
-  EXPECT_GT(result.fault.stalled_accesses, 0u);
+}
+
+// An endpoint that goes down and comes back: evacuation while down, then
+// the recovering window, which serves the endpoint's traffic at a
+// degraded rate before it turns healthy again. Exact values pin the
+// recovery-window service factor along with the drain.
+TEST(FaultRuntime, DownThenRecoverWindowMatchesGolden) {
+  auto workload = MakeWorkload("zipf", 0.1, 13);
+  auto policy = MakePolicy("HybridTier");
+  SimulationConfig config = FaultTestConfig();
+  config.fast_tier_fraction = 0.4;
+  config.faults = "faults:ep2@2ms-6ms=down";
+  config.watchdog = true;
+
+  Simulation simulation(config, workload.get(), policy.get());
+  const SimulationResult result = simulation.Run();
+
+  EXPECT_EQ(result.fault.transitions, 3u);  // down, recovering, healthy.
+  EXPECT_EQ(result.fault.endpoints_downed, 1u);
+  EXPECT_EQ(result.fault.endpoints_recovered, 1u);
+  EXPECT_EQ(result.accesses, 207760u);
+  EXPECT_EQ(result.duration_ns, 20000225u);
+  EXPECT_EQ(result.slow_mem_accesses, 64407u);
+  EXPECT_EQ(result.fault.evacuated_pages, 1009u);
+  EXPECT_EQ(result.fault.stalled_accesses, 0u);
+  // Doubles must match bit-for-bit, not approximately.
+  EXPECT_EQ(result.median_latency_ns, 356.32379518072287);
+  EXPECT_EQ(result.p99_latency_ns, 704.33749999999998);
+  EXPECT_EQ(result.mean_latency_ns, 385.06401617250674);
 }
 
 // A fault schedule selects the bounded queue model (an unbounded
