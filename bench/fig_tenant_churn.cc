@@ -47,14 +47,13 @@ std::string TenantList() {
 struct ChurnRun {
   SimulationResult result;
   uint64_t fast_capacity_units = 0;
-  FairShareConfig fair_config;
 };
 
 ChurnRun Run() {
   auto mux = MakeMuxWorkload(ParseTenantList(TenantList()), kSeed);
   ChurnRun run;
   auto policy = std::make_unique<FairSharePolicy>(
-      MakePolicy("HybridTier"), mux->directory(), run.fair_config);
+      MakePolicy("HybridTier"), mux->directory());
 
   SimulationConfig config;
   config.fast_tier_fraction = kRatio;
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
   const TimeSeries& fairness = result.weighted_fairness_timeline;
 
   // Reference fairness levels just before each event.
-  const TimeNs window = run.fair_config.rebalance_interval_ns;
+  const TimeNs window = kRebalanceIntervalNs;
   const double pre_arrival =
       WindowMean(fairness, kArrival > window ? kArrival - window : 0,
                  kArrival);

@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
   for (const TopoCell& cell : cells) {
     std::string shares;
     for (size_t e = 0; e < cell.endpoint_accesses.size(); ++e) {
-      shares += (e == 0 ? "" : "/") +
-                FormatDouble(cell.EndpointShare(e) * 100, 1);
+      if (e > 0) shares += '/';
+      shares += FormatDouble(cell.EndpointShare(e) * 100, 1);
     }
     table.AddRow({cell.topology, cell.mode,
                   FormatDouble(cell.result.mean_latency_ns, 2),

@@ -149,12 +149,11 @@ int main(int argc, char** argv) {
 
   // Check the quota guarantee: every tenant's end-of-run occupancy is
   // within one enforcement batch of its quota.
-  const FairShareConfig defaults;
   bool all_within = true;
   for (size_t t = 0; t < fair.result.tenants.size(); ++t) {
     const TenantResult& tenant = fair.result.tenants[t];
     if (tenant.fast_resident_units >
-        fair.quotas[t] + defaults.max_enforce_batch) {
+        fair.quotas[t] + kMaxEnforceBatch) {
       all_within = false;
       std::cout << "QUOTA VIOLATION: " << tenant.name << " holds "
                 << tenant.fast_resident_units << " fast units, quota "

@@ -81,10 +81,8 @@ int main(int argc, char** argv) {
   }
 
   auto mux = MakeMuxWorkload(ParseTenantList(tenants), seed);
-  FairShareConfig fair_config;
   auto policy = std::make_unique<FairSharePolicy>(MakePolicy(policy_name),
-                                                  mux->directory(),
-                                                  fair_config);
+                                                  mux->directory());
 
   SimulationConfig config;
   config.fast_tier_fraction = FastFractionFor(policy_name, ratio);
@@ -116,7 +114,7 @@ int main(int argc, char** argv) {
     }
     checkpoints.emplace_back(
         std::string("after ") + kind + " " + name,
-        event.time_ns + fair_config.rebalance_interval_ns);
+        event.time_ns + kRebalanceIntervalNs);
   }
   checkpoints.emplace_back("end of run", result.duration_ns);
 

@@ -40,9 +40,6 @@ class EmaCounter {
     return value_;
   }
 
-  /** Returns the value without advancing the cooling clock. */
-  uint64_t RawValue() const { return value_; }
-
   /** Number of halvings applied so far. */
   uint64_t coolings() const { return coolings_; }
 

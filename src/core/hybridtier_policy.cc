@@ -13,6 +13,12 @@ constexpr uint64_t kFreqBase = 1ULL << 44;     // Frequency CBF lines.
 constexpr uint64_t kMomBase = 1ULL << 45;      // Momentum CBF lines.
 constexpr uint64_t kHistBase = 1ULL << 46;     // Histogram lines.
 constexpr uint64_t kPagemapBase = 1ULL << 47;  // Demotion scan pagemap.
+
+// Demotion hysteresis: a fast-tier page counts as "low frequency" only
+// below freq_threshold / this divisor. Pages between the two levels stay
+// put, preventing zero-gain swaps of equally-warm pages across the
+// admission threshold after every cooling pass.
+constexpr uint32_t kDemoteHysteresisDivisor = 2;
 }  // namespace
 
 HybridTierPolicy::HybridTierPolicy(const HybridTierConfig& config)
@@ -43,14 +49,9 @@ void HybridTierPolicy::Bind(const PolicyContext& context) {
   const uint32_t counter_bits =
       context.mode == PageMode::kHuge ? 16 : 4;
 
-  CbfSizing freq_sizing = FrequencyCbfSizing(
-      fast_units, counter_bits, config_.cbf_hashes, config_.cbf_error_rate);
-  if (config_.cbf_counters_override != 0) {
-    freq_sizing.num_counters = config_.cbf_counters_override;
-  }
   TrackerConfig freq_config;
   freq_config.kind = config_.estimator;
-  freq_config.sizing = freq_sizing;
+  freq_config.sizing = FrequencyCbfSizing(fast_units, counter_bits);
   freq_config.exact_units = context.footprint_units;
   freq_config.cooling_period_samples = config_.freq_cooling_samples;
   freq_config.metadata_base = kFreqBase;
@@ -58,12 +59,9 @@ void HybridTierPolicy::Bind(const PolicyContext& context) {
   freq_ = std::make_unique<AccessTracker>(freq_config);
 
   if (config_.use_momentum) {
-    CbfSizing mom_sizing = MomentumCbfSizing(
-        fast_units, counter_bits, config_.cbf_hashes,
-        config_.cbf_error_rate);
     TrackerConfig mom_config;
     mom_config.kind = config_.estimator;
-    mom_config.sizing = mom_sizing;
+    mom_config.sizing = MomentumCbfSizing(fast_units, counter_bits);
     mom_config.exact_units = context.footprint_units;
     mom_config.cooling_period_samples = config_.momentum_cooling_samples;
     mom_config.metadata_base = kMomBase;
@@ -171,9 +169,8 @@ uint64_t HybridTierPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
   TieredMemory& mem = memory();
   std::vector<PageId> victims;
   const uint64_t footprint = context().footprint_units;
-  const uint32_t demote_below = std::max<uint32_t>(
-      1, freq_threshold_ / std::max<uint32_t>(
-                               1, config_.demote_hysteresis_divisor));
+  const uint32_t demote_below =
+      std::max<uint32_t>(1, freq_threshold_ / kDemoteHysteresisDivisor);
 
   // One classification pass of the Table-1 demotion rules. In the
   // strict phase only clearly-cold pages (hysteresis: freq below

@@ -36,7 +36,13 @@
 
 namespace hybridtier {
 
-/** Tunables for HybridTier (paper defaults, time-scaled). */
+/**
+ * Tunables for HybridTier (paper defaults, time-scaled). The paper's
+ * fixed design constants are not fields: the CBF error rate and hash
+ * count (`kDefaultErrorRate`, `kDefaultNumHashes`) and the momentum
+ * filter's size divisor (`kMomentumSizeDivisor`) live in
+ * probstruct/sizing.h, and the demotion hysteresis in the policy.
+ */
 struct HybridTierConfig {
   /** Estimator implementation (ablations: standard CBF, exact table). */
   EstimatorKind estimator = EstimatorKind::kBlockedCbf;
@@ -50,21 +56,6 @@ struct HybridTierConfig {
   uint64_t momentum_cooling_samples = 8000;
   /** Promotion batch: flush after this many samples (paper: 100k). */
   uint64_t promo_batch_samples = 2048;
-  /** CBF tracking-error probability p (paper: 0.001). */
-  double cbf_error_rate = kDefaultErrorRate;
-  /** CBF hash count k (paper: 4). */
-  uint32_t cbf_hashes = kDefaultNumHashes;
-  /** Momentum CBF is provisioned for fast_pages / this (paper: 128). */
-  uint64_t momentum_size_divisor = kMomentumSizeDivisor;
-  /** Optional override of the frequency-CBF counter count (Table 5). */
-  size_t cbf_counters_override = 0;
-  /**
-   * Demotion hysteresis: a fast-tier page counts as "low frequency" only
-   * below freq_threshold / this divisor. Pages between the two levels
-   * stay put, preventing zero-gain swaps of equally-warm pages across
-   * the admission threshold after every cooling pass.
-   */
-  uint32_t demote_hysteresis_divisor = 2;
   /** Demote when fast free fraction falls below this (PROMO_WMARK). */
   double demote_trigger_frac = 0.02;
   /** Demote until fast free fraction reaches this (DEMOTE_WMARK). */

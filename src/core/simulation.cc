@@ -6,6 +6,13 @@
 #include "multitenant/tenant_stats.h"
 
 namespace hybridtier {
+namespace {
+
+constexpr TimeNs kOpOverheadNs = 60;     // Non-memory work per op.
+constexpr uint64_t kSamplePeriod = 61;   // PEBS period (accesses/sample).
+constexpr size_t kSampleBuffer = 8192;   // PEBS buffer depth.
+
+}  // namespace
 
 Simulation::Simulation(const SimulationConfig& config, Workload* workload,
                        TieringPolicy* policy)
@@ -41,12 +48,12 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
       config.allocation, topology.endpoint_count(),
       topology.interleave_units);
   perf_ = std::make_unique<PerfModel>(
-      config.perf, DefaultFastTier(fast_capacity_units_), topology);
+      PerfModelConfig{}, DefaultFastTier(fast_capacity_units_), topology);
   // An outage or degradation with the unbounded-backlog queue model
   // would integrate delay forever (no drain during the fault), so any
   // fault schedule runs on the bounded queue.
   if (!fault_schedule.empty()) perf_->BoundQueue();
-  hierarchy_ = std::make_unique<CacheHierarchy>(config.cache);
+  hierarchy_ = std::make_unique<CacheHierarchy>();
   migration_ =
       std::make_unique<MigrationEngine>(memory_.get(), perf_.get(),
                                         config.mode);
@@ -108,8 +115,8 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     // Per-tenant sample budgets: a high-access-rate tenant cannot crowd
     // the sample stream that feeds the other tenants' demand estimators.
     BudgetedSamplerConfig sampler_config;
-    sampler_config.base_period = config.sample_period;
-    sampler_config.buffer_capacity = config.sample_buffer;
+    sampler_config.base_period = kSamplePeriod;
+    sampler_config.buffer_capacity = kSampleBuffer;
     sampler_config.seed = config.seed;
     budgeted_sampler_ =
         std::make_unique<BudgetedSampler>(sampler_config, tenants);
@@ -138,7 +145,7 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
               });
   } else {
     sampler_ = std::make_unique<AccessSampler>(
-        config.sample_period, config.sample_buffer, config.seed);
+        kSamplePeriod, kSampleBuffer, config.seed);
   }
   quota_stats_ = dynamic_cast<const TenantQuotaStatsSource*>(policy_);
   if (attr_ != nullptr) {
@@ -674,7 +681,7 @@ void Simulation::ObserveAccess(uint32_t tenant, PageId unit,
 void Simulation::ObserveOp(uint32_t tenant, TimeNs migration_stall,
                            TimeNs op_latency) {
   if (attr_ != nullptr) {
-    attr_->AddOpOverhead(tenant, config_.op_overhead_ns);
+    attr_->AddOpOverhead(tenant, kOpOverheadNs);
     attr_->AddMigrationStall(tenant, migration_stall);
     attr_->CloseOp(tenant, op_latency);
   }
@@ -698,8 +705,8 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
           : static_cast<uint32_t>(tenant - tenant_states_.data());
 
   now_ += op.think_time_ns;  // Idle stall preceding the accesses.
-  TimeNs op_latency = config_.op_overhead_ns;
-  now_ += config_.op_overhead_ns;
+  TimeNs op_latency = kOpOverheadNs;
+  now_ += kOpOverheadNs;
 
   const MemoryAccess* accesses = op.accesses.data();
   const size_t count = op.accesses.size();
@@ -816,18 +823,18 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     }
     policy_->Tick(next_tick_);
     FlushMetadataTraffic();
-    next_tick_ += config_.tick_interval_ns;
+    next_tick_ += kTickIntervalNs;
   }
 
   // Application-visible migration stalls: each move_pages batch the
   // policy issued since the last op sends TLB-shootdown IPIs to the
-  // app's cores (see PerfModelConfig::tlb_batch_stall_ns).
+  // app's cores (see kTlbBatchStallNs in perf_model.h).
   const MigrationStats& mig = migration_->stats();
   const uint64_t batches = mig.promotion_batches + mig.demotion_batches;
   const uint64_t pages = mig.promoted_pages + mig.demoted_pages;
   const TimeNs stall =
-      (batches - last_migration_batches_) * config_.perf.tlb_batch_stall_ns +
-      (pages - last_migration_pages_) * config_.perf.tlb_page_stall_ns;
+      (batches - last_migration_batches_) * kTlbBatchStallNs +
+      (pages - last_migration_pages_) * kTlbPageStallNs;
   now_ += stall;
   op_latency += stall;
   last_migration_batches_ = batches;
@@ -861,7 +868,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
 SimulationResult Simulation::Run() {
   OpTrace op;
 
-  next_tick_ = config_.tick_interval_ns;
+  next_tick_ = kTickIntervalNs;
   next_stats_ = config_.stats_interval_ns;
   bool warmed_up = config_.warmup_accesses == 0;
 
@@ -908,7 +915,7 @@ SimulationResult Simulation::Run() {
       // jump is clamped at the run budget so a distant arrival cannot
       // drag the tick loop past the configured end of the run.
       TimeNs target =
-          now_ + std::max<TimeNs>(op.think_time_ns, config_.op_overhead_ns);
+          now_ + std::max<TimeNs>(op.think_time_ns, kOpOverheadNs);
       if (config_.max_time_ns != 0) {
         target = std::min(target, config_.max_time_ns);
       }
@@ -930,7 +937,7 @@ SimulationResult Simulation::Run() {
             if (remaining <= kGapEdgeEvents) return next;
             return next + (remaining - kGapEdgeEvents) * interval;
           };
-          next_tick_ = skip_forward(next_tick_, config_.tick_interval_ns);
+          next_tick_ = skip_forward(next_tick_, kTickIntervalNs);
           next_stats_ =
               skip_forward(next_stats_, config_.stats_interval_ns);
         }
@@ -942,7 +949,7 @@ SimulationResult Simulation::Run() {
           // Replay the tick's metadata traffic before the next timeline
           // point reads the hierarchy's counters.
           FlushMetadataTraffic();
-          next_tick_ += config_.tick_interval_ns;
+          next_tick_ += kTickIntervalNs;
         } else {
           RecordTimelinePoint(next_stats_);
           next_stats_ += config_.stats_interval_ns;

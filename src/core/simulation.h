@@ -41,7 +41,16 @@ namespace hybridtier {
 
 class TenantQuotaStatsSource;
 
-/** All knobs of one simulation run. */
+/** Virtual-time period of policy maintenance (`TieringPolicy::Tick`). */
+constexpr TimeNs kTickIntervalNs = 1 * kMillisecond;
+
+/**
+ * The settable knobs of one simulation run. Model constants that no run
+ * varies — the per-op software overhead, the PEBS sample period and
+ * buffer depth, the tick interval, the cache geometry
+ * (`HierarchyConfig{}`) and the timing model's latencies (perf_model.h)
+ * — are named constants next to the code that reads them, not fields.
+ */
 struct SimulationConfig {
   PageMode mode = PageMode::kRegular;   //!< Tracking/migration granularity.
   /** Fast-tier capacity as a fraction of the footprint; the paper's
@@ -51,10 +60,6 @@ struct SimulationConfig {
   uint64_t max_accesses = 20000000;     //!< Stop after this many accesses.
   TimeNs max_time_ns = 0;               //!< 0 = unlimited.
   uint64_t warmup_accesses = 0;         //!< Reset measurement stats after.
-  TimeNs op_overhead_ns = 60;           //!< Non-memory work per op.
-  uint64_t sample_period = 61;          //!< PEBS period (accesses/sample).
-  size_t sample_buffer = 8192;          //!< PEBS buffer depth.
-  TimeNs tick_interval_ns = 1 * kMillisecond;   //!< Policy maintenance.
   TimeNs stats_interval_ns = 20 * kMillisecond; //!< Timeline sampling.
   /**
    * Per-tenant metric probes are registered only for the K heaviest
@@ -64,8 +69,6 @@ struct SimulationConfig {
    * behavior). Only affects telemetry, never results or timelines.
    */
   uint32_t tenant_metrics_top_k = 16;
-  HierarchyConfig cache;                //!< Cache geometry.
-  PerfModelConfig perf;                 //!< Timing constants.
   /**
    * Slow-tier device topology spec (see mem/topology.h), e.g.
    * "cxl:(1,(2,3)),lat=124:180:180,bw=34:17:17,link=20". Empty (the
@@ -144,14 +147,6 @@ struct TenantResult {
     return total == 0 ? 0.0
                       : static_cast<double>(fast_mem_accesses) /
                             static_cast<double>(total);
-  }
-
-  /** Fraction of this tenant's region resident in the fast tier. */
-  double FastResidentFraction() const {
-    return footprint_units == 0
-               ? 0.0
-               : static_cast<double>(fast_resident_units) /
-                     static_cast<double>(footprint_units);
   }
 };
 

@@ -5,6 +5,13 @@
 #include "common/logging.h"
 
 namespace hybridtier {
+namespace {
+
+constexpr TimeNs kRetryBackoffNs = 1 * kMillisecond;  // First retry delay.
+constexpr TimeNs kMaxBackoffNs = 64 * kMillisecond;   // Backoff cap.
+constexpr double kRecoveryDegrade = 2.0;  // Service factor while recovering.
+
+}  // namespace
 
 FaultRuntime::FaultRuntime(const FaultSchedule& schedule,
                            const FaultRuntimeConfig& config,
@@ -12,7 +19,7 @@ FaultRuntime::FaultRuntime(const FaultSchedule& schedule,
                            MigrationEngine* migration,
                            TieringPolicy* policy, TraceEmitter* trace)
     : health_(schedule, memory->endpoint_count(), config.recovery_ns,
-              config.recovery_degrade),
+              kRecoveryDegrade),
       config_(config),
       memory_(memory),
       perf_(perf),
@@ -113,9 +120,8 @@ void FaultRuntime::RunEvacuation(uint32_t endpoint, Evacuation& evac,
   if (room == 0) {
     ++stats_.evac_retries;
     evac.backoff_ns = evac.backoff_ns == 0
-                          ? config_.retry_backoff_ns
-                          : std::min(evac.backoff_ns * 2,
-                                     config_.max_backoff_ns);
+                          ? kRetryBackoffNs
+                          : std::min(evac.backoff_ns * 2, kMaxBackoffNs);
     evac.retry_at_ns = now + evac.backoff_ns;
     if (trace_ != nullptr) [[unlikely]] {
       trace_->Instant(trace_track_, "evac_backoff", now,

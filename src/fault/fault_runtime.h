@@ -17,16 +17,16 @@
  *
  *  2. **Evacuation.** While an endpoint is down, its slow-resident
  *     pages are promoted off it in bounded batches (`evac_batch` per
- *     tick, paced like PR 4's departure reclaim so a dying 100k-page
- *     device doesn't stall the world for one giant batch). The stripe
- *     walk exploits the HDM decode — endpoint E's pages live in stripes
- *     `[(k*N+E)*gran, +gran)` — so each batch scans only the dying
- *     device's address ranges. When the fast tier is full, fast pages
- *     homed on *healthy* endpoints are demoted first (`fault_spill`
- *     reason) to make room; if even spill cannot free a unit (every
- *     other device also down, or no spill-eligible pages), the batch is
- *     retried with exponential backoff (`retry_backoff_ns` doubling to
- *     `max_backoff_ns`) instead of spinning every tick.
+ *     tick, paced like the fair-share departure drain so a dying
+ *     100k-page device doesn't stall the world for one giant batch).
+ *     The stripe walk exploits the HDM decode — endpoint E's pages
+ *     live in stripes `[(k*N+E)*gran, +gran)` — so each batch scans
+ *     only the dying device's address ranges. When the fast tier is
+ *     full, fast pages homed on *healthy* endpoints are demoted first
+ *     (`fault_spill` reason) to make room; if even spill cannot free a
+ *     unit (every other device also down, or no spill-eligible pages),
+ *     the batch is retried with exponential backoff (1 ms doubling to a
+ *     64 ms cap) instead of spinning every tick.
  *
  * All movement goes through the normal `MigrationEngine` with the new
  * `MigrationReason::{kFaultEvacuation,kFaultSpill}` codes, so costs,
@@ -64,10 +64,10 @@ struct FaultRuntimeConfig {
   bool evacuate = true;
   uint32_t evac_batch = 512;    //!< Max pages evacuated per tick.
   uint32_t spill_batch = 512;   //!< Max pages spilled per tick.
-  TimeNs retry_backoff_ns = 1 * kMillisecond;   //!< First retry delay.
-  TimeNs max_backoff_ns = 64 * kMillisecond;    //!< Backoff cap.
-  TimeNs recovery_ns = 10 * kMillisecond;       //!< Recovering window.
-  double recovery_degrade = 2.0;  //!< Service factor while recovering.
+  /** Recovering window after a bounded `down` clears; through it the
+   *  endpoint runs at degrade factor 2 (idle latency doubled,
+   *  bandwidth halved). */
+  TimeNs recovery_ns = 10 * kMillisecond;
 };
 
 /** Cumulative fault-handling counters (reported in SimulationResult). */

@@ -38,9 +38,6 @@ inline PageId FirstPageOfHuge(PageId huge) {
   return huge * kPagesPerHugePage;
 }
 
-/** Cache line (64 B granule) containing byte address `addr`. */
-inline uint64_t LineOfAddr(uint64_t addr) { return addr / kCacheLineSize; }
-
 /** Page granularity selector for the tracking/migration unit. */
 enum class PageMode : uint8_t {
   kRegular = 0,  //!< 4 KiB pages.

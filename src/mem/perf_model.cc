@@ -5,10 +5,16 @@
 #include "common/logging.h"
 
 namespace hybridtier {
+namespace {
+
+constexpr TimeNs kMigrationPageNs = 1200;     // Per-4KiB-page CPU cost.
+constexpr TimeNs kMigrationSyscallNs = 4000;  // Per-move_pages overhead.
+
+}  // namespace
 
 PerfModel::PerfModel(const PerfModelConfig& config, const TierConfig& fast,
                      const Topology& topology)
-    : config_(config), topology_(topology) {
+    : topology_(topology) {
   HT_ASSERT(fast.bandwidth_gbps > 0, "tier bandwidth must be positive");
   HT_ASSERT(config.threads >= 1, "threads must be >= 1");
   HT_ASSERT(!topology.endpoints.empty(), "topology needs endpoints");
@@ -111,8 +117,8 @@ TimeNs PerfModel::MigrationCost(std::span<const uint64_t> pages_per_endpoint,
         OccupyEndpoint(e, pages_per_endpoint[e] * page_bytes, now));
   }
   const TimeNs kernel_cost =
-      config_.migration_syscall_ns +
-      num_pages * config_.migration_page_ns * (page_bytes / kPageSize);
+      kMigrationSyscallNs +
+      num_pages * kMigrationPageNs * (page_bytes / kPageSize);
   return kernel_cost + std::max(copy_fast, copy_slow);
 }
 

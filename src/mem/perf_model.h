@@ -51,32 +51,33 @@
 
 namespace hybridtier {
 
-/** Tunable latency constants for the timing model. */
+/**
+ * Application-visible stall per migration batch: unmapping pages for
+ * migration sends TLB-shootdown IPIs to every core running the process,
+ * so each move_pages call stalls the app briefly. This is what makes
+ * per-page migrators (ARC/TwoQ, fault-time promotion) pay for their
+ * lenient policies while batched systems amortize it. Charged by the
+ * simulation loop, not by `PerfModel`.
+ */
+constexpr TimeNs kTlbBatchStallNs = 2000;
+
+/** Additional app-visible stall per migrated page (shootdown + minor
+ *  fault on next touch). */
+constexpr TimeNs kTlbPageStallNs = 150;
+
+/**
+ * Latency charged to a demand access aimed at a **down** endpoint
+ * (fault injection, see fault/fault_runtime.h): the time for the fabric
+ * to report the poisoned read and the kernel to field it. A run
+ * constant (no queueing term) so the attribution identity stays exact —
+ * the whole stall lands on `LatencyComponent::kFaultStall`.
+ */
+constexpr TimeNs kFaultStallNs = 2500;
+
+/** The timing model's settable knobs (tests vary both). */
 struct PerfModelConfig {
-  TimeNs l1_latency_ns = 1;            //!< L1 hit service time.
-  TimeNs llc_latency_ns = 12;          //!< LLC hit service time.
-  TimeNs hint_fault_ns = 1500;         //!< Minor/hint page fault cost.
-  TimeNs migration_page_ns = 1200;     //!< Per-4KiB-page migration CPU cost.
-  TimeNs migration_syscall_ns = 4000;  //!< Per-move_pages-batch overhead.
-  /** Application-visible stall per migration batch: unmapping pages for
-   *  migration sends TLB-shootdown IPIs to every core running the
-   *  process, so each move_pages call stalls the app briefly. This is
-   *  what makes per-page migrators (ARC/TwoQ, fault-time promotion) pay
-   *  for their lenient policies while batched systems amortize it. */
-  TimeNs tlb_batch_stall_ns = 2000;
-  /** Additional app-visible stall per migrated page (shootdown + minor
-   *  fault on next touch). */
-  TimeNs tlb_page_stall_ns = 150;
   uint32_t threads = 16;               //!< Modeled application threads.
   double max_queue_delay_ns = 2000.0;  //!< Cap on queueing delay per access.
-  /**
-   * Latency charged to a demand access aimed at a **down** endpoint
-   * (fault injection, see fault/fault_runtime.h): the time for the
-   * fabric to report the poisoned read and the kernel to field it. A
-   * run constant (no queueing term) so the attribution identity stays
-   * exact — the whole stall lands on `LatencyComponent::kFaultStall`.
-   */
-  TimeNs fault_stall_ns = 2500;
 };
 
 /** Channel-occupancy timing model over the fast tier + CXL endpoints. */
@@ -119,7 +120,7 @@ class PerfModel {
       // can charge the whole latency to kFaultStall exactly. Dead
       // branch without fault injection, so healthy runs are untouched.
       ++e.stalled_accesses;
-      return config_.fault_stall_ns;
+      return kFaultStallNs;
     }
     TimeNs backlog = e.busy_until > now ? e.busy_until - now : 0;
     if (e.link >= 0) [[unlikely]] {
@@ -155,13 +156,13 @@ class PerfModel {
                        uint64_t page_bytes, TimeNs now);
 
   /** Service latency of an L1 hit. */
-  TimeNs L1Latency() const { return config_.l1_latency_ns; }
+  TimeNs L1Latency() const { return kL1LatencyNs; }
 
   /** Service latency of an LLC hit. */
-  TimeNs LlcLatency() const { return config_.llc_latency_ns; }
+  TimeNs LlcLatency() const { return kLlcLatencyNs; }
 
   /** Cost of taking a hint fault (AutoNUMA/TPP promotion path). */
-  TimeNs HintFaultLatency() const { return config_.hint_fault_ns; }
+  TimeNs HintFaultLatency() const { return kHintFaultNs; }
 
   /** Idle (unloaded) latency of the fast tier. */
   TimeNs FastIdleLatency() const { return fast_idle_latency_ns_; }
@@ -216,8 +217,8 @@ class PerfModel {
   // --- Fault injection (fault/fault_runtime.h drives these) -----------
 
   /**
-   * Marks `endpoint` down/up. While down, demand accesses return the
-   * configured `fault_stall_ns` without touching any channel, and
+   * Marks `endpoint` down/up. While down, demand accesses return
+   * `kFaultStallNs` without touching any channel, and
    * OccupyEndpoint still works (evacuation reads the dying device).
    * This is the one copy of endpoint health: the migration engine and
    * the fair-share wrapper ask `EndpointDown`/`AnyEndpointDown`.
@@ -281,13 +282,14 @@ class PerfModel {
   /** True once BoundQueue() was called. */
   bool queue_bounded() const { return bounded_queue_; }
 
-  /** Configuration in use. */
-  const PerfModelConfig& config() const { return config_; }
-
   /** The slow-tier device tree in use. */
   const Topology& topology() const { return topology_; }
 
  private:
+  static constexpr TimeNs kL1LatencyNs = 1;     // L1 hit service time.
+  static constexpr TimeNs kLlcLatencyNs = 12;   // LLC hit service time.
+  static constexpr TimeNs kHintFaultNs = 1500;  // Minor/hint fault cost.
+
   /** One shared channel (the fast tier or a switch uplink). */
   struct Channel {
     TimeNs busy_until = 0;
@@ -334,7 +336,6 @@ class PerfModel {
   /** Bulk transfer of `bytes` on the fast channel; returns duration. */
   TimeNs OccupyFast(uint64_t bytes, TimeNs now);
 
-  PerfModelConfig config_;
   Topology topology_;
   TimeNs fast_idle_latency_ns_ = 0;
   double fast_bandwidth_gbps_ = 0.0;

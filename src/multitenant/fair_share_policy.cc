@@ -19,6 +19,24 @@ constexpr uint64_t kGhostTableBase = 1ULL << 52;   // Shadow MRC counters.
 // Per-tenant stride of the ghost table's synthetic line addresses.
 constexpr uint64_t kGhostTenantStride = 1ULL << 32;
 
+// Per-tenant cap on buffered fill candidates between ticks.
+constexpr size_t kCandidateBuffer = 1024;
+// Fraction of each quota the filler leaves empty for the base policy's
+// own (frequency-thresholded) promotions, so filling never crowds out
+// the wrapped policy's better-informed picks.
+constexpr double kFillMargin = 0.125;
+// Rebalance rotates (demotes to the fill limit) tenants whose sampled
+// fast-access fraction is below this, so a bad resident mix gets
+// swapped out instead of pinning the tenant's hit density — and
+// therefore its quota — at the floor forever.
+constexpr double kRotateBelow = 0.5;
+// Target sampled-unit count of each tenant's ghost MRC estimate
+// (marginal mode). A tenant whose region span exceeds it gets SHARDS
+// spatial sampling at the smallest power-of-two rate that fits
+// (`GhostMrc::SampleShiftFor`), shrinking its counter memory by the
+// same factor; smaller tenants stay exact.
+constexpr uint64_t kGhostSampleBudget = 1024;
+
 }  // namespace
 
 QuotaMode ParseQuotaMode(const std::string& name) {
@@ -126,7 +144,7 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   // would just be the blind ones.
   endpoint_aware_active_ =
       config_.endpoint_aware && context.memory->endpoint_count() > 1;
-  next_rebalance_ns_ = config_.rebalance_interval_ns;
+  next_rebalance_ns_ = kRebalanceIntervalNs;
 
   // Trace tracks: one controller track for rebalance decisions, one
   // track per tenant for churn edges and quota awards. Registration
@@ -154,7 +172,7 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
       const uint64_t span =
           directory_.regions[t].UnitRange(context.mode).size();
       ghost_.emplace_back(
-          span, GhostMrc::SampleShiftFor(span, config_.ghost_sample_budget));
+          span, GhostMrc::SampleShiftFor(span, kGhostSampleBudget));
     }
   }
 
@@ -342,13 +360,13 @@ bool FairSharePolicy::AdvanceTenantWindows(uint32_t t, TimeNs now) {
       }
       if (config_.arrival_grace > 0.0) {
         // Warm-up grace: the newcomer has no demand history, so the
-        // first rebalance would drop it to the min_share floor (the
+        // first rebalance would drop it to the kMinShare floor (the
         // post-arrival fairness dip fig_tenant_churn measures). Raise
         // its floor for one window and seed its demand EMA from the
         // incumbents' weighted average, so it bids as an average
         // tenant until its own samples arrive. Re-arrivals get the
         // same grace: their demand state was reset at release.
-        grace_until_ns_[t] = now + config_.rebalance_interval_ns;
+        grace_until_ns_[t] = now + kRebalanceIntervalNs;
         double sum_weight = 0.0;
         double sum_weighted_ema = 0.0;
         for (const uint32_t s : active_) {
@@ -524,7 +542,7 @@ void FairSharePolicy::FinishRelease(uint32_t tenant, TimeNs now) {
 
 uint64_t FairSharePolicy::RebalanceFloor(uint32_t tenant,
                                          TimeNs now) const {
-  double fraction = config_.min_share;
+  double fraction = kMinShare;
   // Post-arrival grace: guarantee (a fraction of) the static share for
   // the first window while the demand estimate warms up.
   if (now < grace_until_ns_[tenant]) {
@@ -672,7 +690,7 @@ void FairSharePolicy::Rebalance(TimeNs now) {
   // alone (no churn).
   for (size_t i = 0; i < m; ++i) {
     const uint32_t t = active_[i];
-    if (scratch_fraction_[i] < config_.rotate_below) {
+    if (scratch_fraction_[i] < kRotateBelow) {
       if (trace_ != nullptr) {
         trace_->Instant(tenant_track_[t], "rotate", now,
                         {{"fast_fraction", scratch_fraction_[i]}});
@@ -684,7 +702,7 @@ void FairSharePolicy::Rebalance(TimeNs now) {
 
 uint64_t FairSharePolicy::FillLimit(uint32_t tenant) const {
   const uint64_t margin = static_cast<uint64_t>(
-      static_cast<double>(quota_[tenant]) * config_.fill_margin);
+      static_cast<double>(quota_[tenant]) * kFillMargin);
   return quota_[tenant] - std::min(quota_[tenant], margin);
 }
 
@@ -697,7 +715,7 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
                                      TimeNs now, MigrationReason reason) {
   const uint64_t fast = fast_units(t);
   if (fast <= target) return;
-  const uint64_t excess = std::min(fast - target, config_.max_enforce_batch);
+  const uint64_t excess = std::min(fast - target, kMaxEnforceBatch);
 
   // Find the tenant's fast-resident units (the pagemap walk every
   // watermark demoter performs); the filler and the base policy bring
@@ -986,10 +1004,10 @@ void FairSharePolicy::OnSample(const SampleRecord& sample) {
     }
   }
   if (sample.tier == Tier::kSlow &&
-      candidates_[t].size() < config_.candidate_buffer) {
+      candidates_[t].size() < kCandidateBuffer) {
     candidates_[t].push_back(sample.page);
     sink().Touch(kQuotaTableBase +
-                 (64 + t * config_.candidate_buffer / 8 +
+                 (64 + t * kCandidateBuffer / 8 +
                   (candidates_[t].size() - 1) / 8) *
                      kCacheLineSize);
   }
@@ -1002,15 +1020,15 @@ void FairSharePolicy::Tick(TimeNs now) {
   if (config_.rebalance) {
     while (now >= next_rebalance_ns_) {
       Rebalance(next_rebalance_ns_);
-      next_rebalance_ns_ += config_.rebalance_interval_ns;
+      next_rebalance_ns_ += kRebalanceIntervalNs;
       // Ticks normally arrive well inside one rebalance interval; a
       // clock jump across many intervals (an idle churn gap) resyncs
       // the grid instead of replaying one rebalance per missed window
       // (every window in the jump was empty anyway).
-      if (now >= next_rebalance_ns_ + config_.rebalance_interval_ns) {
+      if (now >= next_rebalance_ns_ + kRebalanceIntervalNs) {
         const TimeNs missed =
-            (now - next_rebalance_ns_) / config_.rebalance_interval_ns;
-        next_rebalance_ns_ += missed * config_.rebalance_interval_ns;
+            (now - next_rebalance_ns_) / kRebalanceIntervalNs;
+        next_rebalance_ns_ += missed * kRebalanceIntervalNs;
       }
     }
   }
@@ -1030,7 +1048,7 @@ size_t FairSharePolicy::MetadataBytes() const {
     pending_bytes += pending.size() * sizeof(PageId);
   }
   return base_->MetadataBytes() +
-         directory_.regions.size() * (10 + config_.candidate_buffer) * 8 +
+         directory_.regions.size() * (10 + kCandidateBuffer) * 8 +
          pending_bytes + ghost_bytes;
 }
 

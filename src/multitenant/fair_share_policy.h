@@ -29,7 +29,7 @@
  *    while the gated tenant's pages keep crowding the top of its
  *    histogram.
  *  - Rebalance also *rotates* tenants whose placement is visibly bad
- *    (sampled fast fraction under `rotate_below`): they are demoted to
+ *    (sampled fast fraction under one half): they are demoted to
  *    the fill limit so the filler and the base policy can swap better
  *    pages in. Without rotation a tenant pinned at quota with junk
  *    pages (e.g. leftover first-touch placement) could never improve
@@ -42,7 +42,7 @@
  *        stream) answering "how many sampled hits per window would my
  *        q-th hottest unit contribute?"; the rebalancer water-fills
  *        capacity to whichever tenant has the highest weight-scaled
- *        marginal utility, above guaranteed `min_share` floors. A
+ *        marginal utility, above guaranteed `kMinShare` floors. A
  *        streaming tenant whose pages are touched once flattens its own
  *        curve immediately, so it cannot out-bid a hot set — the
  *        failure mode of per-unit densities.
@@ -91,6 +91,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/units.h"
 #include "fault/watchdog.h"
 #include "multitenant/tenant.h"
 #include "multitenant/tenant_stats.h"
@@ -111,46 +112,39 @@ QuotaMode ParseQuotaMode(const std::string& name);
 /** Display name of a quota mode. */
 const char* QuotaModeName(QuotaMode mode);
 
-/** Knobs of the fair-share wrapper. */
+/**
+ * Virtual-time period of the rebalance tick. Sized to the simulator's
+ * compressed timescales (policy tick 1 ms, stats 20 ms).
+ */
+constexpr TimeNs kRebalanceIntervalNs = 25 * kMillisecond;
+
+/**
+ * Fraction of a tenant's static (weight-proportional) quota that is
+ * always guaranteed, regardless of demand.
+ */
+constexpr double kMinShare = 0.25;
+
+/** Cap on one quota-enforcement demotion batch, in tracking units. */
+constexpr uint64_t kMaxEnforceBatch = 4096;
+
+/**
+ * Knobs of the fair-share wrapper. The controller's design constants
+ * (rebalance period, `kMinShare` floor, enforcement batch cap, fill
+ * candidate buffer and margin, rotation threshold, ghost-MRC sample
+ * budget) are named constants, not fields.
+ */
 struct FairShareConfig {
   /** Re-divide quotas by recent hit rate; false = static weights only. */
   bool rebalance = true;
   /** Demand signal for the re-division. */
   QuotaMode quota_mode = QuotaMode::kMarginal;
-  /**
-   * Virtual-time period of the rebalance tick. Sized to the simulator's
-   * compressed timescales (policy tick 1 ms, stats 20 ms).
-   */
-  TimeNs rebalance_interval_ns = 25 * kMillisecond;
-  /**
-   * Fraction of a tenant's static (weight-proportional) quota that is
-   * always guaranteed, regardless of demand.
-   */
-  double min_share = 0.25;
-  /** Cap on one quota-enforcement demotion batch, in tracking units. */
-  uint64_t max_enforce_batch = 4096;
   /** Promote under-quota tenants' sampled slow pages into their share. */
   bool fill_to_quota = true;
-  /** Per-tenant cap on buffered fill candidates between ticks. */
-  size_t candidate_buffer = 1024;
-  /**
-   * Fraction of each quota the filler leaves empty for the base
-   * policy's own (frequency-thresholded) promotions, so filling never
-   * crowds out the wrapped policy's better-informed picks.
-   */
-  double fill_margin = 0.125;
-  /**
-   * Rotate (demote to the fill limit at rebalance) tenants whose
-   * sampled fast-access fraction is below this, so a bad resident mix
-   * gets swapped out instead of pinning the tenant's hit density — and
-   * therefore its quota — at the floor forever.
-   */
-  double rotate_below = 0.5;
   /**
    * Fraction of a newly arrived tenant's static share guaranteed as its
    * floor for the first rebalance window after arrival, while its
    * demand estimate warms up. 0 disables the grace (the tenant starts
-   * from the min_share floor and earns quota only as samples arrive).
+   * from the `kMinShare` floor and earns quota only as samples arrive).
    */
   double arrival_grace = 1.0;
   /**
@@ -172,15 +166,6 @@ struct FairShareConfig {
    * costs the same), so the default two-tier behavior is unchanged.
    */
   bool endpoint_aware = false;
-  /**
-   * Target sampled-unit count of each tenant's ghost MRC estimate
-   * (marginal mode). A tenant whose region span exceeds the budget gets
-   * SHARDS spatial sampling at the smallest power-of-two rate that fits
-   * (`GhostMrc::SampleShiftFor`), shrinking its counter memory by the
-   * same factor; smaller tenants stay exact. 0 disables sampling (every
-   * tenant exact, the pre-fleet behavior).
-   */
-  uint64_t ghost_sample_budget = 1024;
 };
 
 /** Per-tenant quota enforcement as a `TieringPolicy` decorator. */
@@ -431,7 +416,7 @@ class FairSharePolicy : public TieringPolicy,
 
   /**
    * The guaranteed floor for `tenant` at a rebalance at `now`: the
-   * min_share fraction of its static quota, raised to the arrival-grace
+   * `kMinShare` fraction of its static quota, raised to the arrival-grace
    * share while the tenant is inside its post-arrival grace window.
    */
   uint64_t RebalanceFloor(uint32_t tenant, TimeNs now) const;

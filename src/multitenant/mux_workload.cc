@@ -28,7 +28,10 @@ MuxWorkload::MuxWorkload(std::vector<Tenant> tenants)
     TenantRegion region;
     region.name = workload.name();
     const uint32_t use = name_uses[region.name]++;
-    if (use > 0) region.name += "#" + std::to_string(use);
+    if (use > 0) {
+      region.name += '#';
+      region.name += std::to_string(use);
+    }
     region.weight = tenants_[i].weight;
     region.base_page = base;
     region.footprint_pages = workload.footprint_pages();

@@ -87,9 +87,6 @@ struct TenantRegion {
                      (base_page + span_pages) / per_unit};
   }
 
-  /** True if the tenant is resident for the whole run (no windows). */
-  bool AlwaysResident() const { return windows.empty(); }
-
   /** True if any residency window contains virtual time `now`. */
   bool ActiveAt(TimeNs now) const {
     if (windows.empty()) return true;

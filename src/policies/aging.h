@@ -41,9 +41,6 @@ class ClockAger {
   /** Age in generations since last observed access. */
   uint8_t AgeOf(PageId unit) const { return age_[unit]; }
 
-  /** Accessed bit (unharvested) of `unit`. */
-  bool AccessedBit(PageId unit) const { return accessed_[unit] != 0; }
-
   /** Units covered. */
   uint64_t size() const { return age_.size(); }
 

@@ -15,6 +15,10 @@ constexpr uint64_t kPmdBase = 1ULL << 45;      // PMD level lines.
 constexpr uint64_t kMetaBase = 1ULL << 46;     // 16 B/page counter records.
 constexpr uint64_t kHistBase = 1ULL << 47;     // Histogram buckets.
 constexpr uint64_t kPagemapBase = 1ULL << 48;  // Demotion scan pagemap.
+
+constexpr uint32_t kHistMax = 127;  // Histogram cap for counter values.
+// Demotion hysteresis: victims need count < threshold / this.
+constexpr uint32_t kDemoteHysteresisDivisor = 2;
 }  // namespace
 
 MemtisPolicy::MemtisPolicy(const MemtisConfig& config) : config_(config) {
@@ -24,7 +28,7 @@ MemtisPolicy::MemtisPolicy(const MemtisConfig& config) : config_(config) {
 void MemtisPolicy::Bind(const PolicyContext& context) {
   TieringPolicy::Bind(context);
   counters_ = std::make_unique<ExactCounterTable>(context.footprint_units);
-  histogram_ = std::make_unique<Histogram>(config_.hist_max);
+  histogram_ = std::make_unique<Histogram>(kHistMax);
   hot_threshold_ = 1;
   if (context.trace != nullptr) {
     cooling_track_ = context.trace->Track("policy/Memtis");
@@ -57,9 +61,9 @@ void MemtisPolicy::OnSample(const SampleRecord& sample) {
   const uint32_t old_count =
       std::min<uint32_t>(static_cast<uint32_t>(
                              counters_->RawCount(sample.page)),
-                         config_.hist_max);
+                         kHistMax);
   counters_->Increment(sample.page);
-  const uint32_t new_count = std::min(old_count + 1, config_.hist_max);
+  const uint32_t new_count = std::min(old_count + 1, kHistMax);
   if (new_count != old_count) {
     histogram_->Remove(old_count);
     histogram_->Add(new_count);
@@ -112,9 +116,8 @@ uint64_t MemtisPolicy::DemoteColdPages(uint64_t needed, TimeNs now,
   std::vector<PageId> victims;
   const uint64_t footprint = context().footprint_units;
 
-  const uint32_t demote_below = std::max<uint32_t>(
-      1, hot_threshold_ / std::max<uint32_t>(
-                              1, config_.demote_hysteresis_divisor));
+  const uint32_t demote_below =
+      std::max<uint32_t>(1, hot_threshold_ / kDemoteHysteresisDivisor);
   // Incremental linear scan (kswapd-style). The strict phase takes only
   // clearly-cold pages (hysteresis); if starved, the relaxed phase takes
   // any sub-threshold page.

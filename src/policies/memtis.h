@@ -34,10 +34,6 @@ struct MemtisConfig {
   uint64_t cooling_period_samples = 150000;
   /** Flush pending promotions every this many samples. */
   uint64_t promo_batch_samples = 2048;
-  /** Histogram cap for counter values. */
-  uint32_t hist_max = 127;
-  /** Demotion hysteresis divisor: victims need count < threshold/this. */
-  uint32_t demote_hysteresis_divisor = 2;
   /** Begin demoting when fast free fraction falls below this. */
   double demote_trigger_frac = 0.02;
   /** Demote until fast free fraction reaches this. */

@@ -11,6 +11,11 @@ namespace hybridtier {
 namespace {
 constexpr uint64_t kPteBase = 1ULL << 44;      // Fault-handling PTE lines.
 constexpr uint64_t kPagemapBase = 1ULL << 46;  // Aging/demotion scans.
+
+// Accessed-bit harvest chunk per tick (MGLRU aging).
+constexpr uint64_t kAgeChunkUnits = 2048;
+// Minimum age (generations unaccessed) for demotion eligibility.
+constexpr uint8_t kDemoteMinAge = 2;
 }  // namespace
 
 void NumaBalancingPolicy::Bind(const PolicyContext& context) {
@@ -51,13 +56,12 @@ void NumaBalancingPolicy::WatermarkDemotion(TimeNs now) {
   // MGLRU eviction: walk fast-resident pages, demote those whose
   // generation age shows no recent access.
   BudgetedResidentScan(memory(), &demote_cursor_, context().footprint_units,
-                       config_.age_chunk_units, Tier::kFast,
+                       kAgeChunkUnits, Tier::kFast,
                        [&] { return victims.size() >= needed; },
                        [&](PageId unit) {
                          sink().Touch(kPagemapBase +
                                       (unit / 8) * kCacheLineSize);
-                         if (ager_->AgeOf(unit) >=
-                                 config_.demote_min_age &&
+                         if (ager_->AgeOf(unit) >= kDemoteMinAge &&
                              victims.size() < needed) {
                            victims.push_back(unit);
                          }
@@ -89,14 +93,14 @@ void NumaBalancingPolicy::Tick(TimeNs now) {
   protect_cursor_ = protect_end >= footprint ? 0 : protect_end;
 
   // MGLRU aging: harvest accessed bits over the next chunk.
-  ager_->Scan(age_cursor_, config_.age_chunk_units);
+  ager_->Scan(age_cursor_, kAgeChunkUnits);
   for (PageId unit = age_cursor_;
-       unit < std::min<PageId>(age_cursor_ + config_.age_chunk_units,
+       unit < std::min<PageId>(age_cursor_ + kAgeChunkUnits,
                                footprint);
        unit += 16) {
     sink().Touch(kLruBase + (unit / 16) * kCacheLineSize);
   }
-  age_cursor_ += config_.age_chunk_units;
+  age_cursor_ += kAgeChunkUnits;
   if (age_cursor_ >= footprint) age_cursor_ = 0;
 
   WatermarkDemotion(now);

@@ -32,14 +32,10 @@ namespace hybridtier {
 struct NumaBalancingConfig {
   /** Address-space units protected per maintenance tick. */
   uint64_t scan_chunk_units = 1024;
-  /** Accessed-bit harvest chunk per tick (MGLRU aging). */
-  uint64_t age_chunk_units = 2048;
   /** Demote when fast free fraction falls below this. */
   double demote_trigger_frac = 0.02;
   /** Demote until fast free fraction reaches this. */
   double demote_target_frac = 0.04;
-  /** Minimum age (generations unaccessed) for demotion eligibility. */
-  uint8_t demote_min_age = 2;
   /** Fault-promotion rate limit, pages per maintenance tick (models
    *  Linux NUMA-balancing migration rate limiting). */
   uint64_t promotion_rate_per_tick = 48;

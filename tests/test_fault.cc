@@ -306,7 +306,7 @@ TEST(FaultRuntime, DownEndpointDrainsAndAttributionStillSums) {
   ASSERT_GT(attr.ops(), 0u);
   EXPECT_EQ(attr.ComponentSumNs(), attr.op_latency_ns());
   EXPECT_EQ(attr.component_ns(LatencyComponent::kFaultStall),
-            result.fault.stalled_accesses * config.perf.fault_stall_ns);
+            result.fault.stalled_accesses * kFaultStallNs);
 }
 
 TEST(FaultRuntime, EvacuationParksInBackoffWhenFastCannotHoldDrain) {

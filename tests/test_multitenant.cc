@@ -398,10 +398,10 @@ TenantDirectory TwoTenantDirectoryWeighted(double weight_a,
   TenantDirectory directory;
   directory.regions.push_back(TenantRegion{
       .name = "a", .weight = weight_a, .base_page = 0,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   directory.regions.push_back(TenantRegion{
       .name = "b", .weight = weight_b, .base_page = 1024,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   return directory;
 }
 
@@ -985,7 +985,7 @@ TenantDirectory RecurringDirectory(TimeNs depart, TimeNs rearrive) {
   TenantDirectory directory;
   directory.regions.push_back(TenantRegion{
       .name = "a", .weight = 1.0, .base_page = 0,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   directory.regions.push_back(TenantRegion{
       .name = "b", .weight = 1.0, .base_page = 1024,
       .footprint_pages = 1024, .span_pages = 1024,
@@ -1270,9 +1270,7 @@ TEST(MultiTenantSimulation, RecurringTenantReacquiresCapacity) {
   // tenant leaves the accounting walk until its next arrival, so
   // absence of points in the gap also means nothing resident.
   const TimeSeries& occupancy = result.tenants[1].occupancy_timeline;
-  const FairShareConfig defaults;
-  const TimeNs drain_deadline =
-      kDeparture + defaults.rebalance_interval_ns;
+  const TimeNs drain_deadline = kDeparture + kRebalanceIntervalNs;
   bool drained_to_zero = false;
   for (size_t i = 0; i < occupancy.size(); ++i) {
     const TimeNs at = occupancy.times_ns[i];
@@ -1293,7 +1291,7 @@ TenantDirectory ArrivalDirectory(TimeNs arrival_ns) {
   TenantDirectory directory;
   directory.regions.push_back(TenantRegion{
       .name = "a", .weight = 1.0, .base_page = 0,
-      .footprint_pages = 1024, .span_pages = 1024});
+      .footprint_pages = 1024, .span_pages = 1024, .windows = {}});
   directory.regions.push_back(TenantRegion{
       .name = "b", .weight = 1.0, .base_page = 1024,
       .footprint_pages = 1024, .span_pages = 1024,
@@ -1324,11 +1322,11 @@ TEST(FairSharePolicy, ArrivalGraceSeedsQuotaFromStaticShare) {
   EXPECT_GE(with_grace, 230u);  // Static share is 256.
 
   // Without it (the pre-fix behavior) the incumbent's demand squeezes
-  // the newcomer to the min_share floor: the post-arrival fairness dip.
+  // the newcomer to the kMinShare floor: the post-arrival fairness dip.
   FairShareConfig no_grace;
   no_grace.arrival_grace = 0.0;
   const uint64_t without_grace = ArrivalQuota(no_grace);
-  EXPECT_LE(without_grace, 70u);  // min_share floor is 64.
+  EXPECT_LE(without_grace, 70u);  // kMinShare floor is 64.
 }
 
 // --------------------------------------- simulation-level attribution --
@@ -1387,10 +1385,9 @@ TEST(MultiTenantSimulation, FairShareKeepsEveryTenantWithinQuota) {
   const SimulationResult result =
       RunSimulation(config, mux.get(), fair.get());
 
-  const FairShareConfig defaults;
   for (uint32_t t = 0; t < mux->tenant_count(); ++t) {
     EXPECT_LE(result.tenants[t].fast_resident_units,
-              fair->quota_units(t) + defaults.max_enforce_batch)
+              fair->quota_units(t) + kMaxEnforceBatch)
         << "tenant " << result.tenants[t].name << " exceeds its quota";
   }
 }
@@ -1402,10 +1399,8 @@ TEST(MultiTenantSimulation, DepartureReleasesFastShareWithinOneRebalance) {
       ParseTenantList("zipf,zipf@0-6e7,cdn:2");
   for (TenantSpec& spec : specs) spec.scale = 0.05;
   auto mux = MakeMuxWorkload(specs, 7);
-  const FairShareConfig fair_config;
   auto fair = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
-                                                mux->directory(),
-                                                fair_config);
+                                                mux->directory());
   SimulationConfig config = SmallSimConfig();
   config.max_accesses = 30000000;
   config.max_time_ns = 120 * kMillisecond;
@@ -1439,8 +1434,7 @@ TEST(MultiTenantSimulation, DepartureReleasesFastShareWithinOneRebalance) {
   const TimeSeries& occupancy = result.tenants[1].occupancy_timeline;
   ASSERT_GT(occupancy.size(), 0u);
   bool held_capacity_before = false;
-  const TimeNs deadline =
-      kDeparture + fair_config.rebalance_interval_ns;
+  const TimeNs deadline = kDeparture + kRebalanceIntervalNs;
   for (size_t i = 0; i < occupancy.size(); ++i) {
     if (occupancy.times_ns[i] < kDeparture && occupancy.values[i] > 0.0) {
       held_capacity_before = true;
@@ -1582,7 +1576,7 @@ TEST(MultiTenantSimulation, ArrivalGraceLiftsPostArrivalFairness) {
     size_t count = 0;
     for (size_t i = 0; i < fairness.size(); ++i) {
       if (fairness.times_ns[i] >= kArrival &&
-          fairness.times_ns[i] < kArrival + 3 * fair_config.rebalance_interval_ns) {
+          fairness.times_ns[i] < kArrival + 3 * kRebalanceIntervalNs) {
         sum += fairness.values[i];
         ++count;
       }
@@ -1789,9 +1783,8 @@ TEST(MultiTenantSimulation, FleetBookkeepingScalesWithActiveTenants) {
                       "period=2e8,horizon=1e9,seed=3"),
       7);
   ASSERT_EQ(mux->tenant_count(), kFleet);
-  FairShareConfig fair_config;
-  auto fair = std::make_unique<FairSharePolicy>(
-      MakePolicy("HybridTier"), mux->directory(), fair_config);
+  auto fair = std::make_unique<FairSharePolicy>(MakePolicy("HybridTier"),
+                                                mux->directory());
   SimulationConfig config;
   config.seed = 7;
   config.max_accesses = 1000000;
@@ -1813,9 +1806,8 @@ TEST(MultiTenantSimulation, FleetBookkeepingScalesWithActiveTenants) {
   // Policy maintenance walks only the active set. Rebalance runs every
   // rebalance interval; enforcement and quota fill run every policy
   // tick, so each gets its own pass count.
-  const uint64_t rebalances =
-      result.duration_ns / fair_config.rebalance_interval_ns + 2;
-  const uint64_t ticks = result.duration_ns / config.tick_interval_ns + 2;
+  const uint64_t rebalances = result.duration_ns / kRebalanceIntervalNs + 2;
+  const uint64_t ticks = result.duration_ns / kTickIntervalNs + 2;
   EXPECT_LE(fair->rebalance_tenant_visits(), rebalances * kActiveCeiling);
   EXPECT_LE(fair->fill_tenant_visits(), ticks * kActiveCeiling);
   EXPECT_LE(fair->enforce_tenant_visits(), ticks * kActiveCeiling);

@@ -165,7 +165,11 @@ TEST(Trace, InternedNamesAreStable) {
   const char* first = emitter.Intern("tenant/alpha");
   const std::string copy = first;
   // Interning more strings must not invalidate earlier pointers.
-  for (int i = 0; i < 100; ++i) emitter.Intern("x" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "x";
+    name += std::to_string(i);
+    emitter.Intern(name);
+  }
   EXPECT_EQ(copy, first);
 }
 
