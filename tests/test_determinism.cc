@@ -8,17 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/clocked_workload.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
 #include "multitenant/fair_share_policy.h"
 #include "multitenant/mux_workload.h"
+#include "obs/audit.h"
 #include "workloads/factory.h"
 #include "workloads/trace.h"
 
@@ -691,6 +697,196 @@ TEST(Determinism, ChurningFairShareMatchesGolden) {
     EXPECT_EQ(fair.fill_promotions(t), golden.fill[t]);
     EXPECT_EQ(fair.released_units(t), golden.released[t]);
     EXPECT_EQ(fair.gated_promotions(t), golden.gated[t]);
+  }
+}
+
+
+// The residency-window schedule decides who is present when for three
+// consumers at once: the mux rotation, the fair-share policy's quotas
+// and drains, and the simulation's per-interval tenant walk. Two
+// FairShare(HybridTier) cells pin every count those consumers produce:
+//  (a) a Poisson fleet whose 5 ms churn period crosses several window
+//      edges inside one 1 ms policy tick and one 20 ms stats interval;
+//  (b) recurring explicit windows with idle gaps (nobody resident from
+//      2 to 10 ms and from 20 to 22 ms), a paced drain that the
+//      tenant's next window overtakes, and 1 ms stats points, the first
+//      of which falls in a window that opens at t=0.
+// Churn log, fairness timeline and per-tenant quota/release counts are
+// pinned as FNV-1a hashes.
+struct ScheduleGolden {
+  uint64_t ops, accesses, duration_ns;
+  uint64_t stats_tenant_visits, churn_edge_visits, active_tenants;
+  uint64_t churn_events, churn_hash;
+  uint64_t fairness_points, fairness_hash;
+  uint64_t released_total, quota_hash, released_hash;
+};
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/** Folds the eight bytes of `value` into FNV-1a state `hash`. */
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xff;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/** Counts the pure idle gaps (no tenant runnable) the mux emits. */
+class IdleGapCounter : public bench::ClockedTenantWorkload {
+ public:
+  using ClockedTenantWorkload::ClockedTenantWorkload;
+
+  bool NextOp(TimeNs now, OpTrace* op) override {
+    const bool more = ClockedTenantWorkload::NextOp(now, op);
+    if (more && op->accesses.empty()) ++idle_gaps_;
+    return more;
+  }
+
+  uint64_t idle_gaps() const { return idle_gaps_; }
+
+ private:
+  uint64_t idle_gaps_ = 0;
+};
+
+/** What one schedule cell produced, plus evidence of the paths it ran. */
+struct ScheduleRun {
+  ScheduleGolden observed{};
+  uint64_t idle_gaps = 0;
+  uint64_t max_edges_per_tick = 0;   //!< Churn events in one 1 ms tick.
+  uint64_t max_edges_per_stats = 0;  //!< ... in one stats interval.
+  uint64_t oversized_drains = 0;     //!< Drain batches > release_batch.
+};
+
+ScheduleRun RunScheduleCell(const std::string& tenants, double scale,
+                            const FairShareConfig& fair_config,
+                            const SimulationConfig& config) {
+  std::vector<TenantSpec> specs = ParseTenantList(tenants);
+  if (scale > 0) {
+    for (TenantSpec& spec : specs) spec.scale = scale;
+  }
+  auto mux = MakeMuxWorkload(specs, config.seed);
+  IdleGapCounter workload(mux.get(), 0);
+  FairSharePolicy fair(MakePolicy("HybridTier"), mux->directory(),
+                       fair_config);
+  DecisionAuditConfig audit_config;
+  audit_config.ring_capacity = 1u << 16;
+  DecisionAudit audit(audit_config);
+  SimulationConfig run_config = config;
+  run_config.telemetry.audit = &audit;
+  const SimulationResult r = RunSimulation(run_config, &workload, &fair);
+
+  ScheduleRun run;
+  ScheduleGolden& o = run.observed;
+  o.ops = r.ops;
+  o.accesses = r.accesses;
+  o.duration_ns = r.duration_ns;
+  o.stats_tenant_visits = r.stats_tenant_visits;
+  o.churn_edge_visits = fair.churn_edge_visits();
+  o.active_tenants = fair.active_tenants();
+  o.churn_events = mux->churn_events().size();
+  o.churn_hash = kFnvBasis;
+  std::map<TimeNs, uint64_t> per_tick;
+  std::map<TimeNs, uint64_t> per_stats;
+  for (const TenantChurnEvent& event : mux->churn_events()) {
+    o.churn_hash = Fnv1a(o.churn_hash, event.time_ns);
+    o.churn_hash = Fnv1a(o.churn_hash, event.tenant);
+    o.churn_hash = Fnv1a(o.churn_hash, event.arrival ? 1 : 0);
+    run.max_edges_per_tick = std::max(
+        run.max_edges_per_tick, ++per_tick[event.time_ns / kTickIntervalNs]);
+    run.max_edges_per_stats = std::max(
+        run.max_edges_per_stats,
+        ++per_stats[event.time_ns / config.stats_interval_ns]);
+  }
+  const TimeSeries& fairness = r.weighted_fairness_timeline;
+  o.fairness_points = fairness.size();
+  o.fairness_hash = kFnvBasis;
+  for (size_t i = 0; i < fairness.size(); ++i) {
+    o.fairness_hash = Fnv1a(o.fairness_hash, fairness.times_ns[i]);
+    o.fairness_hash =
+        Fnv1a(o.fairness_hash, std::bit_cast<uint64_t>(fairness.values[i]));
+  }
+  o.quota_hash = kFnvBasis;
+  o.released_hash = kFnvBasis;
+  for (uint32_t t = 0; t < mux->tenant_count(); ++t) {
+    o.quota_hash = Fnv1a(o.quota_hash, fair.quota_units(t));
+    o.released_hash = Fnv1a(o.released_hash, fair.released_units(t));
+    o.released_total += fair.released_units(t);
+  }
+  run.idle_gaps = workload.idle_gaps();
+  // Paced reclaim demotes at most release_batch units per tick; only the
+  // flush of a drain overtaken by the tenant's next window asks for more.
+  EXPECT_EQ(audit.dropped_records(), 0u);
+  for (const AuditRecord& record : audit.RingSnapshot()) {
+    if (record.reason == MigrationReason::kChurnDrain &&
+        record.pages_requested > fair_config.release_batch) {
+      ++run.oversized_drains;
+    }
+  }
+  return run;
+}
+
+void ExpectScheduleGolden(const ScheduleGolden& o, const ScheduleGolden& g) {
+  EXPECT_EQ(o.ops, g.ops);
+  EXPECT_EQ(o.accesses, g.accesses);
+  EXPECT_EQ(o.duration_ns, g.duration_ns);
+  EXPECT_EQ(o.stats_tenant_visits, g.stats_tenant_visits);
+  EXPECT_EQ(o.churn_edge_visits, g.churn_edge_visits);
+  EXPECT_EQ(o.active_tenants, g.active_tenants);
+  EXPECT_EQ(o.churn_events, g.churn_events);
+  EXPECT_EQ(o.churn_hash, g.churn_hash);
+  EXPECT_EQ(o.fairness_points, g.fairness_points);
+  EXPECT_EQ(o.fairness_hash, g.fairness_hash);
+  EXPECT_EQ(o.released_total, g.released_total);
+  EXPECT_EQ(o.quota_hash, g.quota_hash);
+  EXPECT_EQ(o.released_hash, g.released_hash);
+}
+
+constexpr ScheduleGolden kPoissonFleetScheduleGolden = {
+    260915ull, 1043660ull, 200455510ull,
+    1996ull, 16212ull, 45ull,
+    16212ull, 12298448666906718719ull,
+    10ull, 3533027488659108823ull,
+    616368ull, 14937356421296576047ull, 5211294858918032913ull};
+
+constexpr ScheduleGolden kRecurringScheduleGolden = {
+    71827ull, 438613ull, 50028311ull,
+    91ull, 7ull, 0ull,
+    7ull, 8014924886986109963ull,
+    50ull, 6927868828433923441ull,
+    20620ull, 9808874869469701221ull, 8775964574714363261ull};
+
+TEST(Determinism, ResidencyScheduleMatchesGolden) {
+  {
+    SCOPED_TRACE("poisson fleet");
+    SimulationConfig config;
+    config.max_accesses = 2000000;
+    config.max_time_ns = 200 * kMillisecond;
+    config.seed = 5;
+    const ScheduleRun run = RunScheduleCell(
+        "fleet:200,zipf=0.9,fp=256,churn=poisson,duty=0.3,period=5ms,"
+        "horizon=200ms,seed=5",
+        0.0, FairShareConfig{}, config);
+    EXPECT_GE(run.max_edges_per_tick, 2u);
+    EXPECT_GE(run.max_edges_per_stats, 2u);
+    ExpectScheduleGolden(run.observed, kPoissonFleetScheduleGolden);
+  }
+  {
+    SCOPED_TRACE("recurring windows");
+    FairShareConfig fair_config;
+    fair_config.release_batch = 16;
+    SimulationConfig config;
+    config.max_accesses = 30000000;
+    config.max_time_ns = 60 * kMillisecond;
+    // Stats points inside zipf's first window, which opens at t=0.
+    config.stats_interval_ns = 1 * kMillisecond;
+    config.seed = 5;
+    const ScheduleRun run = RunScheduleCell(
+        "zipf@0-2ms+30ms-40ms,cdn@10ms-20ms+22ms-50ms", 0.05, fair_config,
+        config);
+    EXPECT_GT(run.idle_gaps, 0u);
+    EXPECT_GT(run.oversized_drains, 0u);
+    ExpectScheduleGolden(run.observed, kRecurringScheduleGolden);
   }
 }
 
