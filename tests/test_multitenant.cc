@@ -951,6 +951,29 @@ TEST(FairSharePolicy, MarginalModeFundsReuseSetOverStreamingVolume) {
   EXPECT_LE(harness.policy().quota_units(0), 160u);
 }
 
+TEST(FairSharePolicy, StreamingTenantSitsOnItsMinShareFloor) {
+  FairShareHarness harness(AllocationPolicy::kSlowOnly, FairShareConfig{},
+                           std::make_unique<PromoteAllPolicy>(),
+                           TwoTenantDirectoryWeighted(1.0, 1.0));
+  harness.TouchAll();
+
+  // Tenant a's reuse set (600 units sampled 8x each) bids for more than
+  // the whole 512-unit tier; tenant b streams 960 distinct units once
+  // and bids for nothing. Every unit above the floors goes to a, so b's
+  // quota is exactly its kMinShare floor of the 256-unit static share.
+  FeedSamples(&harness.policy(), 0, 600, 8);
+  FeedSamples(&harness.policy(), 1024, 1984, 1);
+  harness.policy().Tick(25 * kMillisecond);  // First rebalance.
+
+  const uint64_t static_share = 512 / 2;
+  EXPECT_EQ(harness.policy().quota_units(1),
+            static_cast<uint64_t>(static_cast<double>(static_share) *
+                                  kMinShare));
+  // The floor itself, pinned: 256 x 0.25.
+  EXPECT_EQ(harness.policy().quota_units(1), 64u);
+  EXPECT_EQ(harness.policy().quota_units(0), 512u - 64u);
+}
+
 TEST(FairSharePolicy, MarginalModeQuotasDeterministicAcrossReruns) {
   std::vector<uint64_t> quotas[2];
   for (int run = 0; run < 2; ++run) {
