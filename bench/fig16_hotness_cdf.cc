@@ -18,14 +18,15 @@
 #include "common/table.h"
 #include "mem/page.h"
 #include "probstruct/exact_table.h"
+#include "sampling/sample.h"
 
 namespace hybridtier::bench {
 namespace {
 
 constexpr uint64_t kAccessBudget = 12000000;
-/** The runtime's PEBS period and frequency-tracker cooling period, so
- *  counter magnitudes match what the tiering system actually sees. */
-constexpr uint64_t kSamplePeriod = 61;
+/** The runtime's frequency-tracker cooling period; with the runtime's
+ *  `kSamplePeriod`, counter magnitudes match what the tiering system
+ *  actually sees. */
 constexpr uint64_t kCoolingPeriod = 50000;
 
 /** Cumulative shares at the Fig 16 bucket edges. */

@@ -9,8 +9,6 @@ namespace hybridtier {
 namespace {
 
 constexpr TimeNs kOpOverheadNs = 60;     // Non-memory work per op.
-constexpr uint64_t kSamplePeriod = 61;   // PEBS period (accesses/sample).
-constexpr size_t kSampleBuffer = 8192;   // PEBS buffer depth.
 
 }  // namespace
 
@@ -114,35 +112,18 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
     const uint32_t tenants = tenant_source_->tenant_count();
     // Per-tenant sample budgets: a high-access-rate tenant cannot crowd
     // the sample stream that feeds the other tenants' demand estimators.
-    BudgetedSamplerConfig sampler_config;
-    sampler_config.base_period = kSamplePeriod;
-    sampler_config.buffer_capacity = kSampleBuffer;
+    BudgetedSamplerConfig sampler_config;  // kSamplePeriod, kSampleBuffer.
     sampler_config.seed = config.seed;
     budgeted_sampler_ =
         std::make_unique<BudgetedSampler>(sampler_config, tenants);
     tenant_states_.resize(tenants);
-    // Presence schedule for O(active) interval accounting: windowless
-    // tenants are present for the whole run; everyone else enters and
-    // leaves `present_` as the stats clock crosses their window edges.
+    // O(active) interval accounting: tenants present at t=0 (windowless
+    // ones for the whole run) start in `present_`; everyone enters and
+    // leaves it as the stats clock crosses their residency edges.
     for (uint32_t t = 0; t < tenants; ++t) {
-      const auto windows = tenant_source_->tenant_windows(t);
-      if (windows.empty()) {
-        present_.push_back(t);
-        continue;
-      }
-      for (const auto& [arrival_ns, departure_ns] : windows) {
-        presence_edges_.push_back(
-            PresenceEdge{arrival_ns, t, /*arrival=*/true});
-        if (departure_ns != 0) {
-          presence_edges_.push_back(
-              PresenceEdge{departure_ns, t, /*arrival=*/false});
-        }
-      }
+      if (tenant_source_->tenant_active_at(t, 0)) present_.push_back(t);
     }
-    std::sort(presence_edges_.begin(), presence_edges_.end(),
-              [](const PresenceEdge& a, const PresenceEdge& b) {
-                return a.at != b.at ? a.at < b.at : a.tenant < b.tenant;
-              });
+    presence_ = ResidencySchedule(*tenant_source_);
   } else {
     sampler_ = std::make_unique<AccessSampler>(
         kSamplePeriod, kSampleBuffer, config.seed);
@@ -508,9 +489,7 @@ void EraseSorted(std::vector<uint32_t>* set, uint32_t value) {
 }  // namespace
 
 void Simulation::AdvancePresence(TimeNs at) {
-  while (presence_cursor_ < presence_edges_.size() &&
-         presence_edges_[presence_cursor_].at <= at) {
-    const PresenceEdge& edge = presence_edges_[presence_cursor_++];
+  presence_.PopDue(at, [this](const ResidencySchedule::Edge& edge) {
     if (edge.arrival) {
       // A re-arrival may land while the previous window's pages are
       // still draining; the tenant rejoins the present walk either way.
@@ -520,7 +499,7 @@ void Simulation::AdvancePresence(TimeNs at) {
       EraseSorted(&present_, edge.tenant);
       InsertSorted(&draining_, edge.tenant);
     }
-  }
+  });
 }
 
 void Simulation::RecordTimelinePoint(TimeNs at) {

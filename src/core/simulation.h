@@ -30,6 +30,7 @@
 #include "mem/page.h"
 #include "mem/perf_model.h"
 #include "mem/tiered_memory.h"
+#include "multitenant/tenant.h"
 #include "obs/telemetry.h"
 #include "policies/policy.h"
 #include "sampling/budgeted_sampler.h"
@@ -297,15 +298,8 @@ class Simulation {
     TimeSeries latency_timeline;    //!< Per-interval median op latency.
   };
 
-  /** One scheduled presence change (from TenantTagSource windows). */
-  struct PresenceEdge {
-    TimeNs at = 0;
-    uint32_t tenant = 0;
-    bool arrival = false;
-  };
-
   /**
-   * Applies presence edges up to `at`: arrivals join `present_`,
+   * Pops residency-schedule edges up to `at`: arrivals join `present_`,
    * departures move to `draining_` (their occupancy is still reported
    * until the policy finishes releasing the region). O(1) when no edge
    * is due, so per-interval accounting never scans the whole fleet.
@@ -410,12 +404,11 @@ class Simulation {
   TimeNs next_tick_ = 0;
   TimeNs next_stats_ = 0;
 
-  // O(active) per-tenant accounting: the presence schedule derived from
-  // the workload's residency windows, the tenants currently present
-  // (sorted by id, so floating-point reductions keep the historical
-  // id-order evaluation), and departed tenants still draining.
-  std::vector<PresenceEdge> presence_edges_;
-  size_t presence_cursor_ = 0;
+  // O(active) per-tenant accounting: the residency schedule of the
+  // workload's tenant windows, the tenants currently present (sorted by
+  // id, so floating-point reductions keep the historical id-order
+  // evaluation), and departed tenants still draining.
+  ResidencySchedule presence_;
   std::vector<uint32_t> present_;   //!< Present tenant ids, ascending.
   std::vector<uint32_t> draining_;  //!< Departed, region not yet empty.
   std::vector<double> scratch_shares_;   //!< Per-interval, present-sized.

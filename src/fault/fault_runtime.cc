@@ -190,24 +190,6 @@ void FaultRuntime::Advance(TimeNs now) {
   }
 }
 
-bool FaultRuntime::AnyDown() const {
-  for (uint32_t e = 0; e < evacuations_.size(); ++e) {
-    if (health_.state(e) == EndpointHealth::kDown) return true;
-  }
-  return false;
-}
-
-bool FaultRuntime::Quiesced() const {
-  if (!health_.Settled()) return false;
-  for (uint32_t e = 0; e < evacuations_.size(); ++e) {
-    if (health_.state(e) == EndpointHealth::kDown &&
-        memory_->EndpointResident(e) > 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 FaultStats FaultRuntime::stats() const {
   FaultStats out = stats_;
   out.stalled_accesses = 0;

@@ -101,13 +101,6 @@ class FaultRuntime {
     return health_.state(endpoint);
   }
 
-  /** True while any endpoint is down. */
-  bool AnyDown() const;
-
-  /** True once every scheduled edge has been applied and no down
-   *  endpoint still has residents to evacuate. */
-  bool Quiesced() const;
-
   /**
    * Counters so far. `stalled_accesses` is pulled from the timing
    * model at call time (the hot path counts stalls where they happen).

@@ -11,7 +11,6 @@ namespace hybridtier {
 namespace {
 
 constexpr char kPrefix[] = "faults:";
-constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
 constexpr char kChaosPrefix[] = "chaos(";
 
 // Fixed mixing constant for the flap coin so flap behaviour is a pure
@@ -159,28 +158,12 @@ FaultSchedule ExpandChaos(SpecReader& reader) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDown:
-      return "down";
-    case FaultKind::kDegrade:
-      return "degrade";
-    case FaultKind::kFlap:
-      return "flap";
-  }
-  return "unknown";
-}
-
 uint32_t FaultSchedule::MaxEndpoint() const {
   uint32_t max_endpoint = 0;
   for (const FaultEvent& event : events) {
     max_endpoint = std::max(max_endpoint, event.endpoint);
   }
   return max_endpoint;
-}
-
-bool IsFaultSpec(const std::string& text) {
-  return text.compare(0, kPrefixLen, kPrefix) == 0;
 }
 
 FaultSchedule ParseFaultSpec(const std::string& text) {

@@ -57,9 +57,6 @@ enum class FaultKind : uint8_t {
   kFlap = 2,     //!< Seeded per-period coin between down and healthy.
 };
 
-/** Display name of a fault kind ("down", "degrade", "flap"). */
-const char* FaultKindName(FaultKind kind);
-
 /** One scheduled fault on one endpoint. */
 struct FaultEvent {
   uint32_t endpoint = 0;       //!< Slow-tier endpoint index (0-based).
@@ -80,9 +77,6 @@ struct FaultSchedule {
   /** Largest endpoint index named by any event (0 when empty). */
   uint32_t MaxEndpoint() const;
 };
-
-/** True if `text` looks like a fault spec (starts with "faults:"). */
-bool IsFaultSpec(const std::string& text);
 
 /**
  * Parses a `faults:` spec (fatal with token + byte offset on user

@@ -1,7 +1,6 @@
 #include "fault/health.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.h"
 
@@ -149,13 +148,6 @@ void HealthTracker::Advance(
       fn(edge.endpoint, old_state, state, factor);
     }
   }
-}
-
-TimeNs HealthTracker::NextEdge() const {
-  if (next_edge_ >= edges_.size()) {
-    return std::numeric_limits<TimeNs>::max();
-  }
-  return edges_[next_edge_].at_ns;
 }
 
 }  // namespace hybridtier

@@ -71,9 +71,6 @@ class HealthTracker {
    *  recovering). */
   double factor(uint32_t endpoint) const { return factors_[endpoint]; }
 
-  /** Virtual time of the next unapplied edge (max TimeNs when done). */
-  TimeNs NextEdge() const;
-
   /** True once every edge has been applied. */
   bool Settled() const { return next_edge_ >= edges_.size(); }
 

@@ -177,9 +177,8 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   }
 
   // Residency-window state at t=0; later edges apply at the tick that
-  // crosses them (ApplyChurn). The full edge schedule is precomputed
-  // here — sorted by time, consumed by a cursor — so churn bookkeeping
-  // never rescans the fleet.
+  // crosses them (ApplyChurn), off the residency schedule, so churn
+  // bookkeeping never rescans the fleet.
   churn_state_.assign(n, kChurnPending);
   window_index_.assign(n, 0);
   drain_cursor_.assign(n, 0);
@@ -187,8 +186,7 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   active_index_.assign(n, kNoSlot);
   draining_.clear();
   draining_index_.assign(n, kNoSlot);
-  churn_edges_.clear();
-  churn_cursor_ = 0;
+  schedule_ = ResidencySchedule(directory_);
   churn_edge_visits_ = 0;
   rebalance_tenant_visits_ = 0;
   enforce_tenant_visits_ = 0;
@@ -198,19 +196,7 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
       churn_state_[t] = kChurnActive;
       AddActive(t);
     }
-    for (const ResidencyWindow& window : directory_.regions[t].windows) {
-      if (window.arrival_ns > 0) {
-        churn_edges_.push_back(ChurnEdge{window.arrival_ns, t});
-      }
-      if (window.departure_ns > 0) {
-        churn_edges_.push_back(ChurnEdge{window.departure_ns, t});
-      }
-    }
   }
-  std::sort(churn_edges_.begin(), churn_edges_.end(),
-            [](const ChurnEdge& a, const ChurnEdge& b) {
-              return a.at != b.at ? a.at < b.at : a.tenant < b.tenant;
-            });
 
   ComputeStaticQuotas();
   quota_ = static_quota_;
@@ -404,23 +390,14 @@ bool FairSharePolicy::AdvanceTenantWindows(uint32_t t, TimeNs now) {
 }
 
 void FairSharePolicy::ApplyChurn(TimeNs now) {
-  // O(1) when no edge is due: the schedule is sorted and the cursor
-  // only moves forward.
-  if (churn_cursor_ >= churn_edges_.size() ||
-      now < churn_edges_[churn_cursor_].at) {
-    return;
-  }
   bool changed = false;
-  while (churn_cursor_ < churn_edges_.size() &&
-         churn_edges_[churn_cursor_].at <= now) {
-    const uint32_t t = churn_edges_[churn_cursor_].tenant;
-    ++churn_cursor_;
-    ++churn_edge_visits_;
-    // A tenant whose earlier edge already advanced it past this one
-    // makes this pop a no-op (AdvanceTenantWindows walks every crossed
-    // edge at once after a clock jump).
-    changed = AdvanceTenantWindows(t, now) || changed;
-  }
+  // A tenant whose earlier edge already advanced it past this one makes
+  // this pop a no-op (AdvanceTenantWindows walks every crossed edge at
+  // once after a clock jump).
+  churn_edge_visits_ +=
+      schedule_.PopDue(now, [&](const ResidencySchedule::Edge& edge) {
+        changed = AdvanceTenantWindows(edge.tenant, now) || changed;
+      });
   if (changed) {
     // Re-divide the tier over the tenants now present. Jumping straight
     // to the new static split hands a departure's capacity to the

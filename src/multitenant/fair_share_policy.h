@@ -56,18 +56,20 @@
  *    window instead of a full EMA warm-up.
  *  - Tenants can *churn*: directory regions carry residency windows
  *    (possibly several — diurnal co-location), and the maintenance tick
- *    applies every window edge the clock has crossed. A departure
- *    starts a *paced* reclaim drain: up to `release_batch` of the
- *    tenant's fast-resident units are demoted per tick (the
- *    asynchronous reclaim writeback a real kernel performs — an exit
- *    never flushes gigabytes in one stop-the-world batch), and once the
- *    share is drained the whole region is released back to the free
- *    pools. The departing tenant loses its quota the moment it departs,
- *    so the drain pace bounds migration stall cost without delaying the
- *    survivors' re-division; benches can therefore separate release
- *    latency from stall cost. A tenant with more residency windows then
- *    waits for the next one and re-arrives (with the same arrival
- *    grace as a first arrival) into its freshly released region.
+ *    pops every edge the clock has crossed off the directory's
+ *    `ResidencySchedule` (the one the mux and the simulation also
+ *    walk). A departure starts a *paced* reclaim drain: up to
+ *    `release_batch` of the tenant's fast-resident units are demoted
+ *    per tick (the asynchronous reclaim writeback a real kernel
+ *    performs — an exit never flushes gigabytes in one stop-the-world
+ *    batch), and once the share is drained the whole region is
+ *    released back to the free pools. The departing tenant loses its
+ *    quota the moment it departs, so the drain pace bounds migration
+ *    stall cost without delaying the survivors' re-division; benches
+ *    can therefore separate release latency from stall cost. A tenant
+ *    with more residency windows then waits for the next one and
+ *    re-arrives (with the same arrival grace as a first arrival) into
+ *    its freshly released region.
  *
  * The wrapper keeps no copy of memory-system state. A tenant's fast
  * occupancy is the memory's region tally (`TieredMemory::RegionResident`
@@ -332,18 +334,12 @@ class FairSharePolicy : public TieringPolicy,
     kChurnDraining = 3, //!< Departed; paced reclaim still demoting.
   };
 
-  /** One precomputed residency-window edge of the churn schedule. */
-  struct ChurnEdge {
-    TimeNs at;        //!< Arrival or departure instant.
-    uint32_t tenant;  //!< Whose window list to advance.
-  };
-
   /**
    * Applies arrival/departure window edges crossed by `now` and, when
    * any tenant changed state, re-divides quotas over the tenants now
-   * active. Edges come off a schedule precomputed at Bind and sorted by
-   * time, so a tick inside a quiet stretch costs O(1) and a tick that
-   * crosses edges costs O(edges crossed) — never O(fleet).
+   * active. Edges come off the residency schedule built at Bind, so a
+   * tick inside a quiet stretch costs O(1) and a tick that crosses
+   * edges costs O(edges crossed) — never O(fleet).
    */
   void ApplyChurn(TimeNs now);
 
@@ -472,9 +468,8 @@ class FairSharePolicy : public TieringPolicy,
 
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  // Churn schedule (Bind-time, sorted by time then tenant) + cursor.
-  std::vector<ChurnEdge> churn_edges_;
-  size_t churn_cursor_ = 0;
+  /** The directory's residency-window edges (built at Bind). */
+  ResidencySchedule schedule_;
 
   // Dense membership sets (see AddActive above).
   std::vector<uint32_t> active_;

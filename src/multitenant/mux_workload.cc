@@ -60,25 +60,13 @@ MuxWorkload::MuxWorkload(std::vector<Tenant> tenants)
     }
     // Tenants whose first window opens at t=0 (or who have no windows)
     // start in the rotation; the rest join when the clock reaches their
-    // next window's arrival. Every remaining window edge goes into the
-    // chronological schedule so the hot path compares the clock against
-    // one cursor, never a per-tenant window scan.
+    // next window's arrival on the residency schedule.
     window_.push_back(0);
-    if (region.windows.empty() || region.windows[0].arrival_ns == 0) {
+    if (region.ActiveAt(0)) {
       status_.push_back(Status::kActive);
       rotation_.push_back(i);
     } else {
       status_.push_back(Status::kPending);
-    }
-    for (size_t w = 0; w < region.windows.size(); ++w) {
-      if (!(w == 0 && region.windows[w].arrival_ns == 0)) {
-        window_edges_.push_back(
-            WindowEdge{region.windows[w].arrival_ns, i, /*arrival=*/true});
-      }
-      if (region.windows[w].departure_ns != 0) {
-        window_edges_.push_back(WindowEdge{region.windows[w].departure_ns,
-                                           i, /*arrival=*/false});
-      }
     }
     directory_.regions.push_back(std::move(region));
   }
@@ -87,11 +75,7 @@ MuxWorkload::MuxWorkload(std::vector<Tenant> tenants)
   }
   name_ += ")";
   total_span_pages_ = base;
-  std::sort(window_edges_.begin(), window_edges_.end(),
-            [](const WindowEdge& a, const WindowEdge& b) {
-              return std::tie(a.at, a.tenant, a.arrival) <
-                     std::tie(b.at, b.tenant, b.arrival);
-            });
+  schedule_ = ResidencySchedule(directory_);
 }
 
 void MuxWorkload::RemoveFromRotation(uint32_t tenant) {
@@ -132,20 +116,12 @@ void MuxWorkload::AdvanceTenant(uint32_t tenant, TimeNs now) {
 }
 
 void MuxWorkload::UpdateActivation(TimeNs now) {
-  // Keep the multiplexer's hottest path down to one comparison when no
-  // edge is due (always, for windowless runs and after the last edge).
-  if (edge_cursor_ >= window_edges_.size() ||
-      now < window_edges_[edge_cursor_].at) {
-    return;
-  }
   const size_t first_new = churn_events_.size();
-  while (edge_cursor_ < window_edges_.size() &&
-         window_edges_[edge_cursor_].at <= now) {
-    // A tenant whose later edges were already applied by an earlier pop
-    // of this batch advances past them; its stale edges no-op here.
-    AdvanceTenant(window_edges_[edge_cursor_].tenant, now);
-    ++edge_cursor_;
-  }
+  // A tenant whose later edges were already applied by an earlier pop
+  // of this batch advances past them; its stale edges no-op here.
+  schedule_.PopDue(now, [&](const ResidencySchedule::Edge& edge) {
+    AdvanceTenant(edge.tenant, now);
+  });
   // One batch can apply several edges of one tenant ahead of another
   // tenant's earlier edge; keep the log chronological.
   std::sort(churn_events_.begin() +
@@ -158,7 +134,9 @@ void MuxWorkload::UpdateActivation(TimeNs now) {
 }
 
 bool MuxWorkload::NextOp(TimeNs now, OpTrace* op) {
-  UpdateActivation(now);
+  // The multiplexer's hottest path: one comparison when no edge is due
+  // (always, for windowless runs and after the last edge).
+  if (schedule_.Due(now)) UpdateActivation(now);
   while (!rotation_.empty()) {
     if (rr_next_ >= rotation_.size()) rr_next_ = 0;
     const uint32_t tenant = rotation_[rr_next_];
@@ -188,12 +166,11 @@ bool MuxWorkload::NextOp(TimeNs now, OpTrace* op) {
   // Nobody is runnable. If an arrival is still ahead, emit a pure idle
   // gap that carries the clock to it; otherwise the mux is done. Every
   // pending tenant's next arrival is an unconsumed edge, and edges are
-  // chronological, so the first pending arrival at/after the cursor is
-  // the earliest one — no fleet-wide scan.
+  // chronological, so the first pending arrival on the schedule is the
+  // earliest one — no fleet-wide scan.
   TimeNs next_arrival = 0;
   bool have_pending = false;
-  for (size_t e = edge_cursor_; e < window_edges_.size(); ++e) {
-    const WindowEdge& edge = window_edges_[e];
+  for (const ResidencySchedule::Edge& edge : schedule_.pending()) {
     if (edge.arrival && status_[edge.tenant] == Status::kPending) {
       next_arrival = edge.at;
       have_pending = true;

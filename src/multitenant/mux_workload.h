@@ -25,9 +25,11 @@
  * reusable in between). Transitions are surfaced as `TenantChurnEvent`s
  * so harnesses can mark them on timelines, and `tenant_active_at`
  * exposes the windows to the simulation (prefault and fairness
- * scoping). When no tenant is runnable but one arrives later, NextOp
- * emits a pure idle gap (`OpTrace::think_time_ns`) that advances the
- * clock to the next arrival.
+ * scoping). Window edges come off the directory's `ResidencySchedule`,
+ * the same schedule the fair-share policy and the simulation walk.
+ * When no tenant is runnable but one arrives later, NextOp emits a
+ * pure idle gap (`OpTrace::think_time_ns`) that advances the clock to
+ * the next arrival on the schedule.
  */
 
 #include <memory>
@@ -108,20 +110,7 @@ class MuxWorkload : public Workload, public TenantTagSource {
     kDeparted,  //!< Every window closed; removed for good.
   };
 
-  /**
-   * One scheduled window edge. The constructor sorts every tenant's
-   * remaining edges into one chronological schedule so the hot path
-   * compares the clock against a single cursor instead of scanning all
-   * tenants' window lists — O(1) when nothing is due, O(edges crossed)
-   * when something is, regardless of fleet size.
-   */
-  struct WindowEdge {
-    TimeNs at = 0;
-    uint32_t tenant = 0;
-    bool arrival = false;
-  };
-
-  /** Applies window edges the clock has crossed by `now`. */
+  /** Applies the schedule's edges the clock has crossed by `now`. */
   void UpdateActivation(TimeNs now);
 
   /** Walks `tenant`'s window list up to `now` (arrivals + departures). */
@@ -136,8 +125,9 @@ class MuxWorkload : public Workload, public TenantTagSource {
   std::vector<size_t> window_;      //!< Current/next window per tenant.
   std::vector<uint32_t> rotation_;  //!< Runnable tenants, rotation order.
   std::vector<TenantChurnEvent> churn_events_;
-  std::vector<WindowEdge> window_edges_;  //!< All edges, chronological.
-  size_t edge_cursor_ = 0;          //!< First edge still ahead.
+  /** Every tenant's window edges: the hot path compares the clock
+   *  against one cursor instead of scanning all tenants' windows. */
+  ResidencySchedule schedule_;
   size_t rr_next_ = 0;              //!< Next rotation slot to serve.
   uint32_t last_tenant_ = 0;
   uint64_t total_span_pages_ = 0;

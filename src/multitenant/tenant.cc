@@ -1,5 +1,8 @@
 #include "multitenant/tenant.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "common/spec_reader.h"
 #include "multitenant/fleet.h"
 #include "workloads/factory.h"
@@ -56,10 +59,37 @@ std::vector<TenantSpec> ParseTenantList(const std::string& list) {
   }
 }
 
-double TenantDirectory::TotalWeight() const {
-  double total = 0.0;
-  for (const TenantRegion& region : regions) total += region.weight;
-  return total;
+ResidencySchedule::ResidencySchedule(const TenantDirectory& directory) {
+  for (uint32_t t = 0; t < directory.size(); ++t) {
+    for (const ResidencyWindow& window : directory.regions[t].windows) {
+      AddWindow(t, window.arrival_ns, window.departure_ns);
+    }
+  }
+  Sort();
+}
+
+ResidencySchedule::ResidencySchedule(const TenantTagSource& tenants) {
+  for (uint32_t t = 0; t < tenants.tenant_count(); ++t) {
+    for (const auto& [arrival_ns, departure_ns] : tenants.tenant_windows(t)) {
+      AddWindow(t, arrival_ns, departure_ns);
+    }
+  }
+  Sort();
+}
+
+void ResidencySchedule::AddWindow(uint32_t tenant, TimeNs arrival_ns,
+                                  TimeNs departure_ns) {
+  if (arrival_ns != 0) edges_.push_back(Edge{arrival_ns, tenant, true});
+  if (departure_ns != 0) edges_.push_back(Edge{departure_ns, tenant, false});
+}
+
+void ResidencySchedule::Sort() {
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.at, a.tenant, a.arrival) <
+           std::tie(b.at, b.tenant, b.arrival);
+  });
+  cursor_ = 0;
+  next_at_ = edges_.empty() ? kNever : edges_.front().at;
 }
 
 }  // namespace hybridtier

@@ -12,15 +12,21 @@
  * tenant landed in the shared simulated address space. The directory is
  * the contract between the `MuxWorkload` that lays tenants out, the
  * `FairSharePolicy` that enforces quotas, and the simulation harness
- * that attributes results.
+ * that attributes results. A `ResidencySchedule` turns the tenants'
+ * residency windows into the one chronological edge list all three
+ * walk.
  */
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
 #include "mem/page.h"
+#include "workloads/tenant_tag.h"
 
 namespace hybridtier {
 
@@ -103,9 +109,76 @@ struct TenantDirectory {
 
   /** Number of tenants. */
   uint32_t size() const { return static_cast<uint32_t>(regions.size()); }
+};
 
-  /** Sum of all tenant weights. */
-  double TotalWeight() const;
+/**
+ * The residency-window edge schedule of a tenant set: every arrival and
+ * departure instant, sorted by (at, tenant, arrival) and consumed by a
+ * forward-only cursor, so churn costs O(edges crossed), never O(fleet).
+ * The arrival of a window that opens at t=0 is omitted: its tenant is
+ * present from the start. Two edges of one tenant never share an
+ * instant (windows are disjoint and depart after they arrive), so the
+ * order is total. The mux rotation, the fair-share policy and the
+ * simulation's per-interval accounting each walk their own copy and
+ * keep their own per-tenant state; the schedule only says which
+ * tenant's windows to advance next.
+ */
+class ResidencySchedule {
+ public:
+  /** One arrival or departure instant of one tenant. */
+  struct Edge {
+    TimeNs at = 0;
+    uint32_t tenant = 0;
+    bool arrival = false;
+  };
+
+  /** An empty schedule: nothing is ever due. */
+  ResidencySchedule() = default;
+
+  /** The schedule of `directory`'s region windows. */
+  explicit ResidencySchedule(const TenantDirectory& directory);
+
+  /** The schedule of `tenants`' windows (`tenant_windows`). */
+  explicit ResidencySchedule(const TenantTagSource& tenants);
+
+  /** True if an unconsumed edge lies at or before `now`. One
+   *  comparison: the mux runs it on every op. */
+  bool Due(TimeNs now) const { return now >= next_at_; }
+
+  /**
+   * Consumes every edge at or before `now`, in schedule order, calling
+   * `on_edge(const Edge&)` for each. Returns the number consumed. A
+   * consumer that walks a tenant's window list past several edges at
+   * once sees that tenant's later edges again here; they must no-op.
+   */
+  template <typename OnEdge>
+  size_t PopDue(TimeNs now, OnEdge&& on_edge) {
+    const size_t first = cursor_;
+    while (Due(now) && cursor_ < edges_.size()) {
+      on_edge(edges_[cursor_]);
+      ++cursor_;
+      next_at_ = cursor_ < edges_.size() ? edges_[cursor_].at : kNever;
+    }
+    return cursor_ - first;
+  }
+
+  /** Edges not yet consumed, in schedule order. */
+  std::span<const Edge> pending() const {
+    return std::span<const Edge>(edges_).subspan(cursor_);
+  }
+
+ private:
+  static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+
+  /** Appends the edges of one window of `tenant`. */
+  void AddWindow(uint32_t tenant, TimeNs arrival_ns, TimeNs departure_ns);
+
+  /** Sorts the edges and points the cursor at the first. */
+  void Sort();
+
+  std::vector<Edge> edges_;
+  size_t cursor_ = 0;         //!< First edge not yet consumed.
+  TimeNs next_at_ = kNever;   //!< edges_[cursor_].at; kNever past the end.
 };
 
 }  // namespace hybridtier

@@ -36,8 +36,8 @@ namespace hybridtier {
 
 /** Knobs of the per-tenant budgeted sampler. */
 struct BudgetedSamplerConfig {
-  uint64_t base_period = 61;     //!< Global mean accesses per sample.
-  size_t buffer_capacity = 8192; //!< Shared sample buffer depth.
+  uint64_t base_period = kSamplePeriod;    //!< Global mean accesses/sample.
+  size_t buffer_capacity = kSampleBuffer;  //!< Shared sample buffer depth.
   /** Total accesses between period re-adaptations. */
   uint64_t adapt_window_accesses = 65536;
   /** Per-tenant period ceiling, as a multiple of base_period. */

@@ -10,6 +10,7 @@
  * information about the simulated access stream (paper §4.1 step 2).
  */
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/units.h"
@@ -17,6 +18,12 @@
 #include "mem/tier.h"
 
 namespace hybridtier {
+
+/** PEBS sampling period: mean accesses between two samples. */
+inline constexpr uint64_t kSamplePeriod = 61;
+
+/** PEBS sample buffer depth, in records. */
+inline constexpr size_t kSampleBuffer = 8192;
 
 /** One sampled memory access. */
 struct SampleRecord {

@@ -79,13 +79,6 @@ CacheLibWorkload::CacheLibWorkload(const CacheLibConfig& config,
   rng_.Shuffle(rank_to_object_.data(), rank_to_object_.size());
 }
 
-uint64_t CacheLibWorkload::ObjectPages(uint64_t obj) const {
-  const uint64_t first = object_base_[obj] / kPageSize;
-  const uint64_t last =
-      (object_base_[obj] + object_size_[obj] - 1) / kPageSize;
-  return last - first + 1;
-}
-
 void CacheLibWorkload::MaybeChurn(TimeNs now) {
   while (next_churn_ < config_.churn.size() &&
          config_.churn[next_churn_].time_ns <= now) {

@@ -82,9 +82,6 @@ class CacheLibWorkload : public Workload {
   /** Number of churn events already applied. */
   size_t churn_events_applied() const { return next_churn_; }
 
-  /** Pages spanned by object `obj`'s payload. */
-  uint64_t ObjectPages(uint64_t obj) const;
-
  private:
   /** Applies all churn events scheduled at or before `now`. */
   void MaybeChurn(TimeNs now);

@@ -68,9 +68,10 @@ class TenantTagSource {
    * pairs in ascending order; departure 0 = open-ended, an empty list =
    * present for the whole run. Must agree with `tenant_active_at`:
    * `tenant_active_at(t, now)` iff some window contains `now`. The
-   * harness precomputes a churn-edge schedule from the windows so its
-   * per-interval accounting walks only the tenants actually present,
-   * never the whole fleet. Called once at construction (not hot).
+   * harness builds its `ResidencySchedule` (multitenant/tenant.h) from
+   * the windows so its per-interval accounting walks only the tenants
+   * actually present, never the whole fleet. Called once at
+   * construction (not hot).
    */
   virtual std::vector<std::pair<TimeNs, TimeNs>> tenant_windows(
       uint32_t tenant) const {

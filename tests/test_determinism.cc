@@ -700,7 +700,6 @@ TEST(Determinism, ChurningFairShareMatchesGolden) {
   }
 }
 
-
 // The residency-window schedule decides who is present when for three
 // consumers at once: the mux rotation, the fair-share policy's quotas
 // and drains, and the simulation's per-interval tenant walk. Two
