@@ -11,6 +11,14 @@
  * trickled); the survivors' occupancy rises as the freed capacity is
  * re-divided; and the weighted Jain fairness index recovers to >= 0.9 of
  * its pre-churn value shortly after each disturbance.
+ *
+ * A second cell runs recurring residency windows at small scale: zipf
+ * is resident 0-2 ms and 30-40 ms, cdn 10-20 ms and 22-50 ms. Nobody is
+ * resident from 2 to 10 ms (an idle gap), and with reclaim paced at 16
+ * units per tick cdn's drain is still running when its second window
+ * opens, so the re-arrival finishes it at once. The cell prints every
+ * window edge with the tenant's fast-tier share just before it and
+ * writes its own timeline CSV.
  */
 
 #include <algorithm>
@@ -44,26 +52,45 @@ std::string TenantList() {
          std::to_string(kArrival);
 }
 
+// The recurring-windows cell (see the file comment).
+constexpr char kRecurringTenants[] =
+    "zipf@0-2ms+30ms-40ms,cdn@10ms-20ms+22ms-50ms";
+constexpr double kRecurringScale = 0.05;
+constexpr uint64_t kRecurringReleaseBatch = 16;
+constexpr TimeNs kRecurringMaxTime = 60 * kMillisecond;
+// Stats points fine enough to land inside zipf's 2 ms first window.
+constexpr TimeNs kRecurringStatsInterval = 1 * kMillisecond;
+
 struct ChurnRun {
   SimulationResult result;
-  uint64_t fast_capacity_units = 0;
+  std::vector<TenantChurnEvent> churn_events;
 };
 
-ChurnRun Run() {
-  auto mux = MakeMuxWorkload(ParseTenantList(TenantList()), kSeed);
-  ChurnRun run;
+/** Runs the "churn" cell or the "recurring" one. */
+ChurnRun Run(const std::string& cell) {
+  const bool recurring = cell == "recurring";
+  std::vector<TenantSpec> specs =
+      ParseTenantList(recurring ? kRecurringTenants : TenantList());
+  if (recurring) {
+    for (TenantSpec& spec : specs) spec.scale = kRecurringScale;
+  }
+  auto mux = MakeMuxWorkload(specs, kSeed);
+  FairShareConfig fair_config;
+  if (recurring) fair_config.release_batch = kRecurringReleaseBatch;
   auto policy = std::make_unique<FairSharePolicy>(
-      MakePolicy("HybridTier"), mux->directory());
+      MakePolicy("HybridTier"), mux->directory(), fair_config);
 
   SimulationConfig config;
   config.fast_tier_fraction = kRatio;
   config.max_accesses = kAccessBudget;
-  config.max_time_ns = kMaxTime;
+  config.max_time_ns = recurring ? kRecurringMaxTime : kMaxTime;
+  if (recurring) config.stats_interval_ns = kRecurringStatsInterval;
   config.seed = kSeed;
 
   Simulation simulation(config, mux.get(), policy.get());
+  ChurnRun run;
   run.result = simulation.Run();
-  run.fast_capacity_units = simulation.fast_capacity_units();
+  run.churn_events = mux->churn_events();
   return run;
 }
 
@@ -75,6 +102,29 @@ double ValueAt(const TimeSeries& series, TimeNs t) {
     value = series.values[i];
   }
   return value;
+}
+
+/** Writes a timeline CSV: each tenant's occupancy share + fairness. */
+void WriteTimeline(const SimulationResult& result,
+                   std::vector<std::string> columns, const std::string& name) {
+  const TimeSeries& fairness = result.weighted_fairness_timeline;
+  columns.insert(columns.begin(), "t_ns");
+  columns.push_back("weighted_jain");
+  TablePrinter timeline(columns);
+  timeline.SetTitle("timeline");
+  for (size_t i = 0; i < fairness.size(); ++i) {
+    std::vector<std::string> row;
+    row.push_back(std::to_string(fairness.times_ns[i]));
+    for (size_t t = 0; t < result.tenants.size(); ++t) {
+      // Per-tenant series are sparse (points only while the tenant is
+      // present or draining); look up by the fairness timestamp.
+      const TimeSeries& occ = result.tenants[t].occupancy_timeline;
+      row.push_back(FormatDouble(ValueAt(occ, fairness.times_ns[i]), 4));
+    }
+    row.push_back(FormatDouble(fairness.values[i], 4));
+    timeline.AddRow(row);
+  }
+  timeline.WriteCsv(CsvPath(name));
 }
 
 /** Mean of the series values inside [begin, end); 0 when empty. */
@@ -127,17 +177,15 @@ int main(int argc, char** argv) {
   using namespace hybridtier::bench;
   const BenchOptions options = ParseBenchArgs(argc, argv);
   Banner("fig_tenant_churn",
-         "quota reconvergence around a mid-run arrival and departure");
+         "quota reconvergence around a mid-run arrival and departure, "
+         "and recurring residency windows");
 
-  // One-cell sweep: the figure is a single timeline, but routing it
-  // through SweepRunner keeps the --jobs flag and per-sweep wall-time
-  // reporting uniform across the matrix drivers.
   SweepGrid grid;
-  grid.AddAxis("cell", {"churn"});
+  grid.AddAxis("cell", {"churn", "recurring"});
   SweepRunner runner = MakeSweepRunner(options, "fig_tenant_churn");
-  const ChurnRun run =
-      runner.Run(grid, [](const SweepCell&) { return Run(); }).front();
-  const SimulationResult& result = run.result;
+  const std::vector<ChurnRun> runs = runner.Run(
+      grid, [](const SweepCell& cell) { return Run(cell.Get("cell")); });
+  const SimulationResult& result = runs[0].result;
   const TimeSeries& fairness = result.weighted_fairness_timeline;
 
   // Reference fairness levels just before each event.
@@ -199,23 +247,27 @@ int main(int argc, char** argv) {
             << "end-of-run weighted Jain: "
             << FormatDouble(result.weighted_jain_fairness, 3) << "\n";
 
-  // Timeline CSV: per-tenant occupancy share + weighted fairness.
-  TablePrinter timeline({"t_ns", "zipf", "cdn", "zipf#1",
-                         "weighted_jain"});
-  timeline.SetTitle("timeline");
-  for (size_t i = 0; i < fairness.size(); ++i) {
-    std::vector<std::string> row;
-    row.push_back(std::to_string(fairness.times_ns[i]));
-    for (size_t t = 0; t < result.tenants.size(); ++t) {
-      // Per-tenant series are sparse (points only while the tenant is
-      // present or draining); look up by the fairness timestamp.
-      const TimeSeries& occ = result.tenants[t].occupancy_timeline;
-      row.push_back(FormatDouble(ValueAt(occ, fairness.times_ns[i]), 4));
-    }
-    row.push_back(FormatDouble(fairness.values[i], 4));
-    timeline.AddRow(row);
+  WriteTimeline(result, {"zipf", "cdn", "zipf#1"}, "fig_tenant_churn");
+
+  const SimulationResult& recurring = runs[1].result;
+  // The share at the last stats point before the edge: an arrival that
+  // overtakes its own drain still shows the units the drain had left.
+  TablePrinter edges({"t", "tenant", "event", "fast share before"});
+  edges.SetTitle("recurring windows (release batch " +
+                 std::to_string(kRecurringReleaseBatch) + ")");
+  for (const TenantChurnEvent& event : runs[1].churn_events) {
+    edges.AddRow(
+        {FormatTime(event.time_ns), recurring.tenants[event.tenant].name,
+         event.arrival ? "arrival" : "departure",
+         FormatDouble(ValueAt(recurring.tenants[event.tenant]
+                                  .occupancy_timeline,
+                              event.time_ns - 1) *
+                          100,
+                      1) +
+             " %"});
   }
-  timeline.WriteCsv(CsvPath("fig_tenant_churn"));
+  edges.Print(std::cout);
+  WriteTimeline(recurring, {"zipf", "cdn"}, "fig_tenant_churn_recurring");
 
   const bool converged =
       drained_ns != UINT64_MAX && departure_recovered != UINT64_MAX;

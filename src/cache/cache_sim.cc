@@ -1,99 +1,18 @@
 #include "cache/cache_sim.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <numeric>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
 
 #include "common/logging.h"
 
 namespace hybridtier {
-
-namespace detail {
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) bool AccessWaysAvx2(uint64_t* tags,
-                                                    uint32_t* stamps,
-                                                    uint32_t ways,
-                                                    uint64_t tag,
-                                                    uint32_t tick) {
-  const __m256i vtag = _mm256_set1_epi64x(static_cast<long long>(tag));
-  // 64-bit mask: `ways` may legally be up to 64, so the per-block shift
-  // can reach 60.
-  uint64_t mask = 0;
-  for (uint32_t w = 0; w < ways; w += 4) {
-    const __m256i t =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + w));
-    const __m256i eq = _mm256_cmpeq_epi64(t, vtag);
-    mask |= static_cast<uint64_t>(static_cast<uint32_t>(
-                _mm256_movemask_pd(_mm256_castsi256_pd(eq))))
-            << w;
-  }
-  if (mask != 0) {
-    stamps[std::countr_zero(mask)] = tick;
-    return true;
-  }
-  // Miss: SIMD argmin over the stamps. The horizontal minimum is
-  // broadcast and compared back; the first set lane (lowest index) is
-  // the victim, preserving the scalar scan's lowest-index tie-break.
-  uint32_t victim;
-  if (ways == 8 || ways == 16) {
-    __m256i lo = _mm256_loadu_si256(reinterpret_cast<__m256i*>(stamps));
-    __m256i min8 = lo;
-    if (ways == 16) {
-      const __m256i hi =
-          _mm256_loadu_si256(reinterpret_cast<__m256i*>(stamps + 8));
-      min8 = _mm256_min_epu32(lo, hi);
-    }
-    // Reduce 8 lanes to the scalar minimum.
-    __m256i m = _mm256_min_epu32(
-        min8, _mm256_permute2x128_si256(min8, min8, 0x01));
-    m = _mm256_min_epu32(m, _mm256_shuffle_epi32(m, 0x4e));
-    m = _mm256_min_epu32(m, _mm256_shuffle_epi32(m, 0xb1));
-    const __m256i vmin = m;  // Minimum broadcast to every lane.
-    uint32_t eq_mask = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, vmin))));
-    if (ways == 16) {
-      const __m256i hi =
-          _mm256_loadu_si256(reinterpret_cast<__m256i*>(stamps + 8));
-      eq_mask |= static_cast<uint32_t>(_mm256_movemask_ps(
-                     _mm256_castsi256_ps(_mm256_cmpeq_epi32(hi, vmin))))
-                 << 8;
-    }
-    victim = static_cast<uint32_t>(std::countr_zero(eq_mask));
-  } else {
-    victim = 0;
-    uint32_t best = stamps[0];
-    for (uint32_t w = 1; w < ways; ++w) {
-      if (stamps[w] < best) {
-        best = stamps[w];
-        victim = w;
-      }
-    }
-  }
-  tags[victim] = tag;
-  stamps[victim] = tick;
-  return false;
-}
-#else
-bool AccessWaysAvx2(uint64_t* tags, uint32_t* stamps, uint32_t ways,
-                    uint64_t tag, uint32_t tick) {
-  return AccessWaysScalar(tags, stamps, ways, tag, tick);
-}
-#endif
-
-}  // namespace detail
 
 Cache::Cache(const CacheConfig& config, std::string name)
     : config_(config), name_(std::move(name)) {
   HT_ASSERT(config.line_size > 0 && std::has_single_bit(config.line_size),
             "line size must be a power of two");
   HT_ASSERT(config.ways > 0, "cache must have at least one way");
-  HT_ASSERT(config.ways <= 64, "associativity above 64 is unsupported");
+  HT_ASSERT(config.ways <= kMaxWays, "associativity above ", kMaxWays,
+            " is unsupported, got ", config.ways);
   const uint64_t lines = config.size_bytes / config.line_size;
   HT_ASSERT(lines >= config.ways, "cache too small for its associativity");
   num_sets_ = lines / config.ways;
@@ -102,32 +21,24 @@ Cache::Cache(const CacheConfig& config, std::string name)
             num_sets_, " sets");
   set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets_));
   ways_ = config.ways;
-  tags_.assign(num_sets_ * ways_, kInvalidTag);
-  stamps_.assign(num_sets_ * ways_, 0);
-  set_ticks_.assign(num_sets_, 0);
-}
-
-uint32_t Cache::RenormalizeSet(uint64_t set) {
-  uint32_t* stamps = &stamps_[set * ways_];
-  std::array<uint32_t, 64> order;
-  std::iota(order.begin(), order.begin() + ways_, 0u);
-  // Order by (stamp, way index) — the same tie-break the eviction scan
-  // uses — then reassign dense ranks starting at 1.
-  std::sort(order.begin(), order.begin() + ways_,
-            [&](uint32_t a, uint32_t b) {
-              return stamps[a] != stamps[b] ? stamps[a] < stamps[b] : a < b;
-            });
-  for (uint32_t rank = 0; rank < ways_; ++rank) {
-    stamps[order[rank]] = rank + 1;
-  }
-  set_ticks_[set] = ways_ + 1;
-  return ways_ + 1;
+  sig_stride_shift_ = ways_ <= 8 ? 3 : 4;
+  lru_shift_ = 4 * (ways_ - 1);
+  way_mask_ = (uint32_t{1} << ways_) - 1;
+  sigs_.resize(num_sets_ << sig_stride_shift_);
+  tags_.resize(num_sets_ * ways_);
+  order_.resize(num_sets_);
+  Flush();
 }
 
 void Cache::Flush() {
+  std::fill(sigs_.begin(), sigs_.end(), Signature(kInvalidTag));
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(stamps_.begin(), stamps_.end(), 0u);
-  std::fill(set_ticks_.begin(), set_ticks_.end(), 0u);
+  // [ways-1 ... 1, 0] from MRU to LRU: way w sits at position ways-1-w.
+  uint64_t initial = 0;
+  for (uint32_t way = 0; way < ways_; ++way) {
+    initial |= static_cast<uint64_t>(way) << (4 * (ways_ - 1 - way));
+  }
+  std::fill(order_.begin(), order_.end(), initial);
 }
 
 }  // namespace hybridtier

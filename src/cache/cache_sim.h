@@ -12,26 +12,42 @@
  * accesses through a modeled two-level cache hierarchy and attributes
  * every hit/miss to its owner.
  *
- * The model is a classic write-allocate, LRU, set-associative cache with
- * 64-byte lines. Writebacks are not modeled (they do not affect miss
- * attribution, which is what the figures report).
+ * The model is a classic write-allocate, true-LRU, set-associative cache
+ * with 64-byte lines and at most `Cache::kMaxWays` (16) ways. Writebacks
+ * are not modeled (they do not affect miss attribution, which is what
+ * the figures report).
  *
  * This is the innermost structure of the whole simulator (two probes per
- * application access plus one per metadata line), so the implementation
- * is layout-tuned: tags and LRU stamps live in separate flat arrays
- * (struct-of-arrays, so a tag probe reads one or two cache lines instead
- * of walking tag/stamp pairs), recency is a per-set 32-bit tick instead
- * of a global 64-bit timestamp (half the LRU state, same eviction
- * decisions — only the relative order of accesses *within* a set
- * matters), the probe is inlined into callers, and the tag scan uses
- * AVX2 compares when the host supports them. All of this is
- * behavior-invariant: hit/miss outcomes and eviction choices are
- * identical to the reference implementation.
+ * application access plus one per metadata line), so each set keeps
+ * three small pieces of state:
+ *
+ *  - a *signature* per way: 16 bits of a multiply-shift hash of the tag.
+ *    A probe compares all of a set's signatures at once (one SSE2
+ *    compare for up to 8 ways, two for up to 16; a scalar loop off
+ *    x86) and reads a way's full 64-bit tag only to verify a signature
+ *    match, so distinct tags that share a signature never alias;
+ *  - the full tag per way, in its own flat array;
+ *  - a *recency word*: one `uint64_t` whose low `ways` nibbles list the
+ *    ways in recency order as 4-bit way indices, most recent in the low
+ *    nibble. A hit moves the way's nibble to the front with a few
+ *    shifts; a miss evicts the way in nibble `ways - 1` and shifts the
+ *    whole word up one nibble, so there is no per-way timestamp and no
+ *    argmin. The word starts as [ways-1 ... 1, 0] (MRU to LRU): ways
+ *    never touched since construction or `Flush` are evicted lowest
+ *    index first.
+ *
+ * Hit/miss outcomes and eviction choices are those of a textbook LRU
+ * cache (tests/reference/lru_cache.h replays traces against one).
  */
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace hybridtier {
 
@@ -73,55 +89,12 @@ struct CacheStats {
   void Reset() { *this = CacheStats{}; }
 };
 
-namespace detail {
-
-/** Host AVX2 support, resolved once at load time. */
-inline const bool kHaveAvx2 = [] {
-#if defined(__x86_64__) || defined(__i386__)
-  return static_cast<bool>(__builtin_cpu_supports("avx2"));
-#else
-  return false;
-#endif
-}();
-
-/**
- * The whole per-set access: probe `tags[0..ways)` for `tag`; on hit
- * refresh the way's stamp, on miss evict the LRU way (lowest stamp,
- * lowest index on ties) and install the tag. Returns true on hit.
- * `ways` must be a positive multiple of 4 for the AVX2 kernel, which is
- * defined out of line so it can carry the target attribute without
- * infecting callers' codegen; one call covers all the SIMD-able work.
- */
-bool AccessWaysAvx2(uint64_t* tags, uint32_t* stamps, uint32_t ways,
-                    uint64_t tag, uint32_t tick);
-
-/** Scalar equivalent (any associativity). */
-inline bool AccessWaysScalar(uint64_t* tags, uint32_t* stamps,
-                             uint32_t ways, uint64_t tag, uint32_t tick) {
-  for (uint32_t w = 0; w < ways; ++w) {
-    if (tags[w] == tag) {
-      stamps[w] = tick;
-      return true;
-    }
-  }
-  uint32_t victim = 0;
-  uint32_t best = stamps[0];
-  for (uint32_t w = 1; w < ways; ++w) {
-    if (stamps[w] < best) {
-      best = stamps[w];
-      victim = w;
-    }
-  }
-  tags[victim] = tag;
-  stamps[victim] = tick;
-  return false;
-}
-
-}  // namespace detail
-
 /** One set-associative cache level with true-LRU replacement. */
 class Cache {
  public:
+  /** Largest supported associativity: a recency word holds 16 nibbles. */
+  static constexpr uint32_t kMaxWays = 16;
+
   /** Builds a cache with the given geometry; sizes are validated. */
   explicit Cache(const CacheConfig& config, std::string name = "cache");
 
@@ -133,19 +106,27 @@ class Cache {
   bool AccessLine(uint64_t line_addr, AccessOwner owner) {
     const uint64_t set = line_addr & (num_sets_ - 1);
     const uint64_t tag = line_addr >> set_shift_;
+    const uint16_t sig = Signature(tag);
+    uint16_t* sigs = &sigs_[set << sig_stride_shift_];
     uint64_t* tags = &tags_[set * ways_];
-    uint32_t* stamps = &stamps_[set * ways_];
-    uint32_t tick = ++set_ticks_[set];
-    if (tick == 0) [[unlikely]] {
-      tick = RenormalizeSet(set);
+    uint64_t& order = order_[set];
+    bool hit = false;
+    for (uint32_t match = MatchSignatures(sigs, sig); match != 0;
+         match &= match - 1) {
+      const auto way = static_cast<uint32_t>(std::countr_zero(match));
+      if (tags[way] == tag) {
+        order = MoveToFront(order, way);
+        hit = true;
+        break;
+      }
     }
-    // Eviction on miss takes the LRU way: lowest stamp, lowest index on
-    // the only possible tie (the untouched stamp==0 initial state) —
-    // matching the reference implementation's strict-< scan.
-    const bool hit =
-        (detail::kHaveAvx2 && (ways_ & 3u) == 0)
-            ? detail::AccessWaysAvx2(tags, stamps, ways_, tag, tick)
-            : detail::AccessWaysScalar(tags, stamps, ways_, tag, tick);
+    if (!hit) {
+      // The LRU way takes the tag and its nibble moves to the front.
+      const auto victim = static_cast<uint32_t>(order >> lru_shift_) & 0xF;
+      tags[victim] = tag;
+      sigs[victim] = sig;
+      order = (order << 4) | victim;
+    }
     uint64_t* counters = hit ? stats_.hits : stats_.misses;
     ++counters[static_cast<size_t>(owner)];
     return hit;
@@ -155,13 +136,13 @@ class Cache {
    * Hints the hardware to pull the set metadata for `line_addr` into
    * the host caches ahead of a future AccessLine — the hierarchy issues
    * this for the shared LLC while the (mostly-missing) L1 probe runs.
+   * Only the signatures and the recency word are fetched: a full tag
+   * is read only after a signature match.
    */
   void PrefetchLine(uint64_t line_addr) const {
     const uint64_t set = line_addr & (num_sets_ - 1);
-    const uint64_t* tags = &tags_[set * ways_];
-    __builtin_prefetch(tags, 1);
-    if (ways_ > 8) __builtin_prefetch(tags + 8, 1);
-    __builtin_prefetch(&stamps_[set * ways_], 1);
+    __builtin_prefetch(&sigs_[set << sig_stride_shift_], 1);
+    __builtin_prefetch(&order_[set], 1);
   }
 
   /** Counts `count` hits for `owner` without probing: exact only for
@@ -188,25 +169,69 @@ class Cache {
   /** Human-readable level name (e.g. "L1d-app", "LLC"). */
   const std::string& name() const { return name_; }
 
+  /** The 16-bit signature a probe compares before verifying `tag`. */
+  static uint16_t Signature(uint64_t tag) {
+    return static_cast<uint16_t>((tag * 0x9e3779b97f4a7c15ULL) >> 48);
+  }
+
  private:
   /** Invalid-tag marker; real tags never reach it (addresses < 2^58). */
   static constexpr uint64_t kInvalidTag = UINT64_MAX;
 
+  /** Bit w set iff way w's signature equals `sig` (w < ways_). */
+  uint32_t MatchSignatures(const uint16_t* sigs, uint16_t sig) const {
+#if defined(__SSE2__)
+    // Signature rows are 8 or 16 lanes wide (padding lanes masked off).
+    const __m128i key = _mm_set1_epi16(static_cast<short>(sig));
+    const __m128i lo = _mm_cmpeq_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sigs)), key);
+    const __m128i hi =
+        sig_stride_shift_ == 4
+            ? _mm_cmpeq_epi16(
+                  _mm_loadu_si128(reinterpret_cast<const __m128i*>(sigs + 8)),
+                  key)
+            : _mm_setzero_si128();
+    return static_cast<uint32_t>(
+               _mm_movemask_epi8(_mm_packs_epi16(lo, hi))) &
+           way_mask_;
+#else
+    uint32_t match = 0;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      match |= static_cast<uint32_t>(sigs[w] == sig) << w;
+    }
+    return match;
+#endif
+  }
+
   /**
-   * Handles per-set tick wraparound (2^32 accesses to one set):
-   * rank-compresses the set's stamps so relative recency is preserved,
-   * restarts the set clock above them, and returns the fresh tick.
+   * Moves `way`'s nibble in the recency word `order` to the front (MRU),
+   * shifting the nibbles ahead of it back by one. The way's position is
+   * the lowest zero nibble of `order ^ way * 0x11..1`. Nibbles past the
+   * LRU one hold stale way indices (evictions shift them out of the
+   * first `ways` nibbles and never clear them), but every way's live
+   * nibble comes before them.
    */
-  uint32_t RenormalizeSet(uint64_t set);
+  static uint64_t MoveToFront(uint64_t order, uint32_t way) {
+    constexpr uint64_t kOnes = 0x1111111111111111ULL;
+    const uint64_t x = order ^ (way * kOnes);
+    const uint64_t zero = (x - kOnes) & ~x & (kOnes << 3);
+    const int shift = std::countr_zero(zero) - 3;  // 4 * position.
+    const uint64_t ahead = order & ((uint64_t{1} << shift) - 1);
+    const uint64_t behind = order & ((~uint64_t{0} << shift) << 4);
+    return behind | (ahead << 4) | way;
+  }
 
   CacheConfig config_;
   std::string name_;
   uint64_t num_sets_;
   uint32_t set_shift_;
   uint32_t ways_;
-  std::vector<uint64_t> tags_;       //!< num_sets_ * ways_, SoA.
-  std::vector<uint32_t> stamps_;     //!< Per-way recency, per-set clock.
-  std::vector<uint32_t> set_ticks_;  //!< Per-set access counter.
+  uint32_t sig_stride_shift_;  //!< log2 of the signature row: 3 or 4.
+  uint32_t lru_shift_;         //!< 4 * (ways_ - 1): the LRU nibble.
+  uint32_t way_mask_;          //!< Low ways_ bits.
+  std::vector<uint16_t> sigs_;   //!< num_sets_ rows of 8 or 16 lanes.
+  std::vector<uint64_t> tags_;   //!< num_sets_ * ways_.
+  std::vector<uint64_t> order_;  //!< Per-set recency word.
   CacheStats stats_;
 };
 

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "policies/policy.h"
+#include "reference/lru_cache.h"
 
 namespace hybridtier {
 namespace {
@@ -111,6 +112,98 @@ TEST(Cache, WorkingSetFittingCacheAllHitsSecondPass) {
   for (uint64_t line = 0; line < 32; ++line) {
     EXPECT_TRUE(cache.AccessLine(line, AccessOwner::kApp));
   }
+}
+
+// ------------------------------------------- differential reference --
+
+/** Replays one access through both caches and compares the outcome. */
+testing::AssertionResult SameOutcome(Cache& cache, reference::LruCache& lru,
+                                     uint64_t line, AccessOwner owner) {
+  const bool hit = cache.AccessLine(line, owner);
+  if (hit == lru.Access(line, static_cast<size_t>(owner))) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "line " << line << (hit ? " hit" : " missed")
+         << " in Cache but not in the reference";
+}
+
+void ExpectSameCounts(const Cache& cache, const reference::LruCache& lru) {
+  for (size_t owner = 0; owner < kNumOwners; ++owner) {
+    EXPECT_EQ(cache.stats().hits[owner], lru.hits(owner)) << owner;
+    EXPECT_EQ(cache.stats().misses[owner], lru.misses(owner)) << owner;
+  }
+}
+
+TEST(Cache, MatchesTrueLruReferenceOnRandomTraces) {
+  constexpr uint64_t kSets = 16;
+  constexpr size_t kSteps = 40000;
+  for (const uint32_t ways : {1u, 2u, 4u, 8u, 12u, 16u}) {
+    SCOPED_TRACE(testing::Message() << ways << " ways");
+    Cache cache(SmallCache(kSets * ways * 64, ways));
+    ASSERT_EQ(cache.num_sets(), kSets);
+    reference::LruCache lru(kSets, ways);
+    // Three times as many lines as the cache holds, half of the accesses
+    // to a quarter of them, so sets see hits, refreshes and evictions.
+    const uint64_t lines = 3 * kSets * ways;
+    uint64_t state = 0x5eed0000 + ways;
+    for (size_t step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        cache.Flush();
+        lru.Flush();
+      }
+      const uint64_t r = SplitMix64Next(state);
+      const uint64_t range = (r & 1) != 0 ? lines / 4 : lines;
+      const uint64_t line = (r >> 8) % range;
+      const AccessOwner owner =
+          (r & 2) != 0 ? AccessOwner::kTiering : AccessOwner::kApp;
+      ASSERT_TRUE(SameOutcome(cache, lru, line, owner)) << "step " << step;
+    }
+    ExpectSameCounts(cache, lru);
+    EXPECT_GT(lru.hits(0) + lru.hits(1), kSteps / 10);
+    EXPECT_GT(lru.misses(0) + lru.misses(1), kSteps / 10);
+  }
+}
+
+TEST(Cache, SharedSignaturesAreToldApartByTheFullTag) {
+  constexpr uint64_t kSets = 16;
+  constexpr uint32_t kWays = Cache::kMaxWays;
+  // Tags of set 3 whose signatures all equal tag 1's.
+  const uint64_t set = 3;
+  std::vector<uint64_t> lines;
+  const uint16_t sig = Cache::Signature(1);
+  for (uint64_t tag = 1; lines.size() < kWays + 4; ++tag) {
+    if (Cache::Signature(tag) == sig) lines.push_back(tag * kSets + set);
+  }
+  Cache cache(SmallCache(kSets * kWays * 64, kWays));
+  ASSERT_EQ(cache.num_sets(), kSets);
+  reference::LruCache lru(kSets, kWays);
+  // Fill the set with 16 same-signature lines: every later probe matches
+  // the signature of each line already there and must verify its tag.
+  for (uint32_t i = 0; i < kWays; ++i) {
+    ASSERT_TRUE(SameOutcome(cache, lru, lines[i], AccessOwner::kApp));
+  }
+  for (uint32_t i = 0; i < kWays; ++i) {
+    EXPECT_TRUE(cache.AccessLine(lines[i], AccessOwner::kApp));
+    lru.Access(lines[i], 0);
+  }
+  // A seventeenth line with the same signature misses and evicts.
+  EXPECT_FALSE(cache.AccessLine(lines[kWays], AccessOwner::kApp));
+  lru.Access(lines[kWays], 0);
+  uint64_t state = 77;
+  for (size_t step = 0; step < 5000; ++step) {
+    const uint64_t r = SplitMix64Next(state);
+    const AccessOwner owner =
+        (r & 1) != 0 ? AccessOwner::kTiering : AccessOwner::kApp;
+    ASSERT_TRUE(
+        SameOutcome(cache, lru, lines[(r >> 8) % lines.size()], owner))
+        << "step " << step;
+  }
+  ExpectSameCounts(cache, lru);
+}
+
+TEST(CacheDeathTest, RejectsMoreThanSixteenWays) {
+  EXPECT_DEATH(Cache(SmallCache(16 * 32 * 64, 32)), "associativity above 16");
 }
 
 // ---------------------------------------------------------- Hierarchy --
