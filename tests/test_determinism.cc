@@ -889,5 +889,142 @@ TEST(Determinism, ResidencyScheduleMatchesGolden) {
   }
 }
 
+
+// Quota enforcement with a down endpoint: a FairShare(HybridTier) fleet
+// on a three-endpoint layout loses endpoint 2 mid-run, so every
+// enforcement pass ranks units the engine then refuses (their HDM home
+// is down) next to units it moves. Four cells -- 4 KiB and 2 MiB
+// tracking units (tenant regions of a few huge units, so they start off
+// any 8-unit boundary), each blind and endpoint-aware -- pin what the
+// victim selection decides and what its pagemap walk costs, so a moved
+// decision or a changed scan shows up in a local ctest run.
+struct EnforcementGolden {
+  uint64_t requested, moved, failed;
+  uint64_t enforced_hash;
+  uint64_t audit_demoted;
+  uint64_t maintenance_touches, maintenance_repeats;
+};
+
+/**
+ * The fair-share policy, counting the metadata traffic its maintenance
+ * hooks (Tick, OnEndpointHealth) report: the counter's touches and the
+ * repeats it folds into the line before. The simulation drains the
+ * counter only between hooks, so the deltas around each hook add up to
+ * every touch and fold the enforcement scans make.
+ */
+class MaintenanceTrafficProbe final : public FairSharePolicy {
+ public:
+  using FairSharePolicy::FairSharePolicy;
+
+  void Bind(const PolicyContext& context) override {
+    sink_ = context.metadata_sink;
+    FairSharePolicy::Bind(context);
+  }
+  void Tick(TimeNs now) override {
+    const uint64_t touches = sink_->touches();
+    const uint64_t repeats = sink_->repeats();
+    FairSharePolicy::Tick(now);
+    touches_ += sink_->touches() - touches;
+    repeats_ += sink_->repeats() - repeats;
+  }
+  void OnEndpointHealth(uint32_t endpoint, EndpointHealth state,
+                        TimeNs now) override {
+    const uint64_t touches = sink_->touches();
+    const uint64_t repeats = sink_->repeats();
+    FairSharePolicy::OnEndpointHealth(endpoint, state, now);
+    touches_ += sink_->touches() - touches;
+    repeats_ += sink_->repeats() - repeats;
+  }
+
+  uint64_t touches() const { return touches_; }
+  uint64_t repeats() const { return repeats_; }
+
+ private:
+  MetadataTrafficCounter* sink_ = nullptr;
+  uint64_t touches_ = 0;
+  uint64_t repeats_ = 0;
+};
+
+EnforcementGolden RunEnforcementCell(PageMode mode, bool endpoint_aware) {
+  // 2 MiB cells get footprints 8x larger, so each tenant still spans
+  // tens of tracking units.
+  auto mux = MakeMuxWorkload(
+      ParseTenantList(mode == PageMode::kHuge
+                          ? "fleet:24,zipf=0.9,fp=32768,fpskew=0.3,"
+                            "churn=none,seed=3"
+                          : "fleet:24,zipf=0.9,fp=4096,fpskew=0.3,"
+                            "churn=none,seed=3"),
+      13);
+  FairShareConfig fair_config;
+  fair_config.endpoint_aware = endpoint_aware;
+  MaintenanceTrafficProbe fair(MakePolicy("HybridTier"), mux->directory(),
+                               fair_config);
+  DecisionAuditConfig audit_config;
+  audit_config.ring_capacity = 1u << 16;
+  DecisionAudit audit(audit_config);
+  SimulationConfig config;
+  config.mode = mode;
+  config.fast_tier_fraction = 0.4;
+  config.max_accesses = 300000;
+  config.seed = 13;
+  config.topology = "cxl:(1,(2,3)),lat=124:250:250,bw=34:8:8,link=10";
+  config.faults = "faults:ep2@10ms=down";
+  config.telemetry.audit = &audit;
+  const SimulationResult r = RunSimulation(config, mux.get(), &fair);
+  EXPECT_EQ(r.fault.endpoints_downed, 1u);
+  EXPECT_EQ(audit.dropped_records(), 0u);
+
+  EnforcementGolden o{};
+  for (const AuditRecord& record : audit.RingSnapshot()) {
+    o.requested += record.pages_requested;
+  }
+  o.moved = r.migration.promoted_pages + r.migration.demoted_pages;
+  o.failed = r.migration.failed_promotions + r.migration.failed_demotions;
+  o.enforced_hash = kFnvBasis;
+  for (uint32_t t = 0; t < mux->tenant_count(); ++t) {
+    o.enforced_hash = Fnv1a(o.enforced_hash, fair.enforced_demotions(t));
+  }
+  o.audit_demoted = audit.demoted_pages(MigrationReason::kQuotaEnforce) +
+                    audit.demoted_pages(MigrationReason::kQuotaRotation);
+  o.maintenance_touches = fair.touches();
+  o.maintenance_repeats = fair.repeats();
+  return o;
+}
+
+// Per cell: 4 KiB blind, 4 KiB endpoint-aware, 2 MiB blind, 2 MiB
+// endpoint-aware.
+constexpr EnforcementGolden kEnforcementGolden[] = {
+    {648251ull, 31460ull, 616791ull, 5442699492730758205ull, 15396ull,
+     1051721ull, 732364ull},
+    {609877ull, 29538ull, 580339ull, 16569268193872652533ull, 15938ull,
+     1008743ull, 694076ull},
+    {8641ull, 609ull, 8032ull, 11453400477484440667ull, 198ull, 17365ull,
+     10118ull},
+    {8827ull, 575ull, 8252ull, 13577100424320917535ull, 208ull, 17261ull,
+     9976ull},
+};
+
+TEST(Determinism, EnforcementUnderDownEndpointMatchesGolden) {
+  const EnforcementGolden* golden = kEnforcementGolden;
+  for (const PageMode mode : {PageMode::kRegular, PageMode::kHuge}) {
+    for (const bool aware : {false, true}) {
+      SCOPED_TRACE(std::string(mode == PageMode::kHuge ? "2 MiB" : "4 KiB") +
+                   (aware ? ", endpoint-aware" : ", blind"));
+      const EnforcementGolden o = RunEnforcementCell(mode, aware);
+      const EnforcementGolden& g = *golden++;
+      // Enforcement keeps asking for units pinned by the down endpoint.
+      EXPECT_GT(o.failed, 0u);
+      EXPECT_GT(o.audit_demoted, 0u);
+      EXPECT_EQ(o.requested, g.requested);
+      EXPECT_EQ(o.moved, g.moved);
+      EXPECT_EQ(o.failed, g.failed);
+      EXPECT_EQ(o.enforced_hash, g.enforced_hash);
+      EXPECT_EQ(o.audit_demoted, g.audit_demoted);
+      EXPECT_EQ(o.maintenance_touches, g.maintenance_touches);
+      EXPECT_EQ(o.maintenance_repeats, g.maintenance_repeats);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hybridtier
