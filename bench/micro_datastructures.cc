@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) for the tracking data structures:
  * update/lookup throughput of the blocked CBF vs standard CBF vs exact
  * table, cooling passes, Zipf sampling, one cache level and the L1+LLC
- * hierarchy, and GAP graph generation. These back the paper's
+ * hierarchy, the tiered memory's resident scan and HDM decode, and GAP
+ * graph generation. These back the paper's
  * data-structure-level claims (compactness and locality of the blocked
  * CBF) with direct operation costs, give the simulator's cache probe a
  * standing cost per access, and give graph set-up a standing cost per
@@ -18,6 +19,7 @@
 #include "cache/hierarchy.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "mem/tiered_memory.h"
 #include "probstruct/blocked_cbf.h"
 #include "probstruct/cbf.h"
 #include "probstruct/exact_table.h"
@@ -126,6 +128,53 @@ void BM_ExactTableCooling(benchmark::State& state) {
       static_cast<int64_t>(table.memory_bytes()));
 }
 BENCHMARK(BM_ExactTableCooling)->Arg(1 << 16)->Arg(1 << 20);
+
+// The pagemap walk of fair-share enforcement: the fast units of one
+// 4096-unit tenant region, starting off an 8-unit boundary, in a 64 Ki
+// unit address space where state.range(0) percent of units are fast
+// (dense: a tenant at quota; sparse: one far below it).
+void BM_ScanResident(benchmark::State& state) {
+  constexpr uint64_t kUnits = 1 << 16;
+  constexpr PageId kRegionStart = 1003;
+  constexpr uint64_t kRegionUnits = 4096;
+  TieredMemory memory(kUnits, kUnits, kUnits, AllocationPolicy::kSlowOnly);
+  Rng rng(7);
+  for (PageId unit = 0; unit < kUnits; ++unit) {
+    memory.Touch(unit, 0);
+    if (rng.NextBounded(100) < static_cast<uint64_t>(state.range(0))) {
+      memory.Migrate(unit, Tier::kFast);
+    }
+  }
+  uint64_t found = 0;
+  for (auto _ : state) {
+    memory.ScanResident(kRegionStart, kRegionUnits, Tier::kFast,
+                        [&found](PageId) { ++found; });
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRegionUnits));
+}
+BENCHMARK(BM_ScanResident)->Arg(90)->Arg(3);
+
+// HDM decode of 4096 random units on the fleet cells' three-endpoint
+// layout (one unit per stripe) and on a 512-unit-stripe layout.
+void BM_EndpointOf(benchmark::State& state) {
+  constexpr uint64_t kUnits = 1 << 20;
+  const TieredMemory memory(kUnits, kUnits, kUnits,
+                            AllocationPolicy::kSlowOnly, 3,
+                            static_cast<uint64_t>(state.range(0)));
+  Rng rng(7);
+  std::vector<PageId> units(4096);
+  for (PageId& unit : units) unit = rng.NextBounded(kUnits);
+  for (auto _ : state) {
+    uint32_t sum = 0;
+    for (const PageId unit : units) sum += memory.EndpointOf(unit);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(units.size()));
+}
+BENCHMARK(BM_EndpointOf)->Arg(1)->Arg(512);
 
 void BM_ZipfNext(benchmark::State& state) {
   ZipfGenerator zipf(100000000, 0.99);

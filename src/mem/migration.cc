@@ -25,8 +25,9 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
   const bool any_down =
       dst == Tier::kSlow && perf_model_->AnyEndpointDown();
   for (const PageId page : pages) {
+    const uint32_t endpoint = memory_->EndpointOf(page);
     if (any_down) [[unlikely]] {
-      if (perf_model_->EndpointDown(memory_->EndpointOf(page))) {
+      if (perf_model_->EndpointDown(endpoint)) {
         ++stats_.failed_demotions;
         continue;
       }
@@ -34,7 +35,7 @@ TimeNs MigrationEngine::ExecuteBatch(std::span<const PageId> pages, Tier dst,
     const bool ok = memory_->IsResident(page) && memory_->Migrate(page, dst);
     if (ok) {
       ++moved;
-      ++endpoint_pages_[memory_->EndpointOf(page)];
+      ++endpoint_pages_[endpoint];
       if (audit_ != nullptr) [[unlikely]] {
         if (dst == Tier::kFast) {
           audit_->OnPromoted(page, now);

@@ -17,15 +17,16 @@ TieredMemory::TieredMemory(uint64_t total_pages, uint64_t fast_capacity,
       allocation_policy_(allocation_policy),
       endpoint_count_(endpoint_count),
       interleave_units_(interleave_units),
+      hdm_(endpoint_count, interleave_units),
       endpoint_resident_(endpoint_count, 0),
       endpoint_fast_resident_(endpoint_count, 0) {
   HT_ASSERT(total_pages > 0, "address space must not be empty");
   HT_ASSERT(fast_capacity + slow_capacity >= total_pages,
             "tiers too small for the footprint: ", fast_capacity, "+",
             slow_capacity, " < ", total_pages);
-  HT_ASSERT(endpoint_count >= 1 && interleave_units >= 1,
-            "endpoint layout needs >= 1 endpoint and a positive "
-            "interleave granularity");
+  HT_ASSERT(total_pages - 1 <= hdm_.max_exact_page(), "a ",
+            total_pages, "-unit address space exceeds the exact HDM decode "
+            "range of its endpoint layout");
 }
 
 TouchResult TieredMemory::TouchSlowPath(PageId page, TimeNs now) {

@@ -19,7 +19,9 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.h"
@@ -45,6 +47,55 @@ struct TouchResult {
   bool first_touch = false;    //!< Page was allocated by this access.
   bool hint_fault = false;     //!< Access hit a protected page (NUMA hint).
   TimeNs fault_latency_ns = 0; //!< now - protect time, when hint_fault.
+};
+
+/**
+ * HDM decode without a division: the slow-tier endpoint of `page` is
+ * `(page / interleave_units) % endpoint_count`, the stripe's position in
+ * the interleave period of `interleave_units * endpoint_count` units.
+ * The decoder keeps the reciprocal M = ceil(2^64 / period): `M * page`
+ * (mod 2^64) is the page's offset inside its period scaled to 2^64, and
+ * the high word of that times `endpoint_count` is the stripe's endpoint
+ * (Lemire's fastmod, with the quotient taken by `interleave_units`
+ * folded into the period). The result is exact while
+ * `page * period < 2^64` (`max_exact_page`); callers assert their
+ * largest page against it.
+ */
+class HdmDecoder {
+ public:
+  /**
+   * @param endpoint_count   slow-tier endpoints (>= 1).
+   * @param interleave_units tracking units per stripe (>= 1).
+   */
+  HdmDecoder(uint32_t endpoint_count, uint64_t interleave_units)
+      : endpoint_count_(endpoint_count) {
+    HT_ASSERT(endpoint_count >= 1 && interleave_units >= 1,
+              "endpoint layout needs >= 1 endpoint and a positive "
+              "interleave granularity");
+    HT_ASSERT(interleave_units <= UINT64_MAX / endpoint_count,
+              "interleave period of ", endpoint_count, " x ",
+              interleave_units, " units overflows 64 bits");
+    const uint64_t period = interleave_units * endpoint_count;
+    // For period 1 the reciprocal 2^64 wraps to 0, which still decodes
+    // every page to endpoint 0.
+    reciprocal_ = UINT64_MAX / period + 1;
+    max_exact_page_ = UINT64_MAX / period;
+  }
+
+  /** Home endpoint of `page`; `page` must not exceed max_exact_page(). */
+  uint32_t EndpointOf(PageId page) const {
+    const uint64_t offset = reciprocal_ * page;
+    return static_cast<uint32_t>(
+        (static_cast<__uint128_t>(offset) * endpoint_count_) >> 64);
+  }
+
+  /** Largest page EndpointOf decodes exactly. */
+  PageId max_exact_page() const { return max_exact_page_; }
+
+ private:
+  uint64_t reciprocal_;
+  uint64_t max_exact_page_;
+  uint32_t endpoint_count_;
 };
 
 /** Placement, residency, and protection state for a tiered address space. */
@@ -97,13 +148,10 @@ class TieredMemory {
    * HDM decode: the slow-tier endpoint backing `page`. A page's home
    * endpoint is static — interleaving is by address, as a hardware HDM
    * decoder does — so it is the device a slow-resident page is served
-   * from and the device a demotion would copy into.
+   * from and the device a demotion would copy into. Decoded with a
+   * multiply, not a division (HdmDecoder).
    */
-  uint32_t EndpointOf(PageId page) const {
-    if (endpoint_count_ == 1) return 0;
-    return static_cast<uint32_t>((page / interleave_units_) %
-                                 endpoint_count_);
-  }
+  uint32_t EndpointOf(PageId page) const { return hdm_.EndpointOf(page); }
 
   /** Number of slow-tier endpoints in the layout. */
   uint32_t endpoint_count() const { return endpoint_count_; }
@@ -130,6 +178,9 @@ class TieredMemory {
 
   /** Tracking units per HDM interleave stripe. */
   uint64_t interleave_units() const { return interleave_units_; }
+
+  /** The layout's HDM decoder (what EndpointOf reads). */
+  const HdmDecoder& hdm() const { return hdm_; }
 
 
   /** Tier of a resident page (asserts residency). */
@@ -183,23 +234,64 @@ class TieredMemory {
   /**
    * Linear address-space scan (the /proc/PID/pagemap walk used for
    * demotion candidate discovery): invokes `fn(page)` for every resident
-   * page in `tier` within [start, start+count), returns pages visited.
-   * Templated on the callback so the per-unit call inlines instead of
-   * going through a std::function thunk.
+   * page in `tier` within [start, start+count), in ascending order, and
+   * returns pages visited. Reads the flags eight at a time
+   * (ScanResidentGroups). Templated on the callback so the per-unit call
+   * inlines instead of going through a std::function thunk. `fn` must
+   * not change the residency or tier of pages in the range.
    */
   template <typename Fn>
   uint64_t ScanResident(PageId start, uint64_t count, Tier tier,
                         Fn&& fn) const {
+    return ScanResidentGroups(start, count, tier,
+                              [&fn](PageId group, uint64_t lanes) {
+                                for (; lanes != 0; lanes &= lanes - 1) {
+                                  fn(group + std::countr_zero(lanes) / 8);
+                                }
+                              });
+  }
+
+  /**
+   * ScanResident by aligned groups of eight units: for every group
+   * [g, g+8) (g a multiple of 8) that holds a resident page of `tier`
+   * within [start, start+count), invokes `fn(g, lanes)` in ascending
+   * order, where bit 8*i of `lanes` is set iff unit g+i is one of them
+   * (all other bits clear). A group is one 64 B line of the pagemap
+   * walk. Returns pages visited, as ScanResident does. `fn` must not
+   * change the residency or tier of pages in the range.
+   */
+  template <typename GroupFn>
+  uint64_t ScanResidentGroups(PageId start, uint64_t count, Tier tier,
+                              GroupFn&& fn) const {
+    static_assert(std::endian::native == std::endian::little,
+                  "flag lanes are read as little-endian words");
+    static_assert(kResident == 1 && kTierSlow == 2,
+                  "the lane match reads residency at bit 0, tier at bit 1");
     const PageId end = std::min<PageId>(start + count, flags_.size());
-    uint64_t visited = 0;
-    const uint8_t tier_flag =
-        tier == Tier::kSlow ? kTierSlow : static_cast<uint8_t>(0);
-    for (PageId page = start; page < end; ++page) {
-      ++visited;
-      const uint8_t f = flags_[page];
-      if ((f & kResident) && (f & kTierSlow) == tier_flag) fn(page);
+    if (start >= end) return 0;
+    // Lane i of a flag word is unit g+i's byte; bit 8*i of the match is
+    // its resident bit, kept when its tier bit (one above) says `tier`.
+    constexpr uint64_t kLaneBit = 0x0101010101010101ULL;
+    const uint64_t want_fast = tier == Tier::kFast ? kLaneBit : 0;
+    PageId group = start & ~PageId{7};
+    uint64_t keep = kLaneBit << (8 * (start - group));  // Unaligned head.
+    for (; group < end; group += 8) {
+      uint64_t word = 0;
+      if (end - group < 8) {
+        // Tail: lanes at or past `end` are dropped, and the load stops at
+        // the end of the flag array.
+        keep &= kLaneBit >> (8 * (8 - (end - group)));
+        std::memcpy(&word, flags_.data() + group,
+                    std::min<size_t>(8, flags_.size() - group));
+      } else {
+        std::memcpy(&word, flags_.data() + group, 8);
+      }
+      const uint64_t lanes =
+          word & (((word >> 1) & kLaneBit) ^ want_fast) & keep;
+      if (lanes != 0) fn(group, lanes);
+      keep = kLaneBit;
     }
-    return visited;
+    return end - start;
   }
 
   /**
@@ -280,6 +372,7 @@ class TieredMemory {
   AllocationPolicy allocation_policy_;
   uint32_t endpoint_count_ = 1;
   uint64_t interleave_units_ = 1;
+  HdmDecoder hdm_;
   std::vector<uint64_t> endpoint_resident_;  //!< Slow units per endpoint.
   /** Fast-resident units by HDM home endpoint. */
   std::vector<uint64_t> endpoint_fast_resident_;
@@ -291,44 +384,6 @@ class TieredMemory {
   // The watchdog test peer injects accounting corruption to prove the
   // invariant checks catch it; nothing else may touch private state.
   friend class TieredMemoryTestPeer;
-};
-
-/**
- * `TieredMemory::EndpointOf` for an ascending run of units, without a
- * division per unit: the walk remembers the interleave stripe of the
- * last unit, steps to the next stripe (and endpoint) when a unit crosses
- * its end, and decodes with one division only when a unit skips whole
- * stripes. A dense walk over a tenant's region divides once.
- */
-class EndpointWalk {
- public:
-  explicit EndpointWalk(const TieredMemory& memory)
-      : stripe_units_(memory.interleave_units()),
-        endpoints_(memory.endpoint_count()),
-        endpoint_(endpoints_ - 1) {}
-
-  /** Home endpoint of `unit`; `unit` must not precede the last one. */
-  uint32_t Next(PageId unit) {
-    if (unit >= stripe_end_) {
-      if (unit - stripe_end_ < stripe_units_) {
-        stripe_end_ += stripe_units_;
-        endpoint_ = endpoint_ + 1 == endpoints_ ? 0 : endpoint_ + 1;
-      } else {
-        const uint64_t stripe = unit / stripe_units_;
-        endpoint_ = static_cast<uint32_t>(stripe % endpoints_);
-        stripe_end_ = (stripe + 1) * stripe_units_;
-      }
-    }
-    return endpoint_;
-  }
-
- private:
-  uint64_t stripe_units_;
-  uint32_t endpoints_;
-  // The walk starts in stripe -1, which ends at unit 0 and whose
-  // successor, stripe 0, lives on endpoint 0.
-  uint32_t endpoint_;
-  PageId stripe_end_ = 0;
 };
 
 }  // namespace hybridtier

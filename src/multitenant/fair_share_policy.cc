@@ -1,6 +1,7 @@
 #include "multitenant/fair_share_policy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -47,6 +48,130 @@ QuotaMode ParseQuotaMode(const std::string& name) {
 
 const char* QuotaModeName(QuotaMode mode) {
   return mode == QuotaMode::kDensity ? "density" : "marginal";
+}
+
+size_t SelectColdestUnits(std::span<PageId> units,
+                          std::span<const uint32_t> hotness,
+                          std::span<const uint16_t> endpoint_cost,
+                          const HdmDecoder& hdm, uint64_t take,
+                          ColdestSelectionScratch* scratch) {
+  const size_t n = units.size();
+  HT_ASSERT(hotness.size() == n, "selection reads ", hotness.size(),
+            " hotness values for ", n, " units");
+  HT_ASSERT(take <= n, "cannot select ", take, " of ", n, " units");
+  if (take == n || take == 0) return take;
+
+  // The take-th smallest hotness, H. Counters are small after cooling,
+  // so one pass over a 64-bin histogram places it; the rare H past the
+  // last exact bin is resolved among that bin's values only.
+  constexpr uint32_t kBins = 64;
+  constexpr uint32_t kOverflowBin = kBins - 1;
+  // Four interleaved sub-histograms: nearly every unit lands in one bin,
+  // and a single table would chain each increment on the last.
+  uint32_t sub[4][kBins] = {};
+  const auto bin = [&hotness](size_t i) {
+    return hotness[i] < kOverflowBin ? hotness[i] : kOverflowBin;
+  };
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++sub[0][bin(i)];
+    ++sub[1][bin(i + 1)];
+    ++sub[2][bin(i + 2)];
+    ++sub[3][bin(i + 3)];
+  }
+  for (; i < n; ++i) ++sub[0][bin(i)];
+  uint64_t histogram[kBins];
+  for (uint32_t b = 0; b < kBins; ++b) {
+    histogram[b] = uint64_t{sub[0][b]} + sub[1][b] + sub[2][b] + sub[3][b];
+  }
+  uint64_t below = 0;  // Units strictly colder than H.
+  uint32_t threshold = 0;
+  while (below + histogram[threshold] < take) below += histogram[threshold++];
+  if (threshold == kOverflowBin) {
+    std::vector<uint32_t>& overflow = scratch->overflow;
+    overflow.clear();
+    for (const uint32_t h : hotness) {
+      if (h >= kOverflowBin) overflow.push_back(h);
+    }
+    const auto nth =
+        overflow.begin() + static_cast<ptrdiff_t>(take - below - 1);
+    std::nth_element(overflow.begin(), nth, overflow.end());
+    threshold = *nth;
+    below += static_cast<uint64_t>(
+        std::count_if(overflow.begin(), nth,
+                      [threshold](uint32_t h) { return h < threshold; }));
+  }
+  // Units at hotness H still to take, lowest (cost, unit) first.
+  uint64_t ties = take - below;
+
+  // Endpoint-aware: H's units split into cost classes, one per distinct
+  // endpoint cost. Every unit of a cheaper class goes, then the lowest
+  // addresses of the class the count runs out in.
+  const bool aware = !endpoint_cost.empty();
+  uint32_t cost_threshold = 0;
+  if (aware) {
+    std::vector<uint64_t>& per_endpoint = scratch->ties;
+    per_endpoint.assign(endpoint_cost.size(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      per_endpoint[hdm.EndpointOf(units[i])] += hotness[i] == threshold;
+    }
+    uint64_t cheaper = 0;
+    uint32_t min_cost = 0;  // Classes below it are counted in `cheaper`.
+    while (true) {
+      uint32_t cost = UINT32_MAX;
+      uint64_t count = 0;
+      for (size_t e = 0; e < endpoint_cost.size(); ++e) {
+        if (per_endpoint[e] == 0 || endpoint_cost[e] < min_cost) continue;
+        if (endpoint_cost[e] < cost) {
+          cost = endpoint_cost[e];
+          count = 0;
+        }
+        if (endpoint_cost[e] == cost) count += per_endpoint[e];
+      }
+      HT_ASSERT(cost != UINT32_MAX, "threshold hotness ", threshold,
+                " holds fewer than ", ties, " units");
+      if (cheaper + count >= ties) {
+        cost_threshold = cost;
+        ties -= cheaper;
+        break;
+      }
+      cheaper += count;
+      min_cost = cost + 1;
+    }
+  }
+
+  // One address-order pass compacts the chosen units to the front,
+  // without a branch per unit. It reads only locals, so nothing it needs
+  // is reloaded after each store into `units`.
+  const auto emit = [&units, &hotness, n, threshold, cost_threshold](
+                        uint64_t ties, auto cost_of) {
+    PageId* out = units.data();
+    const uint32_t* hot = hotness.data();
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const PageId unit = out[i];
+      const uint32_t h = hot[i];
+      const uint32_t cost = cost_of(unit);
+      const bool at_threshold = h == threshold;
+      const bool tie =
+          at_threshold & (cost == cost_threshold) & (ties != 0);
+      ties -= tie;
+      out[kept] = unit;
+      kept += (h < threshold) | (at_threshold & (cost < cost_threshold)) |
+              tie;
+    }
+    return kept;
+  };
+  const HdmDecoder decoder = hdm;
+  const uint16_t* costs = endpoint_cost.data();
+  const size_t kept =
+      aware ? emit(ties,
+                   [decoder, costs](PageId unit) -> uint32_t {
+                     return costs[decoder.EndpointOf(unit)];
+                   })
+            : emit(ties, [](PageId) -> uint32_t { return 0; });
+  HT_ASSERT(kept == take, "selection kept ", kept, " of ", take, " units");
+  return kept;
 }
 
 /**
@@ -461,13 +586,8 @@ void FairSharePolicy::DrainDeparting(TimeNs now) {
 void FairSharePolicy::ForceFinishDrain(uint32_t tenant, TimeNs now) {
   const PageRange range =
       directory_.regions[tenant].UnitRange(context().mode);
-  victims_.clear();
-  memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                        [this](PageId unit) {
-                          sink().Touch(kSharePagemapBase +
-                                       (unit / 8) * kCacheLineSize);
-                          if (!HomeDown(unit)) victims_.push_back(unit);
-                        });
+  CollectFastUnits(range);
+  std::erase_if(victims_, [this](PageId unit) { return HomeDown(unit); });
   if (!victims_.empty()) {
     migration().Demote(victims_, now, MigrationReason::kChurnDrain);
   }
@@ -688,23 +808,29 @@ uint64_t FairSharePolicy::EndpointCost(uint32_t endpoint, TimeNs now) const {
          static_cast<uint64_t>(context().perf->EndpointBacklog(endpoint, now));
 }
 
+void FairSharePolicy::CollectFastUnits(const PageRange& range) {
+  victims_.clear();
+  // Eight units share one pagemap line: one touch per unit, folded.
+  memory().ScanResidentGroups(
+      range.begin, range.size(), Tier::kFast,
+      [this](PageId group, uint64_t lanes) {
+        sink().TouchRepeated(kSharePagemapBase + (group / 8) * kCacheLineSize,
+                             static_cast<uint64_t>(std::popcount(lanes)));
+        for (; lanes != 0; lanes &= lanes - 1) {
+          victims_.push_back(group + std::countr_zero(lanes) / 8);
+        }
+      });
+}
+
 void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
                                      TimeNs now, MigrationReason reason) {
   const uint64_t fast = fast_units(t);
   if (fast <= target) return;
   const uint64_t excess = std::min(fast - target, kMaxEnforceBatch);
 
-  // Find the tenant's fast-resident units (the pagemap walk every
-  // watermark demoter performs); the filler and the base policy bring
-  // the hot subset back within quota.
-  const PageRange range = directory_.regions[t].UnitRange(context().mode);
-  victims_.clear();
-  memory().ScanResident(range.begin, range.size(), Tier::kFast,
-                        [this](PageId unit) {
-                          sink().Touch(kSharePagemapBase +
-                                       (unit / 8) * kCacheLineSize);
-                          victims_.push_back(unit);
-                        });
+  // Find the tenant's fast-resident units; the filler and the base
+  // policy bring the hot subset back within quota.
+  CollectFastUnits(directory_.regions[t].UnitRange(context().mode));
   const uint64_t take = std::min<uint64_t>(excess, victims_.size());
   if (take == 0) return;
   if (take < victims_.size()) {
@@ -714,53 +840,32 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
     // scanned end — the base policy promotes them right back, and the
     // swap repeats every enforcement pass (rotation churn).
     //
-    // The endpoint tie-break cost depends only on the unit's endpoint,
-    // and `now` is fixed for the pass: read it once per endpoint. The
-    // scan found the victims in ascending address order, so their
-    // endpoints come from one walk over the interleave stripes, and
-    // their hotness from one batched read.
+    // Endpoint-aware: hotness stays the primary key (demoting a
+    // strictly hotter unit to spare a colder one always loses more hits
+    // than any endpoint gap saves), with the cost of the endpoint the
+    // unit would land on (idle latency + backlog) as the tie-breaker —
+    // among equally-hot units, the one bound for a cheap device leaves
+    // first and the one bound for a congested or distant one is the
+    // last out of the fast tier. Hotness is bucketed coarsely, so ties
+    // are the common case and the steering bite is real. The cost
+    // depends only on the unit's endpoint, and `now` is fixed for the
+    // pass: read it once per endpoint.
+    std::span<const uint16_t> endpoint_cost;
     if (endpoint_aware_active_) {
       victim_endpoint_cost_.resize(memory().endpoint_count());
       for (uint32_t e = 0; e < victim_endpoint_cost_.size(); ++e) {
-        victim_endpoint_cost_[e] =
-            std::min<uint64_t>(EndpointCost(e, now), 0xffff);
+        victim_endpoint_cost_[e] = static_cast<uint16_t>(
+            std::min<uint64_t>(EndpointCost(e, now), 0xffff));
       }
+      endpoint_cost = victim_endpoint_cost_;
     }
     victim_hotness_.resize(victims_.size());
     base_->HotnessOfEach(victims_, victim_hotness_);
-    EndpointWalk endpoints(memory());
-    victim_rank_.clear();
-    victim_rank_.reserve(victims_.size());
-    for (size_t i = 0; i < victims_.size(); ++i) {
-      const PageId unit = victims_[i];
-      const uint64_t hotness = victim_hotness_[i];
-      // Endpoint-aware: hotness stays the primary key (demoting a
-      // strictly hotter unit to spare a colder one always loses more
-      // hits than any endpoint gap saves), with the cost of the
-      // endpoint the unit would land on (idle latency + backlog) as
-      // the tie-breaker — among equally-hot units, the one bound for a
-      // cheap device leaves first and the one bound for a congested or
-      // distant one is the last out of the fast tier. Hotness is
-      // bucketed coarsely, so ties are the common case and the
-      // steering bite is real. Blind mode keeps the exact legacy
-      // hotness key.
-      victim_rank_.emplace_back(
-          endpoint_aware_active_
-              ? (hotness << 16) + victim_endpoint_cost_[endpoints.Next(unit)]
-              : hotness,
-          unit);
-    }
-    // Select, don't sort: the unit makes every (score, unit) key
-    // unique, so the first `take` entries after the selection are
-    // exactly the set a full sort would put there. Their order is
-    // irrelevant — the engine's batch outcome is order-independent
-    // (per-endpoint page counts; slow capacity covers the footprint).
-    std::nth_element(victim_rank_.begin(), victim_rank_.begin() + take,
-                     victim_rank_.end());
-    victims_.clear();
-    for (uint64_t i = 0; i < take; ++i) {
-      victims_.push_back(victim_rank_[i].second);
-    }
+    // The engine's batch outcome is order-independent (per-endpoint page
+    // counts; slow capacity covers the footprint), so the chosen units
+    // go out in address order.
+    SelectColdestUnits(victims_, victim_hotness_, endpoint_cost,
+                       memory().hdm(), take, &selection_scratch_);
   }
   migration().Demote(std::span<const PageId>(victims_).first(take), now,
                      reason);

@@ -18,9 +18,10 @@
  *    (first-touch allocation and quota shrinks put them there), coldest
  *    first by the base policy's `HotnessOf` (ties by address; in
  *    endpoint-aware mode, first by home-endpoint cost, cheap devices
- *    first). The coldest excess is *selected*, not sorted, so a pass
- *    costs time linear in the tenant's fast units; the base policy
- *    re-promotes the hot subset within quota.
+ *    first). The coldest excess is found by threshold selection
+ *    (`SelectColdestUnits`), not sorted, so a pass costs time linear in
+ *    the tenant's fast units; the base policy re-promotes the hot
+ *    subset within quota.
  *  - The same tick *fills* under-quota tenants: their recently sampled
  *    slow pages are promoted into the guaranteed headroom, hottest
  *    (most-sampled this window) first. This is what makes a quota a
@@ -88,6 +89,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -169,6 +171,41 @@ struct FairShareConfig {
    */
   bool endpoint_aware = false;
 };
+
+/** Reusable buffers of `SelectColdestUnits`. */
+struct ColdestSelectionScratch {
+  std::vector<uint32_t> overflow;  //!< Hotness values in the overflow bin.
+  std::vector<uint64_t> ties;      //!< Threshold-hot units per endpoint.
+};
+
+/**
+ * Victim selection of the fair-share enforcement pass. Orders `units`
+ * (ascending addresses) by the key (hotness, endpoint cost, unit) --
+ * without `endpoint_cost`, by (hotness, unit) -- and keeps the first
+ * `take` of that order at the front of `units`, in ascending address
+ * order. Returns `take`.
+ *
+ * No pair is ranked: the chosen set is every unit keyed below the
+ * `take`-th smallest key K plus the lowest-address units keyed K. K's
+ * hotness comes from a 64-bin histogram (values >= 63 share the last
+ * bin, resolved by `nth_element` over that bin's values when K falls
+ * in it), K's cost class from the per-endpoint counts of the units at
+ * that hotness, and one address-order pass then emits the set. Linear
+ * in `units.size()` for any hotness range.
+ *
+ * @param units         candidate units, ascending; reordered in place.
+ * @param hotness       hotness of each unit (same length).
+ * @param endpoint_cost per-endpoint tie-break cost; empty = blind.
+ * @param hdm           home-endpoint decode, read when `endpoint_cost`
+ *                      is non-empty.
+ * @param take          units to keep, at most `units.size()`.
+ * @param scratch       reusable buffers.
+ */
+size_t SelectColdestUnits(std::span<PageId> units,
+                          std::span<const uint32_t> hotness,
+                          std::span<const uint16_t> endpoint_cost,
+                          const HdmDecoder& hdm, uint64_t take,
+                          ColdestSelectionScratch* scratch);
 
 /** Per-tenant quota enforcement as a `TieringPolicy` decorator. */
 class FairSharePolicy : public TieringPolicy,
@@ -435,11 +472,18 @@ class FairSharePolicy : public TieringPolicy,
   uint64_t EndpointCost(uint32_t endpoint, TimeNs now) const;
 
   /**
+   * Fills `victims_` with the fast-resident units of `range`, ascending
+   * (the pagemap walk every watermark demoter performs), and reports
+   * one metadata touch per unit, folded per pagemap line.
+   */
+  void CollectFastUnits(const PageRange& range);
+
+  /**
    * Demotes tenant `t` down to `target` fast units (one batch), stamped
    * with `reason` (enforcement vs. rotation). The batch is the coldest
-   * excess by (hotness, endpoint cost, unit), chosen by selection in
-   * time linear in the tenant's fast units; it includes units pinned
-   * by a down endpoint, which the engine refuses.
+   * excess by (hotness, endpoint cost, unit), chosen by
+   * SelectColdestUnits in time linear in the tenant's fast units; it
+   * includes units pinned by a down endpoint, which the engine refuses.
    */
   void DemoteToTarget(uint32_t t, uint64_t target, TimeNs now,
                       MigrationReason reason);
@@ -527,15 +571,12 @@ class FairSharePolicy : public TieringPolicy,
   std::vector<PageId> admitted_;
   std::vector<uint64_t> batch_admits_;
   std::vector<PageId> victims_;
-  /** (score, unit) pairs for cheapest-first victim selection: the
-   *  score is the hotness estimate, with the home-endpoint cost packed
-   *  into the low bits as a tie-breaker in endpoint-aware mode. */
-  std::vector<std::pair<uint64_t, PageId>> victim_rank_;
   /** Base-policy hotness of each of `victims_`, read in one batch. */
   std::vector<uint32_t> victim_hotness_;
   /** Per-endpoint victim tie-break cost, min(cost, 0xffff), for the
    *  current enforcement pass. */
-  std::vector<uint64_t> victim_endpoint_cost_;
+  std::vector<uint16_t> victim_endpoint_cost_;
+  ColdestSelectionScratch selection_scratch_;
   /** (cost, page) scratch for endpoint-aware admission ordering. */
   std::vector<std::pair<uint64_t, PageId>> admit_order_;
   /** Reordered promotion batch fed to the admission loop. */

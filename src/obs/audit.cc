@@ -42,9 +42,10 @@ DecisionAudit::DecisionAudit(const DecisionAuditConfig& config)
 void DecisionAudit::Configure(uint64_t footprint_units) {
   footprint_units_ = footprint_units;
   epoch_ = 1;
-  demote_stamp_.assign(footprint_units, 0);
-  touch_epoch_.assign(footprint_units, 0);
-  interval_touches_.assign(footprint_units, 0);
+  // resize value-initializes the records: one zero fill, as assign is
+  // for the scalar tables.
+  fill_.clear();
+  fill_.resize(footprint_units);
   last_hot_epoch_.assign(footprint_units, 0);
   hot_streak_.assign(footprint_units, 0);
   late_counted_.assign(footprint_units, 0);
@@ -77,7 +78,7 @@ void DecisionAudit::RecordBatch(bool promotion, MigrationReason reason,
 void DecisionAudit::OnPromoted(PageId unit, TimeNs now) {
   (void)now;
   if (unit >= footprint_units_) return;
-  demote_stamp_[unit] = 0;
+  fill_[unit].demote_stamp = 0;
   hot_streak_[unit] = 0;
   last_hot_epoch_[unit] = 0;
   late_counted_[unit] = 0;
@@ -85,32 +86,32 @@ void DecisionAudit::OnPromoted(PageId unit, TimeNs now) {
 
 void DecisionAudit::OnDemoted(PageId unit, TimeNs now) {
   if (unit >= footprint_units_) return;
-  demote_stamp_[unit] = now + 1;  // Shifted so 0 stays "no stamp".
+  fill_[unit].demote_stamp = now + 1;  // Shifted so 0 stays "no stamp".
 }
 
 void DecisionAudit::OnSlowFill(PageId unit, TimeNs now) {
   if (unit >= footprint_units_) return;
-  const TimeNs stamp = demote_stamp_[unit];
-  if (stamp != 0) {
-    if (now < (stamp - 1) + config_.premature_window_ns) {
+  FillRecord& record = fill_[unit];
+  if (record.demote_stamp != 0) {
+    if (now < (record.demote_stamp - 1) + config_.premature_window_ns) {
       ++premature_demotions_;
     }
     // Inside the window the offense is counted; past it the stamp is
     // stale either way. One demotion yields at most one label.
-    demote_stamp_[unit] = 0;
+    record.demote_stamp = 0;
   }
-  if (touch_epoch_[unit] != epoch_) {
-    touch_epoch_[unit] = epoch_;
-    interval_touches_[unit] = 0;
+  if (record.touch_epoch != epoch_) {
+    record.touch_epoch = epoch_;
+    record.interval_touches = 0;
     touched_units_.push_back(unit);
   }
-  ++interval_touches_[unit];
+  ++record.interval_touches;
 }
 
 void DecisionAudit::AdvanceInterval(TimeNs now) {
   (void)now;
   for (const PageId unit : touched_units_) {
-    if (interval_touches_[unit] < config_.hot_touch_min) continue;
+    if (fill_[unit].interval_touches < config_.hot_touch_min) continue;
     // A streak only continues across back-to-back intervals; a cold or
     // untouched interval in between resets it (the epoch check covers
     // both without visiting untouched units).

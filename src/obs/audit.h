@@ -186,12 +186,19 @@ class DecisionAudit {
   uint64_t cooling_epochs_ = 0;
   uint64_t endpoint_reorders_ = 0;
 
+  /** What a slow fill reads and writes of one unit: 16 B, so four
+   *  units share a host line and a fill touches one. */
+  struct alignas(16) FillRecord {
+    TimeNs demote_stamp;        //!< time+1 of last demotion; 0=none.
+    uint32_t touch_epoch;       //!< Epoch of interval_touches.
+    uint32_t interval_touches;  //!< Slow fills in touch_epoch.
+  };
+  static_assert(sizeof(FillRecord) == 16);
+
   // Labeler state (dense per-unit tables, epoch-stamped).
   uint64_t footprint_units_ = 0;
   uint32_t epoch_ = 1;  //!< Current stats interval (starts at 1).
-  std::vector<TimeNs> demote_stamp_;      //!< time+1 of last demotion; 0=none.
-  std::vector<uint32_t> touch_epoch_;     //!< Epoch of interval_touches_.
-  std::vector<uint32_t> interval_touches_;
+  std::vector<FillRecord> fill_;          //!< Per-unit slow-fill state.
   std::vector<uint32_t> last_hot_epoch_;  //!< Last epoch the unit was hot.
   std::vector<uint16_t> hot_streak_;      //!< Consecutive hot intervals.
   std::vector<uint8_t> late_counted_;     //!< Latched until promoted.

@@ -78,6 +78,23 @@ class MetadataTrafficCounter {
     lines_.push_back(line_addr);
   }
 
+  /**
+   * Records `n` tiering-owned accesses to the line at `line_addr` in a
+   * row: the same touches(), lines() and repeats() as `n` Touch calls.
+   */
+  void TouchRepeated(uint64_t line_addr, uint64_t n) {
+    if (n == 0) return;
+    touches_ += n;
+    if (!recording_) return;
+    const uint64_t line = line_addr / kCacheLineSize;
+    if (line != last_line_) {
+      last_line_ = line;
+      lines_.push_back(line_addr);
+      --n;
+    }
+    repeats_ += n;
+  }
+
   /** Buffer lines for replay (on) or count only (off). Default on. */
   void SetRecording(bool recording) { recording_ = recording; }
 

@@ -1,6 +1,7 @@
 #include "probstruct/blocked_cbf.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -33,6 +34,9 @@ BlockedCountingBloomFilter::BlockedCountingBloomFilter(
             "hash count must be in [1,16], got ", num_hashes_);
   HT_ASSERT(num_hashes_ <= slots_per_block_,
             "more hashes than slots per block");
+  HT_ASSERT(std::has_single_bit(slots_per_block_),
+            "slots per block must be a power of two, got ", slots_per_block_);
+  slot_shift_ = 64 - static_cast<uint32_t>(std::countr_zero(slots_per_block_));
 }
 
 void BlockedCountingBloomFilter::Locate(uint64_t key, uint64_t* block_out,
@@ -69,23 +73,32 @@ void BlockedCountingBloomFilter::GetEach(std::span<const uint64_t> keys,
             " counts for ", keys.size(), " keys");
   // A filter larger than the host caches misses on nearly every probe,
   // and the probes of a batch are independent: hash kLookahead keys
-  // ahead and prefetch their blocks, so those misses overlap.
+  // ahead and prefetch their blocks, so those misses overlap. Blocks
+  // start on host cache lines, so one prefetch covers a block.
   constexpr size_t kLookahead = 8;
-  HashPair ahead[kLookahead];
+  struct Staged {
+    HashPair hp;
+    size_t base;
+  };
+  Staged ahead[kLookahead];
   const auto stage = [&](size_t k) {
-    ahead[k % kLookahead] = HashKey(keys[k], seed_);
-    const size_t base = BlockBase(ahead[k % kLookahead]);
-    // A block is one 64 B line of the filter, which need not start on
-    // a host cache line: fetch both of its ends.
-    counters_.Prefetch(base);
-    counters_.Prefetch(base + slots_per_block_ - 1);
+    Staged& s = ahead[k % kLookahead];
+    s.hp = HashKey(keys[k], seed_);
+    s.base = BlockBase(s.hp);
+    counters_.Prefetch(s.base);
   };
   const size_t n = keys.size();
   for (size_t k = 0; k < std::min(n, kLookahead); ++k) stage(k);
   for (size_t i = 0; i < n; ++i) {
-    const HashPair hp = ahead[i % kLookahead];
+    const Staged s = ahead[i % kLookahead];
     if (i + kLookahead < n) stage(i + kLookahead);
-    out[i] = MinCount(hp);
+    // In-block slots by shift: ReduceRange over the power-of-two block.
+    uint32_t min_count = counters_.max_value();
+    for (uint32_t j = 1; j <= num_hashes_; ++j) {
+      const size_t slot = DerivedHash(s.hp, j) >> slot_shift_;
+      min_count = std::min(min_count, counters_.Get(s.base + slot));
+    }
+    out[i] = min_count;
   }
 }
 

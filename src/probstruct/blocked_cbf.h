@@ -72,6 +72,9 @@ class BlockedCountingBloomFilter : public FrequencyEstimator {
   PackedCounterArray counters_;
   size_t num_blocks_;
   uint32_t slots_per_block_;
+  /** 64 - log2(slots_per_block_): `h >> slot_shift_` is
+   *  `ReduceRange(h, slots_per_block_)` for the power-of-two block. */
+  uint32_t slot_shift_;
   uint32_t num_hashes_;
   uint64_t seed_;
 };

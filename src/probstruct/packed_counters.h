@@ -15,15 +15,42 @@
  * two, so counter `i` lives in word `i >> word_shift` at bit offset
  * `(i & lane_mask) << bits_shift`: Get and Set index with a shift and a
  * mask, never a division, and are inlined into the estimators' probes.
+ *
+ * The words start on a 64 B boundary, so every aligned run of 64 B of
+ * counters (a blocked filter's block) is one host cache line.
  */
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/units.h"
 
 namespace hybridtier {
+
+/** Allocator of 64 B-aligned storage (one host cache line). */
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kCacheLineSize}));
+  }
+  void deallocate(T* p, size_t) {
+    ::operator delete(p, std::align_val_t{kCacheLineSize});
+  }
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
 
 /** Dense array of `count` saturating counters of 4, 8, or 16 bits each. */
 class PackedCounterArray {
@@ -102,7 +129,7 @@ class PackedCounterArray {
   uint32_t bits_shift_;  //!< log2(bits_).
   uint32_t word_shift_;  //!< log2(counters per word).
   size_t lane_mask_;     //!< Counters per word, minus one.
-  std::vector<uint64_t> words_;
+  std::vector<uint64_t, CacheLineAllocator<uint64_t>> words_;
 };
 
 }  // namespace hybridtier

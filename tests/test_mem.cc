@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/units.h"
 #include "mem/migration.h"
 #include "mem/page.h"
@@ -13,6 +18,8 @@
 #include "mem/tier.h"
 #include "mem/tiered_memory.h"
 #include "mem/topology.h"
+#include "policies/policy.h"
+#include "reference/resident_scan.h"
 
 namespace hybridtier {
 namespace {
@@ -170,6 +177,84 @@ TEST(TieredMemory, ScanChunkBounds) {
                        [&](PageId p) { seen.push_back(p); });
   EXPECT_EQ(visited, 5u);  // Clipped at the footprint end.
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(TieredMemory, ScanResidentMatchesByteLoopReference) {
+  // Random flag bytes (untouched, fast, slow, each maybe protected) over
+  // address spaces that end off an 8-unit boundary, scanned from random
+  // unaligned starts with lengths that stop inside a group or run past
+  // the end, for both tiers; the word scan must visit exactly the
+  // reference's units in the reference's order and report its count.
+  Rng rng(41);
+  for (int space = 0; space < 60; ++space) {
+    const uint64_t total = 1 + rng.NextBounded(300);
+    TieredMemory mem(total, total, total, AllocationPolicy::kSlowOnly);
+    for (PageId page = 0; page < total; ++page) {
+      const uint64_t state = rng.NextBounded(4);
+      if (state == 0) continue;  // Never touched.
+      mem.Touch(page, 0);
+      if (state == 1) mem.Migrate(page, Tier::kFast);
+    }
+    mem.Protect(PageRange{rng.NextBounded(total), total}, 7);
+    SCOPED_TRACE("space of " + std::to_string(total) + " units");
+    for (int scan = 0; scan < 40; ++scan) {
+      const PageId start = rng.NextBounded(total + 10);
+      const uint64_t count = rng.NextBounded(total + 20);
+      for (const Tier tier : {Tier::kFast, Tier::kSlow}) {
+        const reference::ScanResult want =
+            reference::ScanResident(mem, start, count, tier);
+        std::vector<PageId> seen;
+        const uint64_t walked = mem.ScanResident(
+            start, count, tier, [&](PageId p) { seen.push_back(p); });
+        ASSERT_EQ(seen, want.visited) << "start " << start << ", count "
+                                      << count;
+        ASSERT_EQ(walked, want.walked) << "start " << start;
+        // The group form reports the same units, one 8-unit group at a
+        // time, each group once and in ascending order.
+        std::vector<PageId> grouped;
+        PageId last_group = 0;
+        const uint64_t group_walked = mem.ScanResidentGroups(
+            start, count, tier, [&](PageId group, uint64_t lanes) {
+              ASSERT_EQ(group % 8, 0u);
+              ASSERT_NE(lanes, 0u);
+              ASSERT_EQ(lanes & ~0x0101010101010101ULL, 0u);
+              ASSERT_TRUE(grouped.empty() || group > last_group);
+              last_group = group;
+              for (; lanes != 0; lanes &= lanes - 1) {
+                grouped.push_back(group + std::countr_zero(lanes) / 8);
+              }
+            });
+        ASSERT_EQ(grouped, want.visited) << "start " << start;
+        ASSERT_EQ(group_walked, want.walked);
+      }
+    }
+  }
+}
+
+TEST(MetadataTrafficCounter, TouchRepeatedEqualsRepeatedTouches) {
+  // Runs of touches, some continuing the previous line, some of length
+  // zero, with recording on and off.
+  Rng rng(3);
+  for (const bool recording : {true, false}) {
+    MetadataTrafficCounter batched;
+    MetadataTrafficCounter single;
+    batched.SetRecording(recording);
+    single.SetRecording(recording);
+    for (int run = 0; run < 500; ++run) {
+      const uint64_t line = rng.NextBounded(4) * kCacheLineSize +
+                            rng.NextBounded(kCacheLineSize);
+      const uint64_t n = rng.NextBounded(5);
+      batched.TouchRepeated(line, n);
+      for (uint64_t i = 0; i < n; ++i) single.Touch(line);
+      if (run % 97 == 0) {
+        batched.Clear();
+        single.Clear();
+      }
+      ASSERT_EQ(batched.touches(), single.touches());
+      ASSERT_EQ(batched.lines(), single.lines());
+      ASSERT_EQ(batched.repeats(), single.repeats());
+    }
+  }
 }
 
 // ---------------------------------------------------------- PerfModel --

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
 #include "mem/migration.h"
@@ -26,6 +27,7 @@
 #include "multitenant/mux_workload.h"
 #include "multitenant/quota_controller.h"
 #include "policies/policy.h"
+#include "reference/coldest_selection.h"
 #include "workloads/factory.h"
 
 namespace hybridtier {
@@ -883,6 +885,72 @@ class BatchedHotnessPolicy : public ScatteredHotnessPolicy {
   }
   mutable uint64_t batch_calls = 0;
 };
+
+TEST(SelectColdestUnits, MatchesFullSortReference) {
+  // Hotness ranges of every base policy: HybridTier's 4-bit counters, a
+  // narrow band straddling the overflow bin, all-overflow values, 16-bit
+  // (huge-page) counters and Memtis-style counts up to 2^20; a range of
+  // 2 makes nearly every unit a tie. Blind and endpoint-aware, with
+  // endpoint costs that repeat across endpoints.
+  struct Range {
+    uint32_t low, high;
+  };
+  const Range ranges[] = {{0, 1},  {0, 15},      {60, 66},
+                          {63, 70}, {0, 65535},  {0, 1u << 20}};
+  Rng rng(29);
+  ColdestSelectionScratch scratch;
+  for (const Range range : ranges) {
+    for (int round = 0; round < 60; ++round) {
+      const size_t n = 2 + rng.NextBounded(400);
+      std::vector<PageId> units;
+      PageId unit = rng.NextBounded(20);
+      for (size_t i = 0; i < n; ++i) {
+        units.push_back(unit);
+        unit += 1 + (rng.NextBounded(4) == 0 ? rng.NextBounded(50) : 0);
+      }
+      std::vector<uint32_t> hotness(n);
+      for (uint32_t& h : hotness) {
+        h = range.low + static_cast<uint32_t>(
+                            rng.NextBounded(range.high - range.low + 1));
+      }
+      const uint32_t endpoints = 1 + static_cast<uint32_t>(rng.NextBounded(5));
+      const uint64_t gran = 1 + rng.NextBounded(6);
+      const HdmDecoder hdm(endpoints, gran);
+      std::vector<uint16_t> endpoint_cost(endpoints);
+      for (uint16_t& cost : endpoint_cost) {
+        cost = rng.NextBounded(2) == 0
+                   ? static_cast<uint16_t>(200 + rng.NextBounded(3))
+                   : static_cast<uint16_t>(rng.NextBounded(0x10000));
+      }
+      for (const bool aware : {false, true}) {
+        std::vector<uint32_t> unit_cost(n, 0);
+        if (aware) {
+          for (size_t i = 0; i < n; ++i) {
+            unit_cost[i] = endpoint_cost[hdm.EndpointOf(units[i])];
+          }
+        }
+        for (const uint64_t take :
+             {uint64_t{1}, uint64_t{n - 1}, uint64_t{n},
+              uint64_t{1 + rng.NextBounded(n)}}) {
+          SCOPED_TRACE("hotness [" + std::to_string(range.low) + ", " +
+                       std::to_string(range.high) + "], " +
+                       std::to_string(n) + " units, take " +
+                       std::to_string(take) + (aware ? ", aware" : ""));
+          std::vector<PageId> chosen = units;
+          const size_t kept = SelectColdestUnits(
+              chosen, hotness,
+              aware ? std::span<const uint16_t>(endpoint_cost)
+                    : std::span<const uint16_t>(),
+              hdm, take, &scratch);
+          ASSERT_EQ(kept, take);
+          chosen.resize(kept);
+          ASSERT_EQ(chosen, reference::SelectColdest(units, hotness,
+                                                     unit_cost, take));
+        }
+      }
+    }
+  }
+}
 
 TEST(FairSharePolicy, HotnessOfEachForwardsToTheBase) {
   FairShareConfig config;

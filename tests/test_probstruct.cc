@@ -326,6 +326,29 @@ TEST_P(CbfBothKinds, GetEachMatchesGetAtEveryBatchLength) {
   }
 }
 
+TEST(BlockedCbf, GetEachMatchesScalarGetAfterIncrementsAndHalving) {
+  // The batched kernel reduces in-block slots by a shift; the scalar Get
+  // by ReduceRange. Both must read the same counters, at both widths,
+  // on a crowded filter (saturated counters included) before and after
+  // a cooling pass.
+  for (const uint32_t bits : {4u, 16u}) {
+    BlockedCountingBloomFilter cbf(CbfSizing{2048, 4, bits}, 5);
+    Rng rng(23);
+    for (int i = 0; i < 40000; ++i) cbf.Increment(rng.NextBounded(3000));
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<uint64_t> keys(5000);
+      for (uint64_t& key : keys) key = rng.NextBounded(6000);
+      std::vector<uint32_t> counts(keys.size(), UINT32_MAX);
+      cbf.GetEach(keys, counts);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(counts[i], cbf.Get(keys[i]))
+            << bits << "-bit, pass " << pass << ", key " << keys[i];
+      }
+      cbf.CoolByHalving();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(StandardAndBlocked, CbfBothKinds,
                          ::testing::Values(0, 1));
 

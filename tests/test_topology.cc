@@ -25,6 +25,7 @@
 #include "mem/topology.h"
 #include "multitenant/fair_share_policy.h"
 #include "multitenant/mux_workload.h"
+#include "reference/hdm_decode.h"
 #include "workloads/factory.h"
 
 namespace hybridtier {
@@ -147,28 +148,47 @@ TEST(Topology, EndpointOfInterleavesByGranularity) {
   EXPECT_EQ(single_mem.EndpointOf(12345), 0u);
 }
 
-TEST(Topology, EndpointWalkMatchesEndpointOf) {
-  // Three endpoints, four units per stripe: ascending walks that repeat
-  // a unit, step inside a stripe, into the next one, and skip several.
-  const Topology topology = ParseTopologySpec("cxl:(1,2,3),gran=4");
-  TieredMemory mem(4096, 10, 4096, AllocationPolicy::kSlowOnly,
-                   topology.endpoint_count(), topology.interleave_units);
-  ASSERT_EQ(mem.interleave_units(), 4u);
-  constexpr uint64_t kSteps[] = {0, 1, 1, 1, 2, 3, 4, 5, 7, 8, 12, 13, 40};
+TEST(Topology, EndpointOfMatchesDivisionReference) {
+  // The multiply-based decode against `(page / gran) % endpoints`, over
+  // stripe edges at both ends of the range the decoder is exact for, at
+  // odd and power-of-two granularities, and through TieredMemory.
   Rng rng(5);
-  for (int walk_index = 0; walk_index < 20; ++walk_index) {
-    EndpointWalk walk(mem);
-    for (PageId unit = rng.NextBounded(9); unit < 4096;
-         unit += kSteps[rng.NextBounded(std::size(kSteps))]) {
-      ASSERT_EQ(walk.Next(unit), mem.EndpointOf(unit))
-          << "walk " << walk_index << ", unit " << unit;
+  for (const uint64_t gran : {1, 2, 3, 7, 512}) {
+    for (uint32_t endpoints = 1; endpoints <= 8; ++endpoints) {
+      SCOPED_TRACE("gran " + std::to_string(gran) + ", " +
+                   std::to_string(endpoints) + " endpoints");
+      const HdmDecoder hdm(endpoints, gran);
+      const uint64_t period = gran * endpoints;
+      const PageId last = hdm.max_exact_page();
+      ASSERT_EQ(last, UINT64_MAX / period);
+      const auto check = [&](PageId page) {
+        ASSERT_EQ(hdm.EndpointOf(page),
+                  reference::EndpointOf(page, endpoints, gran))
+            << "page " << page;
+      };
+      for (PageId page = 0; page < 4 * period + 3; ++page) check(page);
+      for (PageId page = last - std::min<PageId>(last, 4 * period + 3);
+           page < last; ++page) {
+        check(page);
+      }
+      check(last);
+      for (int i = 0; i < 2000; ++i) {
+        // Stripe edges spread over the whole exact range.
+        const PageId stripe_start =
+            rng.NextBounded(last / gran) * gran;
+        for (const PageId page :
+             {stripe_start, stripe_start + gran - 1, stripe_start - 1}) {
+          if (page <= last) check(page);
+        }
+        check(rng.NextBounded(last) + 1);
+      }
+      TieredMemory mem(1000, 10, 1000, AllocationPolicy::kSlowOnly,
+                       endpoints, gran);
+      for (PageId page = 0; page < 1000; ++page) {
+        ASSERT_EQ(mem.EndpointOf(page),
+                  reference::EndpointOf(page, endpoints, gran));
+      }
     }
-  }
-  // A single-endpoint layout walks to endpoint 0 throughout.
-  TieredMemory single(100, 10, 100, AllocationPolicy::kSlowOnly);
-  EndpointWalk single_walk(single);
-  for (const PageId unit : {0, 1, 2, 50, 99}) {
-    EXPECT_EQ(single_walk.Next(unit), 0u);
   }
 }
 
