@@ -72,14 +72,14 @@ size_t SelectColdestUnits(std::span<PageId> units,
   const auto bin = [&hotness](size_t i) {
     return hotness[i] < kOverflowBin ? hotness[i] : kOverflowBin;
   };
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const size_t quad_end = n - n % 4;
+  for (size_t i = 0; i < quad_end; i += 4) {
     ++sub[0][bin(i)];
     ++sub[1][bin(i + 1)];
     ++sub[2][bin(i + 2)];
     ++sub[3][bin(i + 3)];
   }
-  for (; i < n; ++i) ++sub[0][bin(i)];
+  for (size_t i = quad_end; i < n; ++i) ++sub[0][bin(i)];
   uint64_t histogram[kBins];
   for (uint32_t b = 0; b < kBins; ++b) {
     histogram[b] = uint64_t{sub[0][b]} + sub[1][b] + sub[2][b] + sub[3][b];
@@ -110,7 +110,7 @@ size_t SelectColdestUnits(std::span<PageId> units,
   const bool aware = !endpoint_cost.empty();
   uint32_t cost_threshold = 0;
   if (aware) {
-    std::vector<uint64_t>& per_endpoint = scratch->ties;
+    std::vector<uint64_t>& per_endpoint = scratch->endpoint_counts;
     per_endpoint.assign(endpoint_cost.size(), 0);
     for (size_t i = 0; i < n; ++i) {
       per_endpoint[hdm.EndpointOf(units[i])] += hotness[i] == threshold;

@@ -174,8 +174,10 @@ struct FairShareConfig {
 
 /** Reusable buffers of `SelectColdestUnits`. */
 struct ColdestSelectionScratch {
-  std::vector<uint32_t> overflow;  //!< Hotness values in the overflow bin.
-  std::vector<uint64_t> ties;      //!< Threshold-hot units per endpoint.
+  /** Hotness values in the histogram's overflow bin. */
+  std::vector<uint32_t> overflow;
+  /** Units at the threshold hotness, per home endpoint. */
+  std::vector<uint64_t> endpoint_counts;
 };
 
 /**
