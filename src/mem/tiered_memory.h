@@ -149,9 +149,12 @@ class TieredMemory {
    * endpoint is static — interleaving is by address, as a hardware HDM
    * decoder does — so it is the device a slow-resident page is served
    * from and the device a demotion would copy into. Decoded with a
-   * multiply, not a division (HdmDecoder).
+   * multiply, not a division (HdmDecoder); a single-endpoint layout,
+   * where every slow access asks, skips even that.
    */
-  uint32_t EndpointOf(PageId page) const { return hdm_.EndpointOf(page); }
+  uint32_t EndpointOf(PageId page) const {
+    return endpoint_count_ == 1 ? 0 : hdm_.EndpointOf(page);
+  }
 
   /** Number of slow-tier endpoints in the layout. */
   uint32_t endpoint_count() const { return endpoint_count_; }
