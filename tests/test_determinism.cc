@@ -894,10 +894,11 @@ TEST(Determinism, ResidencyScheduleMatchesGolden) {
 // on a three-endpoint layout loses endpoint 2 mid-run, so every
 // enforcement pass ranks units the engine then refuses (their HDM home
 // is down) next to units it moves. Four cells -- 4 KiB and 2 MiB
-// tracking units (tenant regions of a few huge units, so they start off
-// any 8-unit boundary), each blind and endpoint-aware -- pin what the
-// victim selection decides and what its pagemap walk costs, so a moved
-// decision or a changed scan shows up in a local ctest run.
+// tracking units (tenant regions 25 to 64 huge units long, 18 of the 24
+// starting off an 8-unit boundary), each blind and endpoint-aware --
+// pin what the victim selection decides and what its pagemap walk
+// costs, so a moved decision or a changed scan shows up in a local
+// ctest run.
 struct EnforcementGolden {
   uint64_t requested, moved, failed;
   uint64_t enforced_hash;

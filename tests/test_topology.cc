@@ -174,8 +174,7 @@ TEST(Topology, EndpointOfMatchesDivisionReference) {
       check(last);
       for (int i = 0; i < 2000; ++i) {
         // Stripe edges spread over the whole exact range.
-        const PageId stripe_start =
-            rng.NextBounded(last / gran) * gran;
+        const PageId stripe_start = rng.NextBounded(last / gran) * gran;
         for (const PageId page :
              {stripe_start, stripe_start + gran - 1, stripe_start - 1}) {
           if (page <= last) check(page);
