@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "sampling/budgeted_sampler.h"
 #include "sampling/ring_buffer.h"
 #include "sampling/sampler.h"
@@ -232,6 +235,79 @@ TEST(BudgetedSampler, AccountsAccessesAndDrops) {
   EXPECT_GT(sampler.samples_taken(), 0u);
   EXPECT_GT(sampler.samples_dropped(), 0u);  // Tiny buffer, no drains.
   EXPECT_EQ(sampler.pending(), 8u);
+}
+
+
+// ------------------------------------------------ Sample-stream golden --
+
+// The drained sample stream of a lone source at the simulator's period
+// and buffer, and of three sources with unequal access rates over 15
+// adaptation windows, pinned as FNV-1a hashes over (page, tier, time).
+// Every policy's sample feed flows through this stream, so a sampler
+// change that moves one jitter draw or one re-arm fails here by name.
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr uint64_t kGoldenAccesses = 1000000;
+
+/** Folds the eight bytes of `value` into FNV-1a state `hash`. */
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xff;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/**
+ * Feeds `kGoldenAccesses` accesses to `sampler` through `access(i)`,
+ * drains every 1024 accesses and at the end, and returns the FNV-1a
+ * hash of the drained records.
+ */
+template <typename Sampler, typename Access>
+uint64_t SampleStreamHash(Sampler* sampler, Access access) {
+  uint64_t hash = kFnvBasis;
+  std::vector<SampleRecord> drained;
+  for (uint64_t i = 0; i < kGoldenAccesses; ++i) {
+    access(i);
+    if ((i + 1) % 1024 != 0 && i + 1 != kGoldenAccesses) continue;
+    drained.clear();
+    sampler->Drain(&drained, kSampleBuffer);
+    for (const SampleRecord& record : drained) {
+      hash = Fnv1a(hash, record.page);
+      hash = Fnv1a(hash, static_cast<uint64_t>(record.tier));
+      hash = Fnv1a(hash, record.time_ns);
+    }
+  }
+  return hash;
+}
+
+/** A scattered page of `source`'s region and a 2:1 fast:slow tier. */
+PageId GoldenPage(uint32_t source, uint64_t i) {
+  return (static_cast<PageId>(source) << 32) | ((i * 2654435761u) % 65537);
+}
+Tier GoldenTier(uint64_t i) { return i % 3 == 0 ? Tier::kSlow : Tier::kFast; }
+
+TEST(SamplerGolden, LoneSourceStream) {
+  AccessSampler sampler(kSamplePeriod, kSampleBuffer, 42);
+  const uint64_t hash = SampleStreamHash(&sampler, [&](uint64_t i) {
+    sampler.OnAccess(GoldenPage(0, i), GoldenTier(i), 7 * i);
+  });
+  EXPECT_EQ(sampler.samples_taken(), 16405u);
+  EXPECT_EQ(hash, 0x9b707a4528c8e030ull);
+}
+
+TEST(SamplerGolden, ThreeUnequalSourcesStream) {
+  // Sources 0, 1 and 2 issue 12, 3 and 1 of every 16 accesses.
+  BudgetedSamplerConfig config;  // kSamplePeriod, kSampleBuffer.
+  config.seed = 42;
+  BudgetedSampler sampler(config, 3);
+  const uint64_t hash = SampleStreamHash(&sampler, [&](uint64_t i) {
+    const uint32_t source = i % 16 < 12 ? 0 : (i % 16 < 15 ? 1 : 2);
+    sampler.OnAccess(source, GoldenPage(source, i), GoldenTier(i), 7 * i);
+  });
+  EXPECT_EQ(sampler.adaptations(), 15u);
+  EXPECT_EQ(sampler.samples_taken(), 16286u);
+  EXPECT_EQ(hash, 0x5141a2fbb7a98c37ull);
 }
 
 }  // namespace
