@@ -108,14 +108,16 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
   access_events_.reserve(256);
   sample_buffer_.reserve(1024);
 
+  // One sample source per tenant, so a high-access-rate tenant cannot
+  // crowd the sample stream that feeds the other tenants' demand
+  // estimators; a single-tenant run is one source at the global period.
+  SamplerConfig sampler_config;  // kSamplePeriod, kSampleBuffer.
+  sampler_config.seed = config.seed;
+  sampler_ = std::make_unique<AccessSampler>(
+      sampler_config,
+      tenant_source_ != nullptr ? tenant_source_->tenant_count() : 1);
   if (tenant_source_ != nullptr) {
     const uint32_t tenants = tenant_source_->tenant_count();
-    // Per-tenant sample budgets: a high-access-rate tenant cannot crowd
-    // the sample stream that feeds the other tenants' demand estimators.
-    BudgetedSamplerConfig sampler_config;  // kSamplePeriod, kSampleBuffer.
-    sampler_config.seed = config.seed;
-    budgeted_sampler_ =
-        std::make_unique<BudgetedSampler>(sampler_config, tenants);
     tenant_states_.resize(tenants);
     // O(active) interval accounting: tenants present at t=0 (windowless
     // ones for the whole run) start in `present_`; everyone enters and
@@ -124,9 +126,6 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
       if (tenant_source_->tenant_active_at(t, 0)) present_.push_back(t);
     }
     presence_ = ResidencySchedule(*tenant_source_);
-  } else {
-    sampler_ = std::make_unique<AccessSampler>(
-        kSamplePeriod, kSampleBuffer, config.seed);
   }
   quota_stats_ = dynamic_cast<const TenantQuotaStatsSource*>(policy_);
   if (attr_ != nullptr) {
@@ -154,10 +153,10 @@ Simulation::Simulation(const SimulationConfig& config, Workload* workload,
 }
 
 void Simulation::SetupTelemetry() {
-  if (trace_ != nullptr && budgeted_sampler_ != nullptr) {
-    last_periods_.resize(tenant_source_->tenant_count());
+  if (trace_ != nullptr) {
+    last_periods_.resize(sampler_->sources());
     for (uint32_t t = 0; t < last_periods_.size(); ++t) {
-      last_periods_[t] = budgeted_sampler_->period(t);
+      last_periods_[t] = sampler_->period(t);
     }
   }
   if (metrics_ == nullptr) return;
@@ -278,14 +277,10 @@ void Simulation::SetupTelemetry() {
   });
 
   m.AddProbe("sampler/samples_taken", [this] {
-    return static_cast<double>(budgeted_sampler_ != nullptr
-                                   ? budgeted_sampler_->samples_taken()
-                                   : sampler_->samples_taken());
+    return static_cast<double>(sampler_->samples_taken());
   });
   m.AddProbe("sampler/samples_dropped", [this] {
-    return static_cast<double>(budgeted_sampler_ != nullptr
-                                   ? budgeted_sampler_->samples_dropped()
-                                   : sampler_->samples_dropped());
+    return static_cast<double>(sampler_->samples_dropped());
   });
   m.AddProbe("policy/metadata_touches", [this] {
     return static_cast<double>(metadata_counter_.touches());
@@ -402,7 +397,7 @@ void Simulation::SetupTelemetry() {
         return static_cast<double>(tenant_states_[t].accesses);
       });
       m.AddProbe(prefix + "sample_period", [this, t] {
-        return static_cast<double>(budgeted_sampler_->period(t));
+        return static_cast<double>(sampler_->period(t));
       });
       if (quota_stats_ != nullptr) {
         m.AddProbe(prefix + "quota_units", [this, t] {
@@ -460,9 +455,8 @@ void Simulation::SetupTelemetry() {
 }
 
 void Simulation::EmitSamplerAdaptEvents(TimeNs at) {
-  if (budgeted_sampler_ == nullptr) return;
   for (uint32_t t = 0; t < last_periods_.size(); ++t) {
-    const uint64_t period = budgeted_sampler_->period(t);
+    const uint64_t period = sampler_->period(t);
     if (period != last_periods_[t]) {
       trace_->Instant(sampler_track_, "period_adapt", at,
                       {{"tenant", static_cast<double>(t)},
@@ -676,8 +670,8 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   [[maybe_unused]] uint64_t policy_wall = 0;
   [[maybe_unused]] uint64_t sampler_wall = 0;
 
-  // The op's tenant index for the diagnosis seam (0 in single-tenant
-  // runs).
+  // The op's tenant index: its sample source and its key on the
+  // diagnosis seam (0 in single-tenant runs).
   const uint32_t tenant_id =
       tenant == nullptr
           ? 0
@@ -744,12 +738,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
       policy_wall += t2 - t1;
     }
 
-    if (budgeted_sampler_ != nullptr) {
-      budgeted_sampler_->OnAccess(tenant_source_->last_tenant(), unit,
-                                  touch.tier, now_);
-    } else {
-      sampler_->OnAccess(unit, touch.tier, now_);
-    }
+    sampler_->OnAccess(tenant_id, unit, touch.tier, now_);
     if constexpr (kProfiled) sampler_wall += StageProfiler::NowNs() - t2;
 
     now_ += latency;
@@ -773,11 +762,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     [[maybe_unused]] uint64_t t = 0;
     if constexpr (kProfiled) t = StageProfiler::NowNs();
     sample_buffer_.clear();
-    if (budgeted_sampler_ != nullptr) {
-      budgeted_sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
-    } else {
-      sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
-    }
+    sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
     if constexpr (kProfiled) {
       const uint64_t drained = StageProfiler::NowNs();
       sampler_wall += drained - t;
@@ -1010,12 +995,8 @@ SimulationResult Simulation::Run() {
   result_.llc_tiering_misses =
       hierarchy_->LlcMisses(AccessOwner::kTiering);
   result_.metadata_bytes = policy_->MetadataBytes();
-  result_.samples_taken = budgeted_sampler_ != nullptr
-                              ? budgeted_sampler_->samples_taken()
-                              : sampler_->samples_taken();
-  result_.samples_dropped = budgeted_sampler_ != nullptr
-                                ? budgeted_sampler_->samples_dropped()
-                                : sampler_->samples_dropped();
+  result_.samples_taken = sampler_->samples_taken();
+  result_.samples_dropped = sampler_->samples_dropped();
   // Close the labeler's trailing partial interval, then the metric
   // series, at the final virtual timestamp (a no-op when the run ended
   // exactly on a stats boundary).
@@ -1070,7 +1051,7 @@ void Simulation::FinalizeTenantResults() {
         tenant.marginal_utility = stats.marginal_utility;
       }
     }
-    tenant.sample_period = budgeted_sampler_->period(t);
+    tenant.sample_period = sampler_->period(t);
 
     occupancies.push_back(static_cast<double>(tenant.fast_resident_units));
     if (tenant_source_->tenant_active_at(t, now_)) {

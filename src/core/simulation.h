@@ -33,7 +33,6 @@
 #include "multitenant/tenant.h"
 #include "obs/telemetry.h"
 #include "policies/policy.h"
-#include "sampling/budgeted_sampler.h"
 #include "sampling/sampler.h"
 #include "workloads/tenant_tag.h"
 #include "workloads/workload.h"
@@ -378,10 +377,8 @@ class Simulation {
   std::unique_ptr<PerfModel> perf_;
   std::unique_ptr<CacheHierarchy> hierarchy_;
   std::unique_ptr<MigrationEngine> migration_;
-  /** Single-tenant runs' global-period sampler. */
+  /** The PEBS analogue, one sample source per tenant. */
   std::unique_ptr<AccessSampler> sampler_;
-  /** Tenant runs' per-tenant sampler; replaces sampler_. */
-  std::unique_ptr<BudgetedSampler> budgeted_sampler_;
   /** Null unless config.faults is non-empty (the common case). */
   std::unique_ptr<FaultRuntime> fault_runtime_;
   /** Null unless config.watchdog (pure observation when present). */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/sampling: ring buffer and the PEBS-analogue
- * access sampler.
+ * access sampler, with one source and with per-source budgets.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "sampling/budgeted_sampler.h"
 #include "sampling/ring_buffer.h"
 #include "sampling/sampler.h"
 
@@ -72,14 +71,23 @@ TEST(RingBuffer, DrainBatch) {
   EXPECT_EQ(out.size(), 6u);
 }
 
-// ------------------------------------------------------ AccessSampler --
+// ------------------------------------------ AccessSampler, one source --
+
+/** A lone source at `period` with a `buffer`-deep buffer. */
+SamplerConfig LoneSource(uint64_t period, size_t buffer, uint64_t seed) {
+  SamplerConfig config;
+  config.base_period = period;
+  config.buffer_capacity = buffer;
+  config.seed = seed;
+  return config;
+}
 
 TEST(Sampler, SamplingRateNearPeriod) {
-  AccessSampler sampler(61, 1u << 20, 5);
+  AccessSampler sampler(LoneSource(61, 1u << 20, 5), 1);
   std::vector<SampleRecord> drained;
   constexpr uint64_t kAccesses = 500000;
   for (uint64_t i = 0; i < kAccesses; ++i) {
-    sampler.OnAccess(i % 1000, Tier::kFast, i);
+    sampler.OnAccess(0, i % 1000, Tier::kFast, i);
     if (sampler.pending() > 1000) sampler.Drain(&drained, 1u << 20);
   }
   sampler.Drain(&drained, 1u << 20);
@@ -91,16 +99,16 @@ TEST(Sampler, SamplingRateNearPeriod) {
 }
 
 TEST(Sampler, PeriodOneSamplesEverything) {
-  AccessSampler sampler(1, 1024, 5);
+  AccessSampler sampler(LoneSource(1, 1024, 5), 1);
   for (uint64_t i = 0; i < 100; ++i) {
-    EXPECT_TRUE(sampler.OnAccess(i, Tier::kSlow, i));
+    EXPECT_TRUE(sampler.OnAccess(0, i, Tier::kSlow, i));
   }
   EXPECT_EQ(sampler.samples_taken(), 100u);
 }
 
 TEST(Sampler, RecordsCarryPageTierTime) {
-  AccessSampler sampler(1, 16, 5);
-  sampler.OnAccess(42, Tier::kSlow, 777);
+  AccessSampler sampler(LoneSource(1, 16, 5), 1);
+  sampler.OnAccess(0, 42, Tier::kSlow, 777);
   std::vector<SampleRecord> out;
   sampler.Drain(&out, 10);
   ASSERT_EQ(out.size(), 1u);
@@ -110,18 +118,18 @@ TEST(Sampler, RecordsCarryPageTierTime) {
 }
 
 TEST(Sampler, DropsWhenNotDrained) {
-  AccessSampler sampler(1, 8, 5);
-  for (uint64_t i = 0; i < 100; ++i) sampler.OnAccess(i, Tier::kFast, i);
+  AccessSampler sampler(LoneSource(1, 8, 5), 1);
+  for (uint64_t i = 0; i < 100; ++i) sampler.OnAccess(0, i, Tier::kFast, i);
   EXPECT_EQ(sampler.pending(), 8u);
   EXPECT_EQ(sampler.samples_dropped(), 92u);
 }
 
 TEST(Sampler, JitterBreaksStridedAliasing) {
   // A strided loop with stride == period must not sample only one page.
-  AccessSampler sampler(64, 1u << 16, 5);
+  AccessSampler sampler(LoneSource(64, 1u << 16, 5), 1);
   std::vector<SampleRecord> out;
   for (uint64_t i = 0; i < 64000; ++i) {
-    sampler.OnAccess(i % 64, Tier::kFast, i);
+    sampler.OnAccess(0, i % 64, Tier::kFast, i);
   }
   sampler.Drain(&out, 1u << 16);
   std::set<PageId> pages;
@@ -130,10 +138,11 @@ TEST(Sampler, JitterBreaksStridedAliasing) {
 }
 
 TEST(Sampler, DeterministicForSeed) {
-  AccessSampler a(61, 1024, 9), b(61, 1024, 9);
+  AccessSampler a(LoneSource(61, 1024, 9), 1);
+  AccessSampler b(LoneSource(61, 1024, 9), 1);
   for (uint64_t i = 0; i < 10000; ++i) {
-    EXPECT_EQ(a.OnAccess(i, Tier::kFast, i),
-              b.OnAccess(i, Tier::kFast, i));
+    EXPECT_EQ(a.OnAccess(0, i, Tier::kFast, i),
+              b.OnAccess(0, i, Tier::kFast, i));
     if (a.pending() > 512) {
       std::vector<SampleRecord> da, db;
       a.Drain(&da, 1024);
@@ -142,10 +151,10 @@ TEST(Sampler, DeterministicForSeed) {
   }
 }
 
-// ---------------------------------------------------- BudgetedSampler --
+// ---------------------------------- AccessSampler, per-source budgets --
 
-BudgetedSamplerConfig SmallBudgetConfig() {
-  BudgetedSamplerConfig config;
+SamplerConfig SmallBudgetConfig() {
+  SamplerConfig config;
   config.base_period = 64;
   config.buffer_capacity = 1u << 16;
   config.adapt_window_accesses = 8192;
@@ -156,7 +165,7 @@ BudgetedSamplerConfig SmallBudgetConfig() {
  * Interleaves accesses at `ratio`:1 between tenant 0 and tenant 1 and
  * drives them through `sampler` for `rounds` rounds.
  */
-void DriveTwoTenants(BudgetedSampler* sampler, uint64_t ratio,
+void DriveTwoTenants(AccessSampler* sampler, uint64_t ratio,
                      uint64_t rounds) {
   std::vector<SampleRecord> sink;
   for (uint64_t i = 0; i < rounds; ++i) {
@@ -168,17 +177,17 @@ void DriveTwoTenants(BudgetedSampler* sampler, uint64_t ratio,
   }
 }
 
-TEST(BudgetedSampler, EqualizesSamplesAcrossUnequalRates) {
+TEST(SamplerBudgets, EqualizesSamplesAcrossUnequalRates) {
   // Tenant 0 issues 15x tenant 1's accesses. With one global period the
   // sample stream would split 15:1; the budget adaptation must bring
   // the split close to 1:1 after the warm-up window.
-  BudgetedSampler sampler(SmallBudgetConfig(), 2);
+  AccessSampler sampler(SmallBudgetConfig(), 2);
   DriveTwoTenants(&sampler, 15, 200000);
 
   ASSERT_GT(sampler.adaptations(), 0u);
   EXPECT_GT(sampler.period(0), sampler.period(1));
-  const double s0 = static_cast<double>(sampler.tenant_samples(0));
-  const double s1 = static_cast<double>(sampler.tenant_samples(1));
+  const double s0 = static_cast<double>(sampler.source_samples(0));
+  const double s1 = static_cast<double>(sampler.source_samples(1));
   ASSERT_GT(s1, 0.0);
   // Within 2x of each other (vs 15x without budgets), including the
   // pre-adaptation warm-up rounds.
@@ -186,25 +195,25 @@ TEST(BudgetedSampler, EqualizesSamplesAcrossUnequalRates) {
   EXPECT_GT(s0 / s1, 0.5);
 }
 
-TEST(BudgetedSampler, SmallTenantPeriodFloorsAtOne) {
+TEST(SamplerBudgets, SmallTenantPeriodFloorsAtOne) {
   // A tenant with fewer accesses than its sample share samples every
   // access (period 1), never less.
-  BudgetedSampler sampler(SmallBudgetConfig(), 2);
+  AccessSampler sampler(SmallBudgetConfig(), 2);
   DriveTwoTenants(&sampler, 200, 20000);
   EXPECT_EQ(sampler.period(1), 1u);
   EXPECT_GE(sampler.period(0), 1u);
 }
 
-TEST(BudgetedSampler, PeriodCeilingCapsHighRateTenants) {
-  BudgetedSamplerConfig config = SmallBudgetConfig();
+TEST(SamplerBudgets, PeriodCeilingCapsHighRateTenants) {
+  SamplerConfig config = SmallBudgetConfig();
   config.max_period_scale = 2;
-  BudgetedSampler sampler(config, 2);
+  AccessSampler sampler(config, 2);
   DriveTwoTenants(&sampler, 500, 20000);
   EXPECT_LE(sampler.period(0), config.base_period * 2);
 }
 
-TEST(BudgetedSampler, DeterministicForSeed) {
-  BudgetedSampler a(SmallBudgetConfig(), 3), b(SmallBudgetConfig(), 3);
+TEST(SamplerBudgets, DeterministicForSeed) {
+  AccessSampler a(SmallBudgetConfig(), 3), b(SmallBudgetConfig(), 3);
   for (uint64_t i = 0; i < 30000; ++i) {
     const uint32_t tenant = i % 3;
     EXPECT_EQ(a.OnAccess(tenant, i % 512, Tier::kFast, i),
@@ -219,19 +228,18 @@ TEST(BudgetedSampler, DeterministicForSeed) {
   EXPECT_EQ(a.samples_taken(), b.samples_taken());
   for (uint32_t t = 0; t < 3; ++t) {
     EXPECT_EQ(a.period(t), b.period(t));
-    EXPECT_EQ(a.tenant_samples(t), b.tenant_samples(t));
+    EXPECT_EQ(a.source_samples(t), b.source_samples(t));
   }
 }
 
-TEST(BudgetedSampler, AccountsAccessesAndDrops) {
-  BudgetedSamplerConfig config = SmallBudgetConfig();
+TEST(SamplerBudgets, AccountsAccessesAndDrops) {
+  SamplerConfig config = SmallBudgetConfig();
   config.buffer_capacity = 8;
-  BudgetedSampler sampler(config, 1);
+  AccessSampler sampler(config, 1);
   for (uint64_t i = 0; i < 10000; ++i) {
     sampler.OnAccess(0, i, Tier::kSlow, i);
   }
   EXPECT_EQ(sampler.accesses_seen(), 10000u);
-  EXPECT_EQ(sampler.tenant_accesses(0), 10000u);
   EXPECT_GT(sampler.samples_taken(), 0u);
   EXPECT_GT(sampler.samples_dropped(), 0u);  // Tiny buffer, no drains.
   EXPECT_EQ(sampler.pending(), 8u);
@@ -263,8 +271,8 @@ uint64_t Fnv1a(uint64_t hash, uint64_t value) {
  * drains every 1024 accesses and at the end, and returns the FNV-1a
  * hash of the drained records.
  */
-template <typename Sampler, typename Access>
-uint64_t SampleStreamHash(Sampler* sampler, Access access) {
+template <typename Access>
+uint64_t SampleStreamHash(AccessSampler* sampler, Access access) {
   uint64_t hash = kFnvBasis;
   std::vector<SampleRecord> drained;
   for (uint64_t i = 0; i < kGoldenAccesses; ++i) {
@@ -288,9 +296,11 @@ PageId GoldenPage(uint32_t source, uint64_t i) {
 Tier GoldenTier(uint64_t i) { return i % 3 == 0 ? Tier::kSlow : Tier::kFast; }
 
 TEST(SamplerGolden, LoneSourceStream) {
-  AccessSampler sampler(kSamplePeriod, kSampleBuffer, 42);
+  SamplerConfig config;  // kSamplePeriod, kSampleBuffer.
+  config.seed = 42;
+  AccessSampler sampler(config, 1);
   const uint64_t hash = SampleStreamHash(&sampler, [&](uint64_t i) {
-    sampler.OnAccess(GoldenPage(0, i), GoldenTier(i), 7 * i);
+    sampler.OnAccess(0, GoldenPage(0, i), GoldenTier(i), 7 * i);
   });
   EXPECT_EQ(sampler.samples_taken(), 16405u);
   EXPECT_EQ(hash, 0x9b707a4528c8e030ull);
@@ -298,9 +308,9 @@ TEST(SamplerGolden, LoneSourceStream) {
 
 TEST(SamplerGolden, ThreeUnequalSourcesStream) {
   // Sources 0, 1 and 2 issue 12, 3 and 1 of every 16 accesses.
-  BudgetedSamplerConfig config;  // kSamplePeriod, kSampleBuffer.
+  SamplerConfig config;  // kSamplePeriod, kSampleBuffer.
   config.seed = 42;
-  BudgetedSampler sampler(config, 3);
+  AccessSampler sampler(config, 3);
   const uint64_t hash = SampleStreamHash(&sampler, [&](uint64_t i) {
     const uint32_t source = i % 16 < 12 ? 0 : (i % 16 < 15 ? 1 : 2);
     sampler.OnAccess(source, GoldenPage(source, i), GoldenTier(i), 7 * i);
