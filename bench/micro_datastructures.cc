@@ -72,27 +72,40 @@ void BM_BlockedCbfGet(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockedCbfGet);
 
-// The batched read fair-share enforcement ranks victims with: the same
-// filter and keys as BM_BlockedCbfGet, 1024 keys per GetEach call.
+// The batched read fair-share enforcement ranks victims with: 1024 keys
+// per GetEach call, into a filter sized for state.range(0) fast pages
+// and a quarter full. 1 << 16 pages gives a ~650 KiB filter, about the
+// fleet cell's, which stays cache-resident; 1 << 20 gives ~10 MiB, read
+// from DRAM. The keys come from a pool drawn before timing starts, so
+// the timed body is the probe alone.
 void BM_BlockedCbfGetEach(benchmark::State& state) {
-  BlockedCountingBloomFilter cbf(FrequencyCbfSizing(kFastPages), 1);
+  const auto fast_pages = static_cast<uint64_t>(state.range(0));
+  BlockedCountingBloomFilter cbf(FrequencyCbfSizing(fast_pages), 1);
   Rng rng(7);
-  for (uint64_t i = 0; i < kFastPages / 4; ++i) {
-    cbf.Increment(rng.NextBounded(kFastPages));
+  for (uint64_t i = 0; i < fast_pages / 4; ++i) {
+    cbf.Increment(rng.NextBounded(fast_pages));
   }
-  std::vector<uint64_t> keys(1024);
-  std::vector<uint32_t> counts(keys.size());
+  constexpr size_t kKeySets = 16;
+  constexpr size_t kKeysPerCall = 1024;
+  std::vector<std::vector<uint64_t>> pool(kKeySets,
+                                          std::vector<uint64_t>(kKeysPerCall));
+  for (std::vector<uint64_t>& keys : pool) {
+    for (uint64_t& key : keys) key = rng.NextBounded(fast_pages);
+  }
+  std::vector<uint32_t> counts(kKeysPerCall);
+  size_t next = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    for (uint64_t& key : keys) key = rng.NextBounded(kFastPages);
-    state.ResumeTiming();
-    cbf.GetEach(keys, counts);
+    cbf.GetEach(pool[next], counts);
     benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % kKeySets;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(keys.size()));
+                          static_cast<int64_t>(kKeysPerCall));
+  state.counters["filter_kib"] =
+      static_cast<double>(cbf.memory_bytes()) / 1024.0;
 }
-BENCHMARK(BM_BlockedCbfGetEach);
+BENCHMARK(BM_BlockedCbfGetEach)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_StandardCbfGet(benchmark::State& state) {
   CountingBloomFilter cbf(FrequencyCbfSizing(kFastPages), 1);
