@@ -13,6 +13,7 @@
  */
 
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/bench_util.h"
@@ -69,21 +70,46 @@ int main(int argc, char** argv) {
   table.SetTitle(
       "Figure 15: performance of HybridTier vs HybridTier-onlyFreq "
       "(>1 = momentum tracker helps)");
+  // full/onlyFreq per workload, split into the paper's momentum
+  // workloads (CacheLib CDN and social graph, XGBoost) and the rest.
+  std::vector<double> momentum_rel, other_rel;
+  int helped = 0;
   for (size_t w = 0; w < AllWorkloadIds().size(); ++w) {
+    const std::string& workload = AllWorkloadIds()[w];
     const uint64_t only_freq = durations[grid.FlatIndex({w, 0})];
     const uint64_t full = durations[grid.FlatIndex({w, 1})];
     const double relative =
         full == 0 ? 0.0
                   : static_cast<double>(only_freq) /
                         static_cast<double>(full);
-    table.AddRow({AllWorkloadIds()[w],
+    if (relative > 1.0) ++helped;
+    (workload == "cdn" || workload == "social" || workload == "xgboost"
+         ? momentum_rel
+         : other_rel)
+        .push_back(relative);
+    table.AddRow({workload,
                   FormatDouble(static_cast<double>(only_freq) / 1e6, 1),
                   FormatDouble(static_cast<double>(full) / 1e6, 1),
                   FormatDouble(relative, 3)});
   }
   table.Print(std::cout);
   table.WriteCsv(CsvPath("fig15_momentum_ablation"));
-  std::cout << "paper shape: biggest gains on CacheLib + XGBoost (~8.5% "
-               "avg); GAP kernels flat (hot sets fit in fast tier)\n";
+  // The verdict reads the ratios above; the paper's claim is a ~8.5%
+  // average gain on CacheLib and XGBoost, larger than anywhere else.
+  // "Matches" asks for at least half that gain, ahead of the rest.
+  const double momentum_gain = GeoMean(momentum_rel) - 1.0;
+  const double other_gain = GeoMean(other_rel) - 1.0;
+  std::cout << "verdict: momentum helps on " << helped << " of "
+            << AllWorkloadIds().size() << " workloads; CacheLib+XGBoost "
+            << "geomean " << (momentum_gain >= 0.0 ? "+" : "")
+            << FormatDouble(100.0 * momentum_gain, 1) << "%, others "
+            << (other_gain >= 0.0 ? "+" : "")
+            << FormatDouble(100.0 * other_gain, 1)
+            << "% (paper: ~+8.5% on CacheLib and "
+            << "XGBoost, GAP flat) — "
+            << (momentum_gain >= 0.5 * 0.085 && momentum_gain > other_gain
+                    ? "matches"
+                    : "differs from")
+            << " the paper's shape\n";
   return 0;
 }

@@ -14,6 +14,8 @@
  * (larger hot set, scarcer fast tier).
  */
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -73,22 +75,45 @@ int main(int argc, char** argv) {
       "Figure 17: performance normalized to momentum threshold 3 "
       "(p50 normalized as baseline/measured; >1 is better)");
 
+  // Over every normalized column: the largest deviation from threshold
+  // 3 at thresholds 3..6, and the lowest value below threshold 3.
+  double flat_deviation = 0.0;
+  double below_min = 1.0;
   for (size_t t = 0; t < thresholds.size(); ++t) {
     std::vector<std::string> row = {thresholds[t]};
+    const auto note = [&](double normalized) {
+      if (t + 1 >= kDefaultThreshold) {
+        flat_deviation =
+            std::max(flat_deviation, std::abs(normalized - 1.0));
+      } else {
+        below_min = std::min(below_min, normalized);
+      }
+      return FormatDouble(normalized, 3);
+    };
     for (size_t w = 0; w < workloads.size(); ++w) {
       const SimulationResult& result = results[grid.FlatIndex({w, t})];
       const SimulationResult& base =
           results[grid.FlatIndex({w, kDefaultThreshold - 1})];
-      row.push_back(FormatDouble(
-          base.median_latency_ns / result.median_latency_ns, 3));
-      row.push_back(FormatDouble(
-          result.throughput_mops / base.throughput_mops, 3));
+      row.push_back(
+          note(base.median_latency_ns / result.median_latency_ns));
+      row.push_back(note(result.throughput_mops / base.throughput_mops));
     }
     table.AddRow(row);
   }
   table.Print(std::cout);
   table.WriteCsv(CsvPath("fig17_momentum_threshold"));
-  std::cout << "paper shape: performance dips below threshold 3; flat "
-               "from 3 to 6; social-graph more sensitive than CDN\n";
+  // The verdict reads the table; the paper's claim is a dip below
+  // threshold 3 and a flat 3..6. "Flat" allows 2%; "dips" asks for a
+  // low below 3 deeper than any deviation at 3..6.
+  const bool flat = flat_deviation <= 0.02;
+  const bool dips = 1.0 - below_min > flat_deviation;
+  std::cout << "verdict: thresholds 3-6 within "
+            << FormatDouble(100.0 * flat_deviation, 1)
+            << "% of threshold 3; thresholds 1-2 "
+            << (dips ? "dip" : "do not dip") << " (lowest "
+            << FormatDouble(below_min, 3)
+            << ") (paper: dip below 3, flat from 3 to 6) — "
+            << (flat && dips ? "matches" : "differs from")
+            << " the paper's shape\n";
   return 0;
 }
