@@ -71,10 +71,6 @@ const std::vector<std::string>& Policies() {
   return names;
 }
 
-double WorkloadScale(const std::string& id) {
-  return id == "zipf" ? 1.0 : 2.0;
-}
-
 struct Options {
   unsigned jobs = 0;
   unsigned reps = 3;
@@ -84,9 +80,9 @@ struct Options {
   /**
    * Sample every Nth op through a StageProfiler and print the
    * per-stage ns/access breakdown (generation / cache / policy /
-   * sampler / migration / accounting) after the table. The sampled
-   * clock reads inflate wall times slightly, so don't combine with
-   * --check runs whose numbers you intend to commit.
+   * sampler / migration / accounting) after the table. A sampled op
+   * reads the clock eight times, so don't combine with --check
+   * runs whose numbers you intend to commit.
    */
   bool profile_stages = false;
 };
@@ -186,7 +182,7 @@ CellResult MeasureCell(const std::string& workload_id,
       workload = replay.get();
     } else {
       live_workload =
-          MakeWorkload(workload_id, WorkloadScale(workload_id), kSeed);
+          MakeWorkload(workload_id, DefaultWorkloadScale(workload_id), kSeed);
       workload = live_workload.get();
     }
     auto policy = MakePolicy(policy_name);
@@ -346,7 +342,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::shared_ptr<const RecordedTrace>> traces;
   if (!options.live) {
     for (const std::string& id : Workloads()) {
-      auto workload = MakeWorkload(id, WorkloadScale(id), kSeed);
+      auto workload = MakeWorkload(id, DefaultWorkloadScale(id), kSeed);
       traces[id] = std::make_shared<const RecordedTrace>(
           RecordTrace(*workload, kAccessBudget));
     }
@@ -354,7 +350,7 @@ int main(int argc, char** argv) {
     // Live mode still pre-builds one workload per id so shared graph
     // construction (CachedGraph) happens before any timer starts.
     for (const std::string& id : Workloads()) {
-      MakeWorkload(id, WorkloadScale(id), kSeed);
+      MakeWorkload(id, DefaultWorkloadScale(id), kSeed);
     }
   }
 

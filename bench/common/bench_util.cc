@@ -120,15 +120,6 @@ SimulationResult RunCell(const RunSpec& spec) {
   return RunSimulation(config, workload.get(), policy.get());
 }
 
-double DefaultScaleFor(const std::string& workload_id) {
-  if (workload_id == "cdn" || workload_id == "social") return 0.1;
-  if (workload_id == "bwaves" || workload_id == "roms") return 0.25;
-  if (workload_id == "silo") return 0.25;
-  if (workload_id == "xgboost") return 0.5;
-  // GAP kernels: scale 2.0 selects a 2^19-node, 4M-edge graph.
-  return 2.0;
-}
-
 uint64_t SteadyDurationNs(const SimulationResult& result) {
   return result.SteadyDurationNs();
 }

@@ -94,13 +94,6 @@ struct RunSpec {
 SimulationResult RunCell(const RunSpec& spec);
 
 /**
- * Bench-default footprint scale per workload id, chosen so every
- * workload's footprint is far larger than the modeled LLC while full
- * sweeps stay within the access budget.
- */
-double DefaultScaleFor(const std::string& workload_id);
-
-/**
  * Post-warmup runtime in ns — the figure-of-merit for equal-access-count
  * runs (lower is better).
  */

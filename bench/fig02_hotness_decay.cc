@@ -30,7 +30,7 @@ constexpr int kWindows = 8;
 constexpr uint64_t kAccessesPerWindow = 2000000;
 
 std::vector<double> DecaySeries(const std::string& workload_id) {
-  auto workload = MakeWorkload(workload_id, DefaultScaleFor(workload_id),
+  auto workload = MakeWorkload(workload_id, DefaultWorkloadScale(workload_id),
                                /*seed=*/42);
   OpTrace op;
   std::set<PageId> initial_hot;

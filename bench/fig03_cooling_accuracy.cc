@@ -35,7 +35,7 @@ struct Shares {
 };
 
 Shares MeasureShares(uint64_t cooling_period) {
-  auto workload = MakeWorkload("cdn", DefaultScaleFor("cdn"), 42);
+  auto workload = MakeWorkload("cdn", DefaultWorkloadScale("cdn"), 42);
   ExactCounterTable counters(workload->footprint_pages(), /*max=*/15);
   OpTrace op;
   uint64_t samples = 0;

@@ -40,7 +40,7 @@ struct AdaptResult {
 AdaptResult RunPolicy(const std::string& policy_name) {
   RunSpec spec;
   spec.workload_id = "cdn";
-  spec.workload_scale = DefaultScaleFor("cdn");
+  spec.workload_scale = DefaultWorkloadScale("cdn");
   spec.policy_name = policy_name;
   spec.fast_fraction = 1.0 / 8;
   spec.max_accesses = kAccessBudget;

@@ -43,7 +43,7 @@ uint64_t RunDuration(const std::string& workload_id,
                      double fast_fraction) {
   RunSpec spec;
   spec.workload_id = workload_id;
-  spec.workload_scale = DefaultScaleFor(workload_id);
+  spec.workload_scale = DefaultWorkloadScale(workload_id);
   spec.policy_name = policy_name;
   spec.fast_fraction = fast_fraction;
   spec.max_accesses = kAccessBudget;

@@ -26,7 +26,7 @@ constexpr uint64_t kAccessBudget = 12000000;
 SimulationResult RunMode(const std::string& policy, PageMode mode) {
   RunSpec spec;
   spec.workload_id = "cdn";
-  spec.workload_scale = DefaultScaleFor("cdn");
+  spec.workload_scale = DefaultWorkloadScale("cdn");
   spec.policy_name = policy;
   spec.fast_fraction = 1.0 / 4;
   spec.max_accesses = kAccessBudget;

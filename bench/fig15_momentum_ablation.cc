@@ -29,7 +29,7 @@ uint64_t RunDuration(const std::string& workload_id,
                      const std::string& policy_name) {
   RunSpec spec;
   spec.workload_id = workload_id;
-  spec.workload_scale = DefaultScaleFor(workload_id);
+  spec.workload_scale = DefaultWorkloadScale(workload_id);
   spec.policy_name = policy_name;
   spec.fast_fraction = 1.0 / 8;
   spec.max_accesses = kAccessBudget;

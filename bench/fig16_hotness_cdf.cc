@@ -36,7 +36,7 @@ std::vector<double> MeasureCdf(const std::string& workload_id) {
   // paper's 150 GB footprints) by running them at a larger scale.
   const bool is_stream = workload_id == "bwaves" || workload_id == "roms";
   const double scale =
-      DefaultScaleFor(workload_id) * (is_stream ? 4.0 : 1.0);
+      DefaultWorkloadScale(workload_id) * (is_stream ? 4.0 : 1.0);
   auto workload = MakeWorkload(workload_id, scale, 42);
   ExactCounterTable counters(workload->footprint_pages(), /*max=*/15);
   OpTrace op;

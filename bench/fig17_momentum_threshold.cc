@@ -34,7 +34,7 @@ SimulationResult RunThreshold(const std::string& workload_id,
                               uint32_t threshold) {
   RunSpec spec;
   spec.workload_id = workload_id;
-  spec.workload_scale = DefaultScaleFor(workload_id);
+  spec.workload_scale = DefaultWorkloadScale(workload_id);
   spec.policy_name = "HybridTier";
   spec.fast_fraction = 1.0 / 8;
   spec.max_accesses = kAccessBudget;

@@ -100,7 +100,7 @@ CellOut RunOne(const std::string& cell, bool oracle,
   const std::string workload_id = cell == "cdn-asym" ? "cdn" : cell;
   RunSpec spec;
   spec.workload_id = workload_id;
-  spec.workload_scale = DefaultScaleFor(workload_id);
+  spec.workload_scale = DefaultWorkloadScale(workload_id);
   spec.policy_name = oracle ? "AllFast" : "HybridTier";
   spec.fast_fraction = oracle ? 1.0 : kRatio;
   spec.max_accesses = kAccessBudget;

@@ -35,7 +35,7 @@ uint64_t MeasuredMetadataBytes(double fraction,
                                const std::string& policy_name) {
   RunSpec spec;
   spec.workload_id = "cdn";
-  spec.workload_scale = DefaultScaleFor("cdn");
+  spec.workload_scale = DefaultWorkloadScale("cdn");
   spec.fast_fraction = fraction;
   spec.max_accesses = 400000;
   spec.warmup_accesses = 0;

@@ -30,7 +30,7 @@ constexpr uint64_t kCoolingPeriod = 100000;  // As in the live tracker.
 constexpr uint32_t kThreshold = 4;
 
 double MeasureAgreement(size_t cbf_bytes) {
-  auto workload = MakeWorkload("cdn", DefaultScaleFor("cdn"), 42);
+  auto workload = MakeWorkload("cdn", DefaultWorkloadScale("cdn"), 42);
   const CbfSizing sizing{.num_counters = cbf_bytes * 2,  // 4-bit counters.
                          .num_hashes = 4,
                          .counter_bits = 4};

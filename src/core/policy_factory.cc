@@ -31,19 +31,10 @@ std::unique_ptr<TieringPolicy> MakePolicy(const std::string& name,
   if (name == "Memtis") {
     MemtisConfig config;
     config.cooling_period_samples = options.memtis_cooling_samples;
-    config.promo_batch_samples = options.promo_batch_samples;
     return std::make_unique<MemtisPolicy>(config);
   }
-  if (name == "AutoNUMA") {
-    AutoNumaConfig config;
-    config.promotion_latency_ns = options.autonuma_promotion_latency_ns;
-    return std::make_unique<AutoNumaPolicy>(config);
-  }
-  if (name == "TPP") {
-    TppConfig config;
-    config.active_window_ns = options.tpp_active_window_ns;
-    return std::make_unique<TppPolicy>(config);
-  }
+  if (name == "AutoNUMA") return std::make_unique<AutoNumaPolicy>();
+  if (name == "TPP") return std::make_unique<TppPolicy>();
   if (name == "ARC") return std::make_unique<ArcPolicy>();
   if (name == "TwoQ") return std::make_unique<TwoQPolicy>();
   if (name == "AllFast") {
@@ -55,12 +46,7 @@ std::unique_ptr<TieringPolicy> MakePolicy(const std::string& name,
 
   if (name.rfind("HybridTier", 0) == 0) {
     HybridTierConfig config;
-    config.freq_cooling_samples = options.hybrid_freq_cooling_samples;
-    config.momentum_cooling_samples =
-        options.hybrid_momentum_cooling_samples;
     config.momentum_threshold = options.momentum_threshold;
-    config.second_chance_revisit_ns = options.second_chance_revisit_ns;
-    config.promo_batch_samples = options.promo_batch_samples;
     if (name == "HybridTier") {
       return std::make_unique<HybridTierPolicy>(config);
     }

@@ -28,20 +28,8 @@ namespace hybridtier {
 struct PolicyOptions {
   /** Memtis cooling period C in samples. */
   uint64_t memtis_cooling_samples = 150000;
-  /** HybridTier frequency-tracker cooling period (high C). */
-  uint64_t hybrid_freq_cooling_samples = 600000;
-  /** HybridTier momentum-tracker cooling period (low C). */
-  uint64_t hybrid_momentum_cooling_samples = 8000;
   /** HybridTier momentum threshold. */
   uint32_t momentum_threshold = 3;
-  /** Second-chance revisit delay. */
-  TimeNs second_chance_revisit_ns = 300 * kMillisecond;
-  /** AutoNUMA hint-fault promotion latency threshold. */
-  TimeNs autonuma_promotion_latency_ns = 20 * kMillisecond;
-  /** TPP active-list window. */
-  TimeNs tpp_active_window_ns = 100 * kMillisecond;
-  /** Promotion batch, in samples, for batched policies. */
-  uint64_t promo_batch_samples = 2048;
 };
 
 /** The six systems compared in the paper's headline figures. */

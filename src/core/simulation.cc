@@ -661,15 +661,8 @@ void Simulation::ObserveOp(uint32_t tenant, TimeNs migration_stall,
   if (op_latency_hist_ != nullptr) op_latency_hist_->Observe(op_latency);
 }
 
-template <bool kProfiled>
-void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
-  // Per-stage wall accumulators; the whole block folds away in the
-  // unprofiled instantiation (the common case — profiling samples one
-  // op in N, everything else runs this function with zero clock reads).
-  [[maybe_unused]] uint64_t cache_wall = 0;
-  [[maybe_unused]] uint64_t policy_wall = 0;
-  [[maybe_unused]] uint64_t sampler_wall = 0;
-
+void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant,
+                           StageProfiler* laps) {
   // The op's tenant index: its sample source and its key on the
   // diagnosis seam (0 in single-tenant runs).
   const uint32_t tenant_id =
@@ -688,9 +681,6 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   const bool batch_policy = access_interest_ == AccessInterest::kBatched;
 
   for (size_t i = 0; i < count; ++i) {
-    [[maybe_unused]] uint64_t t0 = 0, t1 = 0, t2 = 0;
-    if constexpr (kProfiled) t0 = StageProfiler::NowNs();
-
     const MemoryAccess& access = accesses[i];
     const PageId unit = TrackingUnitOfAddr(access.addr, mode);
     const TouchResult touch = memory_->Touch(unit, now_);
@@ -718,10 +708,6 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     if (observed_) [[unlikely]] {
       ObserveAccess(tenant_id, unit, touch, level, latency);
     }
-    if constexpr (kProfiled) {
-      t1 = StageProfiler::NowNs();
-      cache_wall += t1 - t0;
-    }
 
     if (inline_policy) {
       // Per-access dispatch: the policy may migrate or touch metadata
@@ -733,50 +719,33 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     }
     // Policies with no access interest (the sample-driven designs) pay
     // nothing here at all.
-    if constexpr (kProfiled) {
-      t2 = StageProfiler::NowNs();
-      policy_wall += t2 - t1;
-    }
 
     sampler_->OnAccess(tenant_id, unit, touch.tier, now_);
-    if constexpr (kProfiled) sampler_wall += StageProfiler::NowNs() - t2;
 
     now_ += latency;
     op_latency += latency;
   }
   accesses_ += count;
+  if (laps != nullptr) laps->Lap(Stage::kCache);
 
   if (batch_policy) {
     // One virtual dispatch for the whole op; events carry the same
     // (unit, touch, now) triples the per-access path would have seen.
-    [[maybe_unused]] uint64_t t = 0;
-    if constexpr (kProfiled) t = StageProfiler::NowNs();
     policy_->OnAccessBatch(access_events_);
     access_events_.clear();
     FlushMetadataTraffic();
-    if constexpr (kProfiled) policy_wall += StageProfiler::NowNs() - t;
+    if (laps != nullptr) laps->Lap(Stage::kPolicy);
   }
 
-  {
-    // Drain the PEBS buffer to the policy (the tiering thread's loop).
-    [[maybe_unused]] uint64_t t = 0;
-    if constexpr (kProfiled) t = StageProfiler::NowNs();
-    sample_buffer_.clear();
-    sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
-    if constexpr (kProfiled) {
-      const uint64_t drained = StageProfiler::NowNs();
-      sampler_wall += drained - t;
-      t = drained;
-    }
-    for (const SampleRecord& sample : sample_buffer_) {
-      policy_->OnSample(sample);
-    }
-    FlushMetadataTraffic();
-    if constexpr (kProfiled) policy_wall += StageProfiler::NowNs() - t;
+  // Drain the PEBS buffer to the policy (the tiering thread's loop).
+  sample_buffer_.clear();
+  sampler_->Drain(&sample_buffer_, sample_buffer_.capacity());
+  if (laps != nullptr) laps->Lap(Stage::kSampler);
+  for (const SampleRecord& sample : sample_buffer_) {
+    policy_->OnSample(sample);
   }
-
-  [[maybe_unused]] uint64_t t_maint = 0;
-  if constexpr (kProfiled) t_maint = StageProfiler::NowNs();
+  FlushMetadataTraffic();
+  if (laps != nullptr) laps->Lap(Stage::kPolicy);
 
   // Periodic policy maintenance. The fault runtime advances first so
   // the policy's tick sees the health state (and any evacuation moves)
@@ -803,12 +772,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
   op_latency += stall;
   last_migration_batches_ = batches;
   last_migration_pages_ = pages;
-
-  [[maybe_unused]] uint64_t t_account = 0;
-  if constexpr (kProfiled) {
-    t_account = StageProfiler::NowNs();
-    stages_->Record(Stage::kMigration, t_account - t_maint);
-  }
+  if (laps != nullptr) laps->Lap(Stage::kMigration);
 
   ++ops_;
   latencies_.Add(op_latency);
@@ -820,13 +784,7 @@ void Simulation::RunOpImpl(const OpTrace& op, TenantState* tenant) {
     tenant->interval_latencies.Add(op_latency);
   }
   if (observed_) [[unlikely]] ObserveOp(tenant_id, stall, op_latency);
-
-  if constexpr (kProfiled) {
-    stages_->Record(Stage::kCache, cache_wall);
-    stages_->Record(Stage::kPolicy, policy_wall);
-    stages_->Record(Stage::kSampler, sampler_wall);
-    stages_->Record(Stage::kAccounting, StageProfiler::NowNs() - t_account);
-  }
+  if (laps != nullptr) laps->Lap(Stage::kAccounting);
 }
 
 SimulationResult Simulation::Run() {
@@ -861,16 +819,13 @@ SimulationResult Simulation::Run() {
     if (config_.max_time_ns != 0 && now_ >= config_.max_time_ns) break;
 
     // Sampled stage profiling: decide before generation so NextOp
-    // (live draw or trace replay) is attributed too. A null profiler
-    // costs a single predictable branch per op.
-    const bool profile_op = stages_ != nullptr && stages_->BeginOp();
-    const uint64_t op_start = profile_op ? StageProfiler::NowNs() : 0;
+    // (live draw or trace replay) is attributed too. An unsampled op
+    // pays one null test per phase boundary; an idle gap is not an op
+    // and records no laps.
+    StageProfiler* const laps =
+        stages_ != nullptr && stages_->BeginOp() ? stages_ : nullptr;
 
     if (!workload_->NextOp(now_, &op)) break;
-    if (profile_op) {
-      stages_->Record(Stage::kGeneration,
-                      StageProfiler::NowNs() - op_start);
-    }
 
     if (op.accesses.empty()) {
       // Pure idle gap (no tenant runnable before the next arrival):
@@ -929,19 +884,13 @@ SimulationResult Simulation::Run() {
                               migration_->stats().demoted_pages;
       continue;
     }
+    if (laps != nullptr) laps->Lap(Stage::kGeneration);
 
     TenantState* tenant =
         tenant_source_ == nullptr
             ? nullptr
             : &tenant_states_[tenant_source_->last_tenant()];
-
-    if (profile_op) [[unlikely]] {
-      RunOpImpl<true>(op, tenant);
-      stages_->RecordOp(StageProfiler::NowNs() - op_start,
-                        op.accesses.size());
-    } else {
-      RunOpImpl<false>(op, tenant);
-    }
+    RunOpImpl(op, tenant, laps);
 
     while (now_ >= next_stats_) {
       RecordTimelinePoint(next_stats_);
@@ -968,6 +917,7 @@ SimulationResult Simulation::Run() {
       last_llc_app_misses_ = 0;
       last_llc_tiering_misses_ = 0;
     }
+    if (laps != nullptr) laps->EndOp(op.accesses.size());
   }
 
   result_.ops = ops_;

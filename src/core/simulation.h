@@ -321,14 +321,15 @@ class Simulation {
    * per `access_interest_`, the sample drain, due maintenance ticks,
    * migration-stall charging, and the op's latency accounting.
    *
-   * Instantiated on a compile-time profiling flag so the common
-   * (unprofiled) instantiation contains no wall-clock reads at all;
-   * the profiled one runs only for the stage profiler's sampled ops.
    * The loop holds only the model; every diagnosis feed sits behind
-   * one `observed_` branch per access and one per op.
+   * one `observed_` branch per access and one per op. `laps` is the
+   * stage profiler for a sampled op and null otherwise: the end of the
+   * access loop and each later phase boundary call `laps->Lap(stage)`,
+   * so a profiled op reads the clock a fixed number of times and
+   * nothing inside the loop tests for profiling.
    */
-  template <bool kProfiled>
-  void RunOpImpl(const OpTrace& op, TenantState* tenant);
+  void RunOpImpl(const OpTrace& op, TenantState* tenant,
+                 StageProfiler* laps);
 
   /**
    * Diagnosis seam for one access, called after its hint-fault charge

@@ -1,43 +1,14 @@
 #include "obs/metrics.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-
 #include "common/logging.h"
+#include "obs/json.h"
 
 namespace hybridtier {
 namespace {
 
-/** Same deterministic number formatting as the trace writer. */
-void AppendNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "0";
-    return;
-  }
-  if (value == static_cast<double>(static_cast<int64_t>(value)) &&
-      std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    out << buf;
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  size_t len = std::strlen(buf);
-  while (len > 1 && buf[len - 1] == '0' && buf[len - 2] != '.') {
-    buf[--len] = '\0';
-  }
-  out << buf;
-}
-
 void AppendQuoted(std::ostream& out, const std::string& text) {
   out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
+  AppendJsonEscaped(out, text);
   out << '"';
 }
 
@@ -164,7 +135,7 @@ void MetricRegistry::WriteJsonObject(std::ostream& out) const {
     out << ": [";
     for (size_t i = 0; i < scalar.series.size(); ++i) {
       if (i > 0) out << ",";
-      AppendNumber(out, scalar.series[i]);
+      AppendJsonNumber(out, scalar.series[i]);
     }
     out << "]";
   }
@@ -178,7 +149,7 @@ void MetricRegistry::WriteJsonObject(std::ostream& out) const {
     out << ": ";
     // Use the last snapshot, not a live read: probes may capture
     // objects already destroyed by serialization time.
-    AppendNumber(out, scalar.series.empty() ? 0.0 : scalar.series.back());
+    AppendJsonNumber(out, scalar.series.empty() ? 0.0 : scalar.series.back());
   }
   out << "\n  },\n  \"histograms\": {";
   first = true;
@@ -215,8 +186,8 @@ void MetricRegistry::WriteCsv(std::ostream& out) const {
     out << times_ns_[row];
     for (const Scalar& scalar : scalars_) {
       out << ",";
-      AppendNumber(out, row < scalar.series.size() ? scalar.series[row]
-                                                   : 0.0);
+      AppendJsonNumber(out, row < scalar.series.size() ? scalar.series[row]
+                                                       : 0.0);
     }
     out << "\n";
   }

@@ -1,73 +1,11 @@
 #include "obs/trace.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+
+#include "obs/json.h"
 
 namespace hybridtier {
 namespace {
-
-/**
- * Appends `text` JSON-escaped (no surrounding quotes). Names are ASCII
- * identifiers in practice, but sweep cell labels embed axis values, so
- * escape defensively.
- */
-void AppendEscaped(std::ostream& out, const char* text) {
-  for (const char* p = text; *p; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << static_cast<char>(c);
-        }
-    }
-  }
-}
-
-/**
- * Formats a metric value with the shortest round-trippable plain
- * notation — integers without a fraction, fractions with up to six
- * significant decimals, trailing zeros trimmed. One fixed formatter for
- * every writer keeps output bytes identical across platforms.
- */
-void AppendNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "0";
-    return;
-  }
-  if (value == static_cast<double>(static_cast<int64_t>(value)) &&
-      std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    out << buf;
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  // Trim trailing zeros but keep one digit after the point.
-  size_t len = std::strlen(buf);
-  while (len > 1 && buf[len - 1] == '0' && buf[len - 2] != '.') {
-    buf[--len] = '\0';
-  }
-  out << buf;
-}
 
 /** Emits one metadata record (process_name / thread_name). */
 void AppendMetadata(std::ostream& out, bool* first, const char* kind,
@@ -76,7 +14,7 @@ void AppendMetadata(std::ostream& out, bool* first, const char* kind,
   *first = false;
   out << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
       << ",\"name\":\"" << kind << "\",\"args\":{\"name\":\"";
-  AppendEscaped(out, name.c_str());
+  AppendJsonEscaped(out, name);
   out << "\"}}";
 }
 
@@ -153,16 +91,16 @@ void TraceEmitter::AppendEventsJson(std::ostream& out, bool* first) const {
       out << ",\"s\":\"t\"";
     }
     out << ",\"name\":\"";
-    AppendEscaped(out, event.name);
+    AppendJsonEscaped(out, event.name);
     out << "\"";
     if (event.arg_count > 0) {
       out << ",\"args\":{";
       for (uint8_t a = 0; a < event.arg_count; ++a) {
         if (a > 0) out << ",";
         out << "\"";
-        AppendEscaped(out, event.args[a].key);
+        AppendJsonEscaped(out, event.args[a].key);
         out << "\":";
-        AppendNumber(out, event.args[a].value);
+        AppendJsonNumber(out, event.args[a].value);
       }
       out << "}";
     }

@@ -89,7 +89,7 @@ double DefaultWorkloadScale(const std::string& id) {
   if (id == "bwaves" || id == "roms" || id == "silo") return 0.25;
   if (id == "xgboost") return 0.5;
   if (id == "zipf") return 1.0;
-  return 2.0;  // GAP graph kernels.
+  return 2.0;  // GAP graph kernels: a 2^19-node, 4M-edge graph.
 }
 
 std::unique_ptr<Workload> MakeWorkload(const std::string& id, double scale,

@@ -34,9 +34,10 @@ const std::vector<std::string>& AllWorkloadIds();
 bool IsWorkloadId(const std::string& id);
 
 /**
- * Default single-run footprint scale for `id` (the per-family defaults
- * `ht_run` uses): CacheLib 0.1, SPEC/Silo 0.25, XGBoost 0.5, graphs
- * 2.0, zipf 1.0.
+ * Default footprint scale for `id`, used by `ht_run` and every bench:
+ * CacheLib 0.1, SPEC/Silo 0.25, XGBoost 0.5, graphs 2.0, zipf 1.0.
+ * Each footprint is far larger than the modeled LLC while full sweeps
+ * stay within their access budgets.
  */
 double DefaultWorkloadScale(const std::string& id);
 

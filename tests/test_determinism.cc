@@ -25,6 +25,7 @@
 #include "multitenant/fair_share_policy.h"
 #include "multitenant/mux_workload.h"
 #include "obs/audit.h"
+#include "obs/stage_profiler.h"
 #include "workloads/factory.h"
 #include "workloads/trace.h"
 
@@ -643,6 +644,52 @@ TEST(Determinism, EndpointAwareFairShareUnderFaultMatchesGolden) {
     EXPECT_EQ(fair.enforced_demotions(t), golden.enforced_demotions[t])
         << "tenant " << t;
   }
+}
+
+// The stage profiler's lap path, with every op sampled, against no
+// profiler: the inline policies (TPP, AutoNUMA), and a fair-share fleet
+// that loses an endpoint mid-run. Laps only read the clock, so the
+// modeled run must not move, and every op closes one lap per stage.
+TEST(Determinism, ProfiledOpsMatchUnprofiledOps) {
+  const auto expect_unperturbed = [](const auto& run) {
+    StageProfiler stages(/*sample_every=*/1);
+    const SimulationResult plain = run(nullptr);
+    const SimulationResult profiled = run(&stages);
+    ExpectFullyIdentical(plain, profiled);
+    EXPECT_EQ(plain.weighted_jain_fairness, profiled.weighted_jain_fairness);
+    EXPECT_EQ(stages.sampled_accesses(), profiled.accesses);
+    for (const Stage stage : {Stage::kCache, Stage::kSampler,
+                              Stage::kMigration, Stage::kAccounting}) {
+      EXPECT_EQ(stages.totals(stage).events, stages.sampled_ops())
+          << StageName(stage);
+    }
+    return profiled;
+  };
+  for (const char* policy : {"TPP", "AutoNUMA"}) {
+    SCOPED_TRACE(policy);
+    const SimulationResult r = expect_unperturbed([&](StageProfiler* stages) {
+      SimulationConfig config = TestConfig();
+      config.telemetry.stages = stages;
+      return RunCell("zipf", policy, config, 11);
+    });
+    EXPECT_GT(r.hint_faults, 0u);
+  }
+  SCOPED_TRACE("FairShare(HybridTier)");
+  const SimulationResult r = expect_unperturbed([](StageProfiler* stages) {
+    auto mux = MakeMuxWorkload(
+        ParseTenantList("fleet:24,zipf=0.9,fp=512,fpskew=0.3,churn=none,"
+                        "seed=7"),
+        11);
+    FairSharePolicy fair(MakePolicy("HybridTier"), mux->directory());
+    SimulationConfig config = TestConfig();
+    config.fast_tier_fraction = 0.4;
+    config.max_accesses = 300000;
+    config.topology = "cxl:(1,(2,3)),lat=124:250:250,bw=34:8:8,link=10";
+    config.faults = "faults:ep2@20ms=down";
+    config.telemetry.stages = stages;
+    return RunSimulation(config, mux.get(), &fair);
+  });
+  EXPECT_EQ(r.fault.endpoints_downed, 1u);
 }
 
 // A churning fair-share cell: FairSharePolicy(HybridTier) over a zipf

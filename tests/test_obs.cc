@@ -221,6 +221,28 @@ TEST(StageProfilerTest, RecordsAndMerges) {
   EXPECT_NE(report.find("other"), std::string::npos);
 }
 
+TEST(StageProfilerTest, LapsPartitionTheOpWallTime) {
+  StageProfiler profiler(/*sample_every=*/2);
+  for (int op = 0; op < 4; ++op) {
+    if (!profiler.BeginOp()) continue;
+    profiler.Lap(Stage::kGeneration);
+    profiler.Lap(Stage::kCache);
+    profiler.Lap(Stage::kAccounting);
+    profiler.EndOp(/*accesses=*/8);
+  }
+  EXPECT_EQ(profiler.sampled_ops(), 2u);
+  EXPECT_EQ(profiler.sampled_accesses(), 16u);
+  EXPECT_EQ(profiler.totals(Stage::kCache).events, 2u);
+  EXPECT_EQ(profiler.totals(Stage::kPolicy).events, 0u);
+  // Every lap and the closing remainder are one contiguous op span.
+  uint64_t laps = 0;
+  for (const Stage stage :
+       {Stage::kGeneration, Stage::kCache, Stage::kAccounting}) {
+    laps += profiler.totals(stage).wall_ns;
+  }
+  EXPECT_EQ(profiler.sampled_op_wall_ns(), laps + profiler.OtherNs());
+}
+
 // ---------------------------------------------- Simulation integration --
 
 struct TelemetryCapture {
