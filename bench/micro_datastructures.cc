@@ -3,12 +3,12 @@
  * Microbenchmarks (google-benchmark) for the tracking data structures:
  * update/lookup throughput of the blocked CBF vs standard CBF vs exact
  * table, cooling passes, Zipf sampling, one cache level and the L1+LLC
- * hierarchy, the tiered memory's resident scan and HDM decode, and GAP
- * graph generation. These back the paper's
- * data-structure-level claims (compactness and locality of the blocked
- * CBF) with direct operation costs, give the simulator's cache probe a
- * standing cost per access, and give graph set-up a standing cost per
- * generated edge.
+ * hierarchy, the tiered memory's resident scan and HDM decode, the
+ * fair-share victim selection, and GAP graph generation. These back the
+ * paper's data-structure-level claims (compactness and locality of the
+ * blocked CBF) with direct operation costs, give the simulator's cache
+ * probe a standing cost per access, and give graph set-up a standing
+ * cost per generated edge.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "mem/tiered_memory.h"
+#include "multitenant/fair_share_policy.h"
 #include "probstruct/blocked_cbf.h"
 #include "probstruct/cbf.h"
 #include "probstruct/exact_table.h"
@@ -168,6 +169,53 @@ void BM_ScanResident(benchmark::State& state) {
                           static_cast<int64_t>(kRegionUnits));
 }
 BENCHMARK(BM_ScanResident)->Arg(90)->Arg(3);
+
+// One fair-share victim selection at the fleet-failover pass shape: 415
+// fast units of one tenant (ascending, one to three apart) on the fleet
+// cells' three-endpoint layout with three distinct endpoint costs, 245
+// of them to demote, hotness read from a ~650 KiB blocked CBF. In
+// state.range(0) percent of the units the filter reads 0: 90 settles
+// the walk early, 0 reads every unit and takes the threshold fallback.
+// Sixteen disjoint candidate sets rotate; each pass copies its set first
+// (the selection reorders in place), which the timing includes.
+void BM_SelectColdestUnits(benchmark::State& state) {
+  constexpr size_t kCandidates = 415;
+  constexpr uint64_t kTake = 245;
+  constexpr size_t kSets = 16;
+  constexpr uint64_t kFilterPages = 1 << 16;
+  const auto zero_percent = static_cast<uint64_t>(state.range(0));
+  BlockedCountingBloomFilter cbf(FrequencyCbfSizing(kFilterPages), 1);
+  Rng rng(7);
+  std::vector<std::vector<PageId>> sets(kSets);
+  for (size_t s = 0; s < kSets; ++s) {
+    PageId unit = s * (kFilterPages / kSets);
+    for (size_t i = 0; i < kCandidates; ++i) {
+      sets[s].push_back(unit);
+      if (rng.NextBounded(100) >= zero_percent) cbf.Increment(unit);
+      unit += 1 + rng.NextBounded(3);
+    }
+  }
+  const HdmDecoder hdm(3, 1);
+  const std::vector<uint16_t> endpoint_cost = {124, 250, 262};
+  uint64_t reads = 0;
+  const HotnessReader read = [&cbf, &reads](std::span<const PageId> units,
+                                            std::span<uint32_t> out) {
+    reads += units.size();
+    cbf.GetEach(units, out);
+  };
+  ColdestSelectionScratch scratch;
+  std::vector<PageId> units;
+  size_t next = 0;
+  for (auto _ : state) {
+    units = sets[next];
+    SelectColdestUnits(units, read, endpoint_cost, hdm, kTake, &scratch);
+    benchmark::DoNotOptimize(units.data());
+    next = (next + 1) % kSets;
+  }
+  state.counters["units_read"] =
+      static_cast<double>(reads) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SelectColdestUnits)->Arg(90)->Arg(0);
 
 // HDM decode of 4096 random units on the fleet cells' three-endpoint
 // layout (one unit per stripe) and on a 512-unit-stripe layout.

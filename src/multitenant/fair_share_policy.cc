@@ -50,17 +50,44 @@ const char* QuotaModeName(QuotaMode mode) {
   return mode == QuotaMode::kDensity ? "density" : "marginal";
 }
 
-size_t SelectColdestUnits(std::span<PageId> units,
-                          std::span<const uint32_t> hotness,
-                          std::span<const uint16_t> endpoint_cost,
-                          const HdmDecoder& hdm, uint64_t take,
-                          ColdestSelectionScratch* scratch) {
-  const size_t n = units.size();
-  HT_ASSERT(hotness.size() == n, "selection reads ", hotness.size(),
-            " hotness values for ", n, " units");
-  HT_ASSERT(take <= n, "cannot select ", take, " of ", n, " units");
-  if (take == n || take == 0) return take;
+namespace {
 
+/**
+ * Compacts to the front of `units`, in address order, the units among
+ * the first `limit` keyed (hotness, class) below (`threshold`, `cls`),
+ * plus the first `ties` keyed exactly (`threshold`, `cls`); returns how
+ * many it kept. No branch per unit, and it reads only locals, so
+ * nothing it needs is reloaded after each store into `units`.
+ */
+template <typename ClassOf>
+size_t EmitColdest(std::span<PageId> units, const uint32_t* hot,
+                   size_t limit, uint32_t threshold, uint32_t cls,
+                   uint64_t ties, ClassOf class_of) {
+  PageId* out = units.data();
+  size_t kept = 0;
+  for (size_t i = 0; i < limit; ++i) {
+    const PageId unit = out[i];
+    const uint32_t h = hot[i];
+    const uint32_t c = class_of(i);
+    const bool at_threshold = h == threshold;
+    const bool tie = at_threshold & (c == cls) & (ties != 0);
+    ties -= tie;
+    out[kept] = unit;
+    kept += (h < threshold) | (at_threshold & (c < cls)) | tie;
+  }
+  return kept;
+}
+
+/**
+ * Threshold selection over the hotness of every unit (`hot`, by
+ * position) and its cost class (`class_of`, one of `classes`): keeps
+ * the `take` units of smallest (hotness, class, unit) key.
+ */
+template <typename ClassOf>
+size_t SelectByThreshold(std::span<PageId> units, const uint32_t* hot,
+                         uint64_t take, uint32_t classes, ClassOf class_of,
+                         ColdestSelectionScratch* scratch) {
+  const size_t n = units.size();
   // The take-th smallest hotness, H. Counters are small after cooling,
   // so one pass over a 64-bin histogram places it; the rare H past the
   // last exact bin is resolved among that bin's values only.
@@ -69,8 +96,8 @@ size_t SelectColdestUnits(std::span<PageId> units,
   // Four interleaved sub-histograms: nearly every unit lands in one bin,
   // and a single table would chain each increment on the last.
   uint32_t sub[4][kBins] = {};
-  const auto bin = [&hotness](size_t i) {
-    return hotness[i] < kOverflowBin ? hotness[i] : kOverflowBin;
+  const auto bin = [hot](size_t i) {
+    return hot[i] < kOverflowBin ? hot[i] : kOverflowBin;
   };
   const size_t quad_end = n - n % 4;
   for (size_t i = 0; i < quad_end; i += 4) {
@@ -90,8 +117,8 @@ size_t SelectColdestUnits(std::span<PageId> units,
   if (threshold == kOverflowBin) {
     std::vector<uint32_t>& overflow = scratch->overflow;
     overflow.clear();
-    for (const uint32_t h : hotness) {
-      if (h >= kOverflowBin) overflow.push_back(h);
+    for (size_t i = 0; i < n; ++i) {
+      if (hot[i] >= kOverflowBin) overflow.push_back(hot[i]);
     }
     const auto nth =
         overflow.begin() + static_cast<ptrdiff_t>(take - below - 1);
@@ -101,75 +128,139 @@ size_t SelectColdestUnits(std::span<PageId> units,
         std::count_if(overflow.begin(), nth,
                       [threshold](uint32_t h) { return h < threshold; }));
   }
-  // Units at hotness H still to take, lowest (cost, unit) first.
+  // Units at hotness H still to take, lowest (class, unit) first: every
+  // unit of a cheaper class goes, then the lowest addresses of the class
+  // the count runs out in.
   uint64_t ties = take - below;
-
-  // Endpoint-aware: H's units split into cost classes, one per distinct
-  // endpoint cost. Every unit of a cheaper class goes, then the lowest
-  // addresses of the class the count runs out in.
-  const bool aware = !endpoint_cost.empty();
-  uint32_t cost_threshold = 0;
-  if (aware) {
-    std::vector<uint64_t>& per_endpoint = scratch->endpoint_counts;
-    per_endpoint.assign(endpoint_cost.size(), 0);
-    for (size_t i = 0; i < n; ++i) {
-      per_endpoint[hdm.EndpointOf(units[i])] += hotness[i] == threshold;
-    }
-    uint64_t cheaper = 0;
-    uint32_t min_cost = 0;  // Classes below it are counted in `cheaper`.
-    while (true) {
-      uint32_t cost = UINT32_MAX;
-      uint64_t count = 0;
-      for (size_t e = 0; e < endpoint_cost.size(); ++e) {
-        if (per_endpoint[e] == 0 || endpoint_cost[e] < min_cost) continue;
-        if (endpoint_cost[e] < cost) {
-          cost = endpoint_cost[e];
-          count = 0;
-        }
-        if (endpoint_cost[e] == cost) count += per_endpoint[e];
-      }
-      HT_ASSERT(cost != UINT32_MAX, "threshold hotness ", threshold,
-                " holds fewer than ", ties, " units");
-      if (cheaper + count >= ties) {
-        cost_threshold = cost;
-        ties -= cheaper;
-        break;
-      }
-      cheaper += count;
-      min_cost = cost + 1;
+  uint32_t cls = 0;
+  if (classes > 1) {
+    std::vector<uint64_t>& counts = scratch->class_counts;
+    counts.assign(classes, 0);
+    for (size_t i = 0; i < n; ++i) counts[class_of(i)] += hot[i] == threshold;
+    while (ties > counts[cls]) {
+      ties -= counts[cls++];
+      HT_ASSERT(cls < classes, "threshold hotness ", threshold,
+                " holds fewer than ", take - below, " units");
     }
   }
+  return EmitColdest(units, hot, n, threshold, cls, ties, class_of);
+}
 
-  // One address-order pass compacts the chosen units to the front,
-  // without a branch per unit. It reads only locals, so nothing it needs
-  // is reloaded after each store into `units`.
-  const auto emit = [&units, &hotness, n, threshold, cost_threshold](
-                        uint64_t ties, auto cost_of) {
-    PageId* out = units.data();
-    const uint32_t* hot = hotness.data();
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const PageId unit = out[i];
-      const uint32_t h = hot[i];
-      const uint32_t cost = cost_of(unit);
-      const bool at_threshold = h == threshold;
-      const bool tie =
-          at_threshold & (cost == cost_threshold) & (ties != 0);
-      ties -= tie;
-      out[kept] = unit;
-      kept += (h < threshold) | (at_threshold & (cost < cost_threshold)) |
-              tie;
+}  // namespace
+
+size_t SelectColdestUnits(std::span<PageId> units, const HotnessReader& read,
+                          std::span<const uint16_t> endpoint_cost,
+                          const HdmDecoder& hdm, uint64_t take,
+                          ColdestSelectionScratch* scratch) {
+  const size_t n = units.size();
+  HT_ASSERT(take <= n, "cannot select ", take, " of ", n, " units");
+  if (take == n || take == 0) return take;
+  scratch->hotness.resize(n);
+  uint32_t* hot = scratch->hotness.data();
+  size_t kept = 0;
+
+  if (endpoint_cost.empty()) {
+    // Blind: one class, walked in address order straight into `hot`.
+    const auto blind = [](size_t) -> uint32_t { return 0; };
+    uint64_t zeros = 0;
+    for (size_t begin = 0; begin < n && kept == 0;
+         begin += kHotnessReadChunk) {
+      const size_t count = std::min(kHotnessReadChunk, n - begin);
+      read(units.subspan(begin, count), std::span(hot + begin, count));
+      for (size_t i = begin; i < begin + count; ++i) {
+        zeros += hot[i] == 0;
+        if (zeros == take) {
+          kept = EmitColdest(units, hot, i + 1, 0, 0, take, blind);
+          break;
+        }
+      }
     }
+    if (kept == 0) {
+      kept = SelectByThreshold(units, hot, take, 1, blind, scratch);
+    }
+    HT_ASSERT(kept == take, "selection kept ", kept, " of ", take, " units");
     return kept;
+  }
+
+  // Endpoint-aware: a unit's cost class is its home endpoint's cost
+  // rank among the distinct costs, so class order is cost order.
+  std::vector<uint16_t>& class_cost = scratch->class_cost;
+  class_cost.assign(endpoint_cost.begin(), endpoint_cost.end());
+  std::sort(class_cost.begin(), class_cost.end());
+  class_cost.erase(std::unique(class_cost.begin(), class_cost.end()),
+                   class_cost.end());
+  std::vector<uint16_t>& endpoint_class = scratch->endpoint_class;
+  endpoint_class.resize(endpoint_cost.size());
+  for (size_t e = 0; e < endpoint_cost.size(); ++e) {
+    endpoint_class[e] = static_cast<uint16_t>(
+        std::lower_bound(class_cost.begin(), class_cost.end(),
+                         endpoint_cost[e]) -
+        class_cost.begin());
+  }
+  scratch->unit_class.resize(n);
+  uint16_t* unit_class = scratch->unit_class.data();
+  const auto class_at = [unit_class](size_t i) -> uint32_t {
+    return unit_class[i];
   };
-  const HdmDecoder decoder = hdm;
-  const uint16_t* costs = endpoint_cost.data();
-  const size_t kept =
-      aware ? emit(ties,
-                   [decoder, costs](PageId unit) -> uint32_t {
-                     return costs[decoder.EndpointOf(unit)];
-                   })
-            : emit(ties, [](PageId) -> uint32_t { return 0; });
+
+  // Walk class `cls` in address order, gathering a chunk of its units
+  // per read. The first walk visits every unit, so it records each
+  // unit's class for the later walks (and the fallback) to reuse.
+  const PageId* candidates = units.data();
+  PageId chunk[kHotnessReadChunk];
+  uint32_t chunk_hot[kHotnessReadChunk];
+  size_t chunk_at[kHotnessReadChunk];
+  uint64_t zeros = 0;  // Zero-hotness units of the classes walked.
+  const uint32_t classes = static_cast<uint32_t>(class_cost.size());
+  for (uint32_t cls = 0; cls < classes && kept == 0; ++cls) {
+    const uint64_t cheaper = zeros;
+    // Reads the `count` gathered units; true once the take-th zero is in.
+    const auto read_gathered = [&](size_t count) {
+      read(std::span<const PageId>(chunk, count),
+           std::span<uint32_t>(chunk_hot, count));
+      for (size_t j = 0; j < count; ++j) {
+        hot[chunk_at[j]] = chunk_hot[j];
+        zeros += chunk_hot[j] == 0;
+        if (zeros == take) {
+          // Nothing past the take-th zero of the first class was
+          // classified or is wanted; a later class's cheaper zeros may
+          // sit anywhere.
+          const size_t limit = cls == 0 ? chunk_at[j] + 1 : n;
+          kept = EmitColdest(units, hot, limit, 0, cls, take - cheaper,
+                             class_at);
+          return true;
+        }
+      }
+      return false;
+    };
+    // Gathers without a branch per unit: classes interleave with the
+    // address stripes, so a class test would mispredict often.
+    const auto walk = [&](auto class_of) {
+      size_t gathered = 0;
+      for (size_t i = 0; i < n; ++i) {
+        chunk[gathered] = candidates[i];
+        chunk_at[gathered] = i;
+        gathered += class_of(i) == cls;
+        if (gathered == kHotnessReadChunk) {
+          if (read_gathered(gathered)) return;
+          gathered = 0;
+        }
+      }
+      if (gathered > 0) read_gathered(gathered);
+    };
+    if (cls == 0) {
+      const HdmDecoder decoder = hdm;
+      const uint16_t* classes_of = endpoint_class.data();
+      walk([=](size_t i) {
+        return unit_class[i] = classes_of[decoder.EndpointOf(candidates[i])];
+      });
+    } else {
+      walk(class_at);
+    }
+  }
+  if (kept == 0) {
+    kept = SelectByThreshold(units, hot, take, classes, class_at, scratch);
+  }
   HT_ASSERT(kept == take, "selection kept ", kept, " of ", take, " units");
   return kept;
 }
@@ -316,6 +407,8 @@ void FairSharePolicy::Bind(const PolicyContext& context) {
   rebalance_tenant_visits_ = 0;
   enforce_tenant_visits_ = 0;
   fill_tenant_visits_ = 0;
+  ranked_candidates_ = 0;
+  hotness_reads_ = 0;
   for (uint32_t t = 0; t < n; ++t) {
     if (directory_.regions[t].ActiveAt(0)) {
       churn_state_[t] = kChurnActive;
@@ -859,13 +952,17 @@ void FairSharePolicy::DemoteToTarget(uint32_t t, uint64_t target,
       }
       endpoint_cost = victim_endpoint_cost_;
     }
-    victim_hotness_.resize(victims_.size());
-    base_->HotnessOfEach(victims_, victim_hotness_);
     // The engine's batch outcome is order-independent (per-endpoint page
     // counts; slow capacity covers the footprint), so the chosen units
     // go out in address order.
-    SelectColdestUnits(victims_, victim_hotness_, endpoint_cost,
-                       memory().hdm(), take, &selection_scratch_);
+    ranked_candidates_ += victims_.size();
+    SelectColdestUnits(
+        victims_,
+        [this](std::span<const PageId> units, std::span<uint32_t> out) {
+          hotness_reads_ += units.size();
+          base_->HotnessOfEach(units, out);
+        },
+        endpoint_cost, memory().hdm(), take, &selection_scratch_);
   }
   migration().Demote(std::span<const PageId>(victims_).first(take), now,
                      reason);

@@ -18,10 +18,13 @@
  *    (first-touch allocation and quota shrinks put them there), coldest
  *    first by the base policy's `HotnessOf` (ties by address; in
  *    endpoint-aware mode, first by home-endpoint cost, cheap devices
- *    first). The coldest excess is found by threshold selection
- *    (`SelectColdestUnits`), not sorted, so a pass costs time linear in
- *    the tenant's fast units; the base policy re-promotes the hot
- *    subset within quota.
+ *    first). `SelectColdestUnits` reads hotness in chunks, cheapest
+ *    cost class first, and stops as soon as the coldest excess is
+ *    settled (enough units read 0, the least hotness); only otherwise
+ *    does it read every fast unit and select by threshold. Either way
+ *    nothing is sorted and a pass costs time linear in the tenant's
+ *    fast units; the base policy re-promotes the hot subset within
+ *    quota.
  *  - The same tick *fills* under-quota tenants: their recently sampled
  *    slow pages are promoted into the guaranteed headroom, hottest
  *    (most-sampled this window) first. This is what makes a quota a
@@ -88,6 +91,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -172,12 +176,30 @@ struct FairShareConfig {
   bool endpoint_aware = false;
 };
 
+/**
+ * Reads the hotness of `units` into `out` (same length), as
+ * `TieringPolicy::HotnessOfEach` does.
+ */
+using HotnessReader =
+    std::function<void(std::span<const PageId>, std::span<uint32_t>)>;
+
+/** Units `SelectColdestUnits` passes to one `HotnessReader` call. */
+constexpr size_t kHotnessReadChunk = 32;
+
 /** Reusable buffers of `SelectColdestUnits`. */
 struct ColdestSelectionScratch {
+  /** Hotness read for each candidate, by position. */
+  std::vector<uint32_t> hotness;
+  /** Distinct endpoint costs, ascending: the cost classes. */
+  std::vector<uint16_t> class_cost;
+  /** Cost class of each endpoint. */
+  std::vector<uint16_t> endpoint_class;
+  /** Cost class of each candidate, by position. */
+  std::vector<uint16_t> unit_class;
   /** Hotness values in the histogram's overflow bin. */
   std::vector<uint32_t> overflow;
-  /** Units at the threshold hotness, per home endpoint. */
-  std::vector<uint64_t> endpoint_counts;
+  /** Units at the threshold hotness, per cost class. */
+  std::vector<uint64_t> class_counts;
 };
 
 /**
@@ -187,24 +209,30 @@ struct ColdestSelectionScratch {
  * `take` of that order at the front of `units`, in ascending address
  * order. Returns `take`.
  *
- * No pair is ranked: the chosen set is every unit keyed below the
- * `take`-th smallest key K plus the lowest-address units keyed K. K's
- * hotness comes from a 64-bin histogram (values >= 63 share the last
- * bin, resolved by `nth_element` over that bin's values when K falls
- * in it), K's cost class from the per-endpoint counts of the units at
- * that hotness, and one address-order pass then emits the set. Linear
- * in `units.size()` for any hotness range.
+ * Hotness is read through `read`, `kHotnessReadChunk` units a call, in
+ * the order of the key without hotness: cheapest cost class first (one
+ * class when blind), ascending addresses within a class. Zero is the
+ * least hotness, so once `take` units have read 0 they are exactly the
+ * first `take` of the order and the walk stops, within one chunk of
+ * the `take`-th zero. Otherwise every unit has been read once, and
+ * threshold selection runs on the stored values: no pair is ranked,
+ * the chosen set is every unit keyed below the `take`-th smallest key
+ * K plus the lowest-address units keyed K. K's hotness comes from a
+ * 64-bin histogram (values >= 63 share the last bin, resolved by
+ * `nth_element` over that bin's values when K falls in it), K's cost
+ * class from the per-class counts of the units at that hotness, and
+ * one address-order pass then emits the set. Linear in `units.size()`
+ * for any hotness range.
  *
  * @param units         candidate units, ascending; reordered in place.
- * @param hotness       hotness of each unit (same length).
+ * @param read          hotness reader; never asked for a unit twice.
  * @param endpoint_cost per-endpoint tie-break cost; empty = blind.
  * @param hdm           home-endpoint decode, read when `endpoint_cost`
  *                      is non-empty.
  * @param take          units to keep, at most `units.size()`.
  * @param scratch       reusable buffers.
  */
-size_t SelectColdestUnits(std::span<PageId> units,
-                          std::span<const uint32_t> hotness,
+size_t SelectColdestUnits(std::span<PageId> units, const HotnessReader& read,
                           std::span<const uint16_t> endpoint_cost,
                           const HdmDecoder& hdm, uint64_t take,
                           ColdestSelectionScratch* scratch);
@@ -349,6 +377,13 @@ class FairSharePolicy : public TieringPolicy,
   /** Tenants visited across all fill-to-quota passes. */
   uint64_t fill_tenant_visits() const { return fill_tenant_visits_; }
 
+  // Victim-selection work counters: host-independent measures of what
+  // the coldest-first passes (enforcement and rotation) cost.
+  /** Fast units ranked across all passes that had to choose victims. */
+  uint64_t ranked_candidates() const { return ranked_candidates_; }
+  /** Units whose hotness those passes read from the base policy. */
+  uint64_t hotness_reads() const { return hotness_reads_; }
+
   /** True if `tenant`'s residency window was open at the last tick. */
   bool tenant_active(uint32_t tenant) const {
     return churn_state_[tenant] == kChurnActive;
@@ -484,8 +519,10 @@ class FairSharePolicy : public TieringPolicy,
    * Demotes tenant `t` down to `target` fast units (one batch), stamped
    * with `reason` (enforcement vs. rotation). The batch is the coldest
    * excess by (hotness, endpoint cost, unit), chosen by
-   * SelectColdestUnits in time linear in the tenant's fast units; it
-   * includes units pinned by a down endpoint, which the engine refuses.
+   * SelectColdestUnits in time linear in the tenant's fast units, which
+   * reads the base policy's hotness only until the choice is settled;
+   * it includes units pinned by a down endpoint, which the engine
+   * refuses.
    */
   void DemoteToTarget(uint32_t t, uint64_t target, TimeNs now,
                       MigrationReason reason);
@@ -528,6 +565,8 @@ class FairSharePolicy : public TieringPolicy,
   uint64_t rebalance_tenant_visits_ = 0;
   uint64_t enforce_tenant_visits_ = 0;
   uint64_t fill_tenant_visits_ = 0;
+  uint64_t ranked_candidates_ = 0;
+  uint64_t hotness_reads_ = 0;
 
   // Compact per-active-tenant scratch for the re-division calls
   // (avoids per-rebalance fleet-sized allocations).
@@ -573,8 +612,6 @@ class FairSharePolicy : public TieringPolicy,
   std::vector<PageId> admitted_;
   std::vector<uint64_t> batch_admits_;
   std::vector<PageId> victims_;
-  /** Base-policy hotness of each of `victims_`, read in one batch. */
-  std::vector<uint32_t> victim_hotness_;
   /** Per-endpoint victim tie-break cost, min(cost, 0xffff), for the
    *  current enforcement pass. */
   std::vector<uint16_t> victim_endpoint_cost_;

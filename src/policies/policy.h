@@ -263,9 +263,11 @@ class TieringPolicy {
   /**
    * Batched HotnessOf: `out[i]` = HotnessOf(units[i]) for every i
    * (`out` must be as long as `units`). Rankers that read many units per
-   * pass call this once; policies whose estimate has a cheaper batched
-   * read override it. The default loops HotnessOf, so a policy that
-   * overrides only the scalar read stays consistent.
+   * pass read through this in chunks (the fair-share victim selection
+   * asks for 32 units a call and stops once its choice is settled);
+   * policies whose estimate has a cheaper batched read override it. The
+   * default loops HotnessOf, so a policy that overrides only the scalar
+   * read stays consistent.
    */
   virtual void HotnessOfEach(std::span<const PageId> units,
                              std::span<uint32_t> out) const {

@@ -327,7 +327,7 @@ TEST(Determinism, PolicyDispatchMatchesAccessInterest) {
  * Owns `inner` and forwards every `TieringPolicy` hook to it except
  * `HotnessOfEach`, which it leaves to the base-class loop over
  * `HotnessOf`: the per-unit hotness reads the fair-share victim ranking
- * made before it read the base policy's hotness in one batch.
+ * made before it read the base policy's hotness in batches.
  */
 class PerUnitHotnessReads final : public TieringPolicy {
  public:
@@ -993,7 +993,14 @@ class MaintenanceTrafficProbe final : public FairSharePolicy {
   uint64_t repeats_ = 0;
 };
 
-EnforcementGolden RunEnforcementCell(PageMode mode, bool endpoint_aware) {
+/** Victim-selection work of one enforcement cell (the policy's counters). */
+struct SelectionWork {
+  uint64_t ranked, read;
+};
+
+/** Runs one enforcement cell; its selection work goes to `work` if set. */
+EnforcementGolden RunEnforcementCell(PageMode mode, bool endpoint_aware,
+                                     SelectionWork* work = nullptr) {
   // 2 MiB cells get footprints 8x larger, so each tenant still spans
   // tens of tracking units.
   auto mux = MakeMuxWorkload(
@@ -1036,6 +1043,9 @@ EnforcementGolden RunEnforcementCell(PageMode mode, bool endpoint_aware) {
                     audit.demoted_pages(MigrationReason::kQuotaRotation);
   o.maintenance_touches = fair.touches();
   o.maintenance_repeats = fair.repeats();
+  if (work != nullptr) {
+    *work = {fair.ranked_candidates(), fair.hotness_reads()};
+  }
   return o;
 }
 
@@ -1070,6 +1080,38 @@ TEST(Determinism, EnforcementUnderDownEndpointMatchesGolden) {
       EXPECT_EQ(o.audit_demoted, g.audit_demoted);
       EXPECT_EQ(o.maintenance_touches, g.maintenance_touches);
       EXPECT_EQ(o.maintenance_repeats, g.maintenance_repeats);
+    }
+  }
+}
+
+// The same four cells' victim-selection work: fast units ranked and
+// units whose hotness was read. A walk that reads every candidate reads
+// 100 %. Settling at the take-th zero reads about 62 % in the 4 KiB
+// cells, where most candidates are cold; the endpoint-aware one must
+// stay at or under 70 %. The 2 MiB cells' take-th smallest hotness is
+// rarely 0, so they read nearly every candidate.
+constexpr SelectionWork kSelectionWork[] = {
+    {966063ull, 599342ull},
+    {966948ull, 597935ull},
+    {9115ull, 9051ull},
+    {8849ull, 8796ull},
+};
+
+TEST(Determinism, EnforcementSelectionWorkMatchesGolden) {
+  const SelectionWork* golden = kSelectionWork;
+  for (const PageMode mode : {PageMode::kRegular, PageMode::kHuge}) {
+    for (const bool aware : {false, true}) {
+      SCOPED_TRACE(std::string(mode == PageMode::kHuge ? "2 MiB" : "4 KiB") +
+                   (aware ? ", endpoint-aware" : ", blind"));
+      SelectionWork work{};
+      RunEnforcementCell(mode, aware, &work);
+      const SelectionWork& g = *golden++;
+      EXPECT_LE(work.read, work.ranked);
+      EXPECT_EQ(work.ranked, g.ranked);
+      EXPECT_EQ(work.read, g.read);
+      if (mode == PageMode::kRegular && aware) {
+        EXPECT_LE(work.read * 10, work.ranked * 7);
+      }
     }
   }
 }

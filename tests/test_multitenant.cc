@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <span>
 #include <string>
@@ -874,29 +876,46 @@ TEST(FairSharePolicy, EnforcementDemotesExactlyTheColdestTake) {
   EXPECT_EQ(down.policy().enforced_demotions(0), take - pinned);
 }
 
-/** ScatteredHotnessPolicy with a batched read of its own that counts
- *  its calls, so a wrapper that fell back to per-unit reads shows. */
+/** ScatteredHotnessPolicy with a batched read of its own; it counts its
+ *  batched calls, the units they read and the per-unit reads, so a
+ *  wrapper that fell back to per-unit reads shows. */
 class BatchedHotnessPolicy : public ScatteredHotnessPolicy {
  public:
+  uint32_t HotnessOf(PageId unit) const override {
+    ++scalar_calls;
+    return ScatteredHotnessPolicy::HotnessOf(unit);
+  }
   void HotnessOfEach(std::span<const PageId> units,
                      std::span<uint32_t> out) const override {
     ++batch_calls;
-    TieringPolicy::HotnessOfEach(units, out);
+    batch_units += units.size();
+    for (size_t i = 0; i < units.size(); ++i) {
+      out[i] = ScatteredHotnessPolicy::HotnessOf(units[i]);
+    }
   }
+  mutable uint64_t scalar_calls = 0;
   mutable uint64_t batch_calls = 0;
+  mutable uint64_t batch_units = 0;
 };
 
 TEST(SelectColdestUnits, MatchesFullSortReference) {
   // Hotness ranges of every base policy: HybridTier's 4-bit counters, a
   // narrow band straddling the overflow bin, all-overflow values, 16-bit
   // (huge-page) counters and Memtis-style counts up to 2^20; a range of
-  // 2 makes nearly every unit a tie. Blind and endpoint-aware, with
-  // endpoint costs that repeat across endpoints.
+  // 2 makes nearly every unit a tie. Zero-heavy ranges stop the read
+  // walk early: all zero, {0, 1} at ~90% zeros, and zeros only on the
+  // costliest endpoints, so an endpoint-aware walk crosses classes
+  // before it settles. Blind and endpoint-aware, with endpoint costs
+  // that repeat across endpoints.
   struct Range {
     uint32_t low, high;
+    uint32_t zero_percent;    // Chance a unit is forced to hotness 0.
+    bool zeros_on_costliest;  // Only units of the costliest endpoints.
   };
-  const Range ranges[] = {{0, 1},  {0, 15},      {60, 66},
-                          {63, 70}, {0, 65535},  {0, 1u << 20}};
+  const Range ranges[] = {
+      {0, 1, 0, false},     {0, 15, 0, false},  {60, 66, 0, false},
+      {63, 70, 0, false},   {0, 65535, 0, false}, {0, 1u << 20, 0, false},
+      {0, 0, 0, false},     {0, 1, 90, false},  {1, 15, 90, true}};
   Rng rng(29);
   ColdestSelectionScratch scratch;
   for (const Range range : ranges) {
@@ -908,11 +927,6 @@ TEST(SelectColdestUnits, MatchesFullSortReference) {
         units.push_back(unit);
         unit += 1 + (rng.NextBounded(4) == 0 ? rng.NextBounded(50) : 0);
       }
-      std::vector<uint32_t> hotness(n);
-      for (uint32_t& h : hotness) {
-        h = range.low + static_cast<uint32_t>(
-                            rng.NextBounded(range.high - range.low + 1));
-      }
       const uint32_t endpoints = 1 + static_cast<uint32_t>(rng.NextBounded(5));
       const uint64_t gran = 1 + rng.NextBounded(6);
       const HdmDecoder hdm(endpoints, gran);
@@ -922,6 +936,21 @@ TEST(SelectColdestUnits, MatchesFullSortReference) {
                    ? static_cast<uint16_t>(200 + rng.NextBounded(3))
                    : static_cast<uint16_t>(rng.NextBounded(0x10000));
       }
+      const uint16_t costliest =
+          *std::max_element(endpoint_cost.begin(), endpoint_cost.end());
+      std::vector<uint32_t> hotness(n);
+      for (size_t i = 0; i < n; ++i) {
+        hotness[i] = range.low + static_cast<uint32_t>(rng.NextBounded(
+                                     range.high - range.low + 1));
+        const bool may_zero =
+            !range.zeros_on_costliest ||
+            endpoint_cost[hdm.EndpointOf(units[i])] == costliest;
+        if (may_zero && rng.NextBounded(100) < range.zero_percent) {
+          hotness[i] = 0;
+        }
+      }
+      const uint64_t zeros = static_cast<uint64_t>(
+          std::count(hotness.begin(), hotness.end(), 0u));
       for (const bool aware : {false, true}) {
         std::vector<uint32_t> unit_cost(n, 0);
         if (aware) {
@@ -929,16 +958,39 @@ TEST(SelectColdestUnits, MatchesFullSortReference) {
             unit_cost[i] = endpoint_cost[hdm.EndpointOf(units[i])];
           }
         }
-        for (const uint64_t take :
-             {uint64_t{1}, uint64_t{n - 1}, uint64_t{n},
-              uint64_t{1 + rng.NextBounded(n)}}) {
+        // Candidate positions in the walk's order, (cost, address).
+        std::vector<size_t> walk(n);
+        std::iota(walk.begin(), walk.end(), size_t{0});
+        std::stable_sort(walk.begin(), walk.end(), [&](size_t a, size_t b) {
+          return unit_cost[a] < unit_cost[b];
+        });
+        std::vector<uint64_t> takes = {1, n - 1, n, 1 + rng.NextBounded(n)};
+        if (zeros > 0) takes.push_back(zeros);     // Settles on the last.
+        if (zeros < n) takes.push_back(zeros + 1);  // Falls back.
+        for (const uint64_t take : takes) {
           SCOPED_TRACE("hotness [" + std::to_string(range.low) + ", " +
                        std::to_string(range.high) + "], " +
-                       std::to_string(n) + " units, take " +
-                       std::to_string(take) + (aware ? ", aware" : ""));
+                       std::to_string(zeros) + " of " + std::to_string(n) +
+                       " units at 0, take " + std::to_string(take) +
+                       (aware ? ", aware" : ""));
+          std::map<PageId, uint32_t> reads_of;
+          uint64_t reads = 0;
+          const HotnessReader read = [&](std::span<const PageId> batch,
+                                         std::span<uint32_t> out) {
+            ASSERT_EQ(out.size(), batch.size());
+            ASSERT_LE(batch.size(), kHotnessReadChunk);
+            for (size_t j = 0; j < batch.size(); ++j) {
+              const auto at = std::lower_bound(units.begin(), units.end(),
+                                               batch[j]);
+              ASSERT_TRUE(at != units.end() && *at == batch[j]);
+              out[j] = hotness[static_cast<size_t>(at - units.begin())];
+              ++reads_of[batch[j]];
+              ++reads;
+            }
+          };
           std::vector<PageId> chosen = units;
           const size_t kept = SelectColdestUnits(
-              chosen, hotness,
+              chosen, read,
               aware ? std::span<const uint16_t>(endpoint_cost)
                     : std::span<const uint16_t>(),
               hdm, take, &scratch);
@@ -946,6 +998,24 @@ TEST(SelectColdestUnits, MatchesFullSortReference) {
           chosen.resize(kept);
           ASSERT_EQ(chosen, reference::SelectColdest(units, hotness,
                                                      unit_cost, take));
+
+          for (const auto& [read_unit, count] : reads_of) {
+            ASSERT_EQ(count, 1u) << "unit " << read_unit << " read twice";
+          }
+          if (take == n) {
+            EXPECT_EQ(reads, 0u);  // Everything goes; nothing to rank.
+          } else if (zeros < take) {
+            EXPECT_EQ(reads, n);  // The take-th smallest hotness is > 0.
+          } else {
+            // Settled at the take-th zero in walk order: reads stop
+            // within one chunk of it.
+            uint64_t rank = 0;
+            for (uint64_t seen = 0; seen < take; ++rank) {
+              seen += hotness[walk[rank]] == 0;
+            }
+            EXPECT_GE(reads, rank);
+            EXPECT_LT(reads, rank + kHotnessReadChunk);
+          }
         }
       }
     }
@@ -966,17 +1036,29 @@ TEST(FairSharePolicy, HotnessOfEachForwardsToTheBase) {
   std::vector<uint32_t> hotness(units.size(), UINT32_MAX);
   harness.policy().HotnessOfEach(units, hotness);
   EXPECT_EQ(base.batch_calls, 1u);
+  EXPECT_EQ(base.batch_units, units.size());
   for (size_t i = 0; i < units.size(); ++i) {
     EXPECT_EQ(hotness[i], harness.policy().HotnessOf(units[i]))
         << "unit " << units[i];
   }
 
-  // Enforcement ranks tenant a's 128 excess units with one batched read
-  // of its fast units, not one read per unit.
+  // Enforcement ranks tenant a's 512 fast units to demote its 128 excess
+  // units. It reads the base only through batched reads (as many as its
+  // chunked walk needs), never one unit per call, and reads each
+  // candidate at most once.
+  const uint64_t scalar_before = base.scalar_calls;
+  const uint64_t batch_before = base.batch_calls;
+  const uint64_t units_before = base.batch_units;
   harness.TouchAll();
   harness.policy().Tick(1 * kMillisecond);
   EXPECT_EQ(harness.policy().enforced_demotions(0), 128u);
-  EXPECT_EQ(base.batch_calls, 2u);
+  EXPECT_EQ(base.scalar_calls, scalar_before);
+  EXPECT_GT(base.batch_calls, batch_before);
+  EXPECT_EQ(harness.policy().ranked_candidates(), 512u);
+  EXPECT_EQ(harness.policy().hotness_reads(),
+            base.batch_units - units_before);
+  EXPECT_LE(harness.policy().hotness_reads(),
+            harness.policy().ranked_candidates());
 }
 
 // ----------------------------------------------- marginal-utility mode --
